@@ -9,6 +9,7 @@ or involving padding) are suppressed with an additive -1e9 before softmax.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -173,11 +174,21 @@ def _axis_regions(size: int, window: int, shift: int) -> np.ndarray:
 def attention_mask(info: PartitionInfo) -> Optional[np.ndarray]:
     """Additive mask [nW, L, L] (0 allowed, -1e9 blocked), or None if every
     pair is allowed. Blocks pairs across the cyclic wrap seam and pairs
-    involving zero-padding."""
-    spec = info.spec
-    hp, wp = info.padded_h, info.padded_w
-    if spec.shift == 0 and info.pad_h == 0 and info.pad_w == 0:
+    involving zero-padding.
+
+    The mask depends only on the geometry, not on batch or channels, so it
+    is built once per geometry and shared: the array is read-only.
+    """
+    return _geometry_mask(info.height, info.width, info.pad_h, info.pad_w,
+                          info.grid_h, info.grid_w, info.spec)
+
+
+@lru_cache(maxsize=64)
+def _geometry_mask(height: int, width: int, pad_h: int, pad_w: int,
+                   gh: int, gw: int, spec: WindowSpec) -> Optional[np.ndarray]:
+    if spec.shift == 0 and pad_h == 0 and pad_w == 0:
         return None
+    hp, wp = height + pad_h, width + pad_w
     if spec.shift:
         ry = _axis_regions(hp, spec.window, spec.shift)
         rx = _axis_regions(wp, spec.window, spec.shift)
@@ -185,18 +196,19 @@ def attention_mask(info: PartitionInfo) -> Optional[np.ndarray]:
     else:
         region = np.zeros((hp, wp), dtype=np.int64)
     valid = np.zeros((hp, wp), dtype=bool)
-    valid[:info.height, :info.width] = True
+    valid[:height, :width] = True
     if spec.shift:
         # padding is appended pre-shift, so the validity map shifts with x
         valid = np.roll(valid, (-spec.shift, -spec.shift), axis=(0, 1))
 
     w = spec.window
-    gh, gw = info.grid_h, info.grid_w
     region_w = region.reshape(gh, w, gw, w).transpose(0, 2, 1, 3).reshape(-1, w * w)
     valid_w = valid.reshape(gh, w, gw, w).transpose(0, 2, 1, 3).reshape(-1, w * w)
     same = region_w[:, :, None] == region_w[:, None, :]
     ok = same & valid_w[:, :, None] & valid_w[:, None, :]
-    return np.where(ok, 0.0, MASK_VALUE)
+    mask = np.where(ok, 0.0, MASK_VALUE)
+    mask.flags.writeable = False
+    return mask
 
 
 def _project_heads(tokens: Tensor, w: Tensor, b: Tensor,
@@ -220,16 +232,20 @@ def _attend(q_src: Tensor, kv_src: Tensor, params: AttentionParams,
     v = _project_heads(kv_src, params.wv, params.bv, cfg)
     logits = T.scale(T.matmul(q, T.permute(k, (0, 1, 3, 2))),
                      1.0 / np.sqrt(cfg.head_dim))
-    if mask is not None:
+    if mask is None:
+        weights = T.softmax(logits, axis=-1)
+    else:
         m = np.asarray(mask, dtype=np.float64)
         if m.ndim == 2:
             m = m[None]
-        if nb % m.shape[0]:
-            raise ShapeError(f"mask batch {m.shape[0]} does not tile "
+        if m.ndim != 3 or nb % m.shape[0]:
+            raise ShapeError(f"mask of shape {m.shape} does not tile "
                              f"{nb} windows")
-        m = np.tile(m, (nb // m.shape[0], 1, 1))[:, None, :, :]
-        logits = T.add(logits, T.broadcast_to(Tensor(m), logits.shape))
-    weights = T.softmax(logits, axis=-1)
+        # windows are batch-major, so the nW window masks repeat per image
+        per_image = T.reshape(logits, (nb // m.shape[0], m.shape[0])
+                              + logits.shape[1:])
+        weights = T.reshape(T.softmax(per_image, axis=-1, mask=m[:, None]),
+                            logits.shape)
     ctx = T.matmul(weights, v)
     ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (nb, lq, c))
     out = T.linear(ctx, params.wo, params.bo)

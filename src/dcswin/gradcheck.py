@@ -204,6 +204,11 @@ def _op_cases(seed: int) -> dict[str, tuple[Callable[[], Tensor], dict[str, Tens
 
     sm = _leaf(rng, (3, 5), -3.0, 3.0)
     cases["softmax"] = (lambda: _probe(T.softmax(sm, axis=1)), {"a": sm})
+    # blocked (-1e9) entries in every row, broadcast over the leading axis
+    sk = _leaf(rng, (2, 3, 4), -3.0, 3.0)
+    sk_mask = np.where(np.arange(12).reshape(3, 4) % 3 == 1, -1e9, 0.0)
+    cases["softmax_masked"] = (
+        lambda: _probe(T.softmax(sk, axis=-1, mask=sk_mask)), {"a": sk})
     ls = _leaf(rng, (3, 5), -3.0, 3.0)
     cases["log_softmax"] = (lambda: _probe(T.log_softmax(ls, axis=1)), {"a": ls})
 

@@ -9,8 +9,10 @@ the `.grad` of every leaf that has `requires_grad=True`.
 Conventions:
   * storage is always contiguous row-major float64 (the reference dtype);
   * no implicit broadcasting: `add`/`mul`/`div` demand identical shapes,
-    expansion is explicit via `broadcast_to`, and only `matmul` broadcasts
-    its leading batch dimensions;
+    expansion is explicit via `broadcast_to`; the exceptions are `matmul`,
+    which broadcasts its leading batch dimensions, and two in-op
+    broadcasts of a trailing operand: the bias of `linear` and the
+    additive constant mask of `softmax`;
   * checked mode (default on) rejects NaN/Inf at every op boundary.
 
 Tapes nest: `with Tape() as t:` records onto `t`; outside any explicit
@@ -48,7 +50,7 @@ def is_checked() -> bool:
 
 
 def set_checked(enabled: bool) -> None:
-    """Globally enable or disable NaN/Inf screening (benchmarks turn it off)."""
+    """Globally enable or disable NaN/Inf screening at op boundaries."""
     global _checked
     _checked = bool(enabled)
 
@@ -413,7 +415,7 @@ def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh form."""
     a = _as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * x ** 3)
+    inner = _GELU_C * (x + _GELU_A * (x * x * x))
     th = np.tanh(inner)
     out = 0.5 * x * (1.0 + th)
 
@@ -643,13 +645,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _finish(out, (a, b), bw, "matmul")
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along one axis; rows sum to 1."""
+def softmax(a: Tensor, axis: int = -1,
+            mask: Optional[np.ndarray] = None) -> Tensor:
+    """Stable softmax along one axis; rows sum to 1.
+
+    `mask` is an optional additive constant (no gradient), broadcast onto
+    `a` before the row max: 0 keeps an entry, a large negative value such
+    as -1e9 suppresses it.
+    """
     a = _as_tensor(a)
     ax = axis % a.data.ndim
-    shifted = a.data - a.data.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=ax, keepdims=True)
+    if mask is None:
+        out = a.data - a.data.max(axis=ax, keepdims=True)
+    else:
+        m = np.asarray(mask, dtype=np.float64)
+        try:
+            grown = np.broadcast_shapes(m.shape, a.data.shape) != a.data.shape
+        except ValueError:
+            grown = True
+        if grown:
+            raise ShapeError(f"softmax: mask shape {m.shape} does not "
+                             f"broadcast onto {a.data.shape}")
+        _screen(m, "softmax mask")
+        out = a.data + m
+        out -= out.max(axis=ax, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=ax, keepdims=True)
 
     def bw(g):
         inner = (g * out).sum(axis=ax, keepdims=True)
@@ -751,32 +772,66 @@ def conv1x1(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Affine map over the last axis: [..., K] @ [K, N] + [N]."""
-    y = matmul(x, w)
+    """Affine map over the last axis: [..., K] @ [K, N] + [N].
+
+    The leading axes are flattened into one 2-D product, so the weight
+    gradient is a single [K, N] product rather than one per batch entry.
+    """
+    x, w = _as_tensor(x), _as_tensor(w)
+    xd, wd = x.data, w.data
+    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
+        raise ShapeError(f"linear expects [..., K] and [K, N], got {xd.shape} "
+                         f"and {wd.shape}")
+    n = wd.shape[1]
+    x2 = xd.reshape(-1, xd.shape[-1])
+    out = x2 @ wd
+    inputs: tuple[Tensor, ...] = (x, w)
     if b is not None:
         b = _as_tensor(b)
-        shape = (1,) * (y.data.ndim - 1) + (b.data.shape[-1],)
-        y = add(y, broadcast_to(reshape(b, shape), y.shape))
-    return y
+        if b.data.shape != (n,):
+            raise ShapeError(f"linear: bias shape {b.data.shape} != ({n},)")
+        out += b.data
+        inputs = (x, w, b)
+
+    def bw(g):
+        g2 = g.reshape(-1, n)
+        grads = ((g2 @ wd.T).reshape(xd.shape), x2.T @ g2)
+        return grads + (g2.sum(axis=0),) if b is not None else grads
+
+    return _finish(out.reshape(xd.shape[:-1] + (n,)), inputs, bw, "linear")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
-    x = _as_tensor(x)
+    """Normalize over the last axis, then scale and shift.
+
+    With xn = (x - mean) / denom, denom = sqrt(var + eps) and
+    dxn = g * gamma, the input gradient is
+    (dxn - mean(dxn) - xn * mean(dxn * xn)) / denom.
+    """
+    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     c = x.data.shape[-1]
     for name, p in (("gamma", gamma), ("beta", beta)):
-        if _as_tensor(p).data.shape != (c,):
-            raise ShapeError(f"layer_norm: {name} shape "
-                             f"{_as_tensor(p).data.shape} != ({c},)")
-    mu = reduce_mean(x, axis=-1, keepdims=True)
-    xc = sub(x, broadcast_to(mu, x.shape))
-    var = reduce_mean(mul(xc, xc), axis=-1, keepdims=True)
-    denom = sqrt(add_scalar(var, eps))
-    xn = div(xc, broadcast_to(denom, x.shape))
-    pshape = (1,) * (x.data.ndim - 1) + (c,)
-    g = broadcast_to(reshape(_as_tensor(gamma), pshape), x.shape)
-    b = broadcast_to(reshape(_as_tensor(beta), pshape), x.shape)
-    return add(mul(xn, g), b)
+        if p.data.shape != (c,):
+            raise ShapeError(f"layer_norm: {name} shape {p.data.shape} != ({c},)")
+    xd, gd = x.data, gamma.data
+    xn = xd - xd.mean(axis=-1, keepdims=True)  # centred here, scaled below
+    var = (xn * xn).mean(axis=-1, keepdims=True)
+    # squares that overflow would otherwise normalize x to 0 and return beta
+    _screen(var, "layer_norm variance")
+    denom = np.sqrt(var + eps)
+    xn /= denom
+    out = xn * gd
+    out += beta.data
+    lead = tuple(range(xd.ndim - 1))
+
+    def bw(g):
+        dxn = g * gd
+        dx = dxn - dxn.mean(axis=-1, keepdims=True)
+        dx -= xn * (dxn * xn).mean(axis=-1, keepdims=True)
+        dx /= denom
+        return dx, (g * xn).sum(axis=lead), g.sum(axis=lead)
+
+    return _finish(out, (x, gamma, beta), bw, "layer_norm")
 
 
 def detach(a: Tensor) -> Tensor:

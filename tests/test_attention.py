@@ -133,6 +133,34 @@ def test_mask_marks_padding_invalid():
     assert np.all(blocked == -1e9)
 
 
+def test_mask_cached_per_geometry_and_read_only():
+    rng = np.random.default_rng(12)
+    _, info = window_partition(rand_map(rng, 1, 1, 8, 8), WindowSpec(4, 2))
+    # batch and channels differ, geometry does not: the same array comes back
+    _, same_geometry = window_partition(rand_map(rng, 3, 2, 8, 8),
+                                        WindowSpec(4, 2))
+    mask = attention_mask(info)
+    assert attention_mask(same_geometry) is mask
+    with pytest.raises(ValueError):
+        mask[0, 0, 0] = 1.0
+
+    _, shifted = window_partition(rand_map(rng, 1, 1, 8, 8), WindowSpec(4, 1))
+    other = attention_mask(shifted)
+    assert other is not mask and not np.array_equal(other, mask)
+    assert set(np.unique(other)) <= {0.0, -1e9}
+    assert np.all(other[0] == 0.0)
+    for wdx in (1, 2, 3):
+        assert np.any(other[wdx] == -1e9)
+        assert np.array_equal(other[wdx], other[wdx].T)
+
+    _, padded = window_partition(rand_map(rng, 1, 1, 5, 5), WindowSpec(4))
+    pad_mask = attention_mask(padded)
+    assert pad_mask is not mask and not pad_mask.flags.writeable
+    assert np.all(pad_mask[0] == 0.0)
+    real_cols = np.array([c < 1 for r in range(4) for c in range(4)])
+    assert np.all(pad_mask[1][real_cols][:, ~real_cols] == -1e9)
+
+
 # ---- attention semantics ---------------------------------------------------------
 
 def test_single_key_weight_is_one():

@@ -261,6 +261,127 @@ def test_conv1x1_channel_mismatch():
         T.conv1x1(Tensor(np.zeros((1, 3, 2, 2))), Tensor(np.zeros((4, 5))))
 
 
+# ---- fused ops against the composites they replace -------------------------------
+
+def composite_linear(x, w, b):
+    y = T.matmul(x, w)
+    shape = (1,) * (y.data.ndim - 1) + (b.data.shape[-1],)
+    return T.add(y, T.broadcast_to(T.reshape(b, shape), y.shape))
+
+
+def composite_layer_norm(x, gamma, beta, eps=1e-5):
+    c = x.data.shape[-1]
+    mu = T.reduce_mean(x, axis=-1, keepdims=True)
+    xc = T.sub(x, T.broadcast_to(mu, x.shape))
+    var = T.reduce_mean(T.mul(xc, xc), axis=-1, keepdims=True)
+    denom = T.sqrt(T.add_scalar(var, eps))
+    xn = T.div(xc, T.broadcast_to(denom, x.shape))
+    pshape = (1,) * (x.data.ndim - 1) + (c,)
+    g = T.broadcast_to(T.reshape(gamma, pshape), x.shape)
+    b = T.broadcast_to(T.reshape(beta, pshape), x.shape)
+    return T.add(T.mul(xn, g), b)
+
+
+def composite_masked_softmax(a, mask):
+    return T.softmax(T.add(a, T.broadcast_to(Tensor(mask), a.shape)), axis=-1)
+
+
+def _value_and_grads(fn, leaves):
+    """Forward value and the grads of a fixed random projection of it."""
+    for t in leaves:
+        t.grad = None
+    out = fn(*leaves)
+    probe = np.random.default_rng(99).standard_normal(out.data.shape)
+    backward(T.reduce_sum(T.mul(out, Tensor(probe))))
+    return out.data.copy(), [t.grad.copy() for t in leaves]
+
+
+def _assert_same_op(fused, composite, leaves):
+    out_f, grads_f = _value_and_grads(fused, leaves)
+    out_c, grads_c = _value_and_grads(composite, leaves)
+    assert out_f.shape == out_c.shape
+    assert np.max(np.abs(out_f - out_c)) <= 1e-12
+    for gf, gc in zip(grads_f, grads_c):
+        assert gf.shape == gc.shape
+        assert np.max(np.abs(gf - gc)) <= 1e-12
+
+
+@pytest.mark.parametrize("xshape", [(5, 4), (3, 5, 4), (2, 3, 5, 4)])
+def test_linear_matches_composite(xshape):
+    rng = np.random.default_rng(20 + len(xshape))
+    leaves = [leaf(rng.standard_normal(xshape)), leaf(rng.standard_normal((4, 6))),
+              leaf(rng.standard_normal(6))]
+    _assert_same_op(T.linear, composite_linear, leaves)
+
+
+def test_linear_without_bias_and_bad_shapes():
+    rng = np.random.default_rng(24)
+    x = rng.standard_normal((2, 3, 4))
+    w = rng.standard_normal((4, 5))
+    out = T.linear(Tensor(x), Tensor(w))
+    assert np.max(np.abs(out.data - x @ w)) <= 1e-12
+    with pytest.raises(ShapeError):
+        T.linear(Tensor(x), Tensor(np.zeros((3, 5))))
+    with pytest.raises(ShapeError):
+        T.linear(Tensor(x), Tensor(w), Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        T.linear(Tensor(np.zeros(4)), Tensor(w))
+
+
+@pytest.mark.parametrize("xshape", [(5, 8), (2, 3, 8), (2, 2, 3, 8)])
+def test_layer_norm_matches_composite(xshape):
+    rng = np.random.default_rng(30 + len(xshape))
+    leaves = [leaf(rng.standard_normal(xshape) * 3.0 + 1.0),
+              leaf(rng.uniform(0.5, 1.5, size=8)), leaf(rng.standard_normal(8))]
+    _assert_same_op(T.layer_norm, composite_layer_norm, leaves)
+
+
+def test_layer_norm_overflowing_squares_raise():
+    # the squared deviations overflow; the op must not quietly return beta
+    x = Tensor(np.array([[1e200, -1e200, 0.0]]))
+    with np.errstate(over="ignore"), pytest.raises(NumericsError):
+        T.layer_norm(x, T.ones((3,)), T.zeros((3,)))
+
+
+def test_layer_norm_param_shape_mismatch():
+    with pytest.raises(ShapeError):
+        T.layer_norm(Tensor(np.zeros((2, 4))), T.ones((3,)), T.zeros((4,)))
+
+
+@pytest.mark.parametrize("ashape,mshape", [
+    ((3, 5), (3, 5)),          # same shape
+    ((4, 3, 5), (3, 5)),       # broadcast over a leading axis
+    ((2, 3, 4, 5, 5), (3, 1, 5, 5)),  # the attention layout [B, nW, h, L, L]
+])
+def test_masked_softmax_matches_composite(ashape, mshape):
+    rng = np.random.default_rng(40 + len(ashape))
+    mask = np.where(rng.uniform(size=mshape) < 0.3, -1e9, 0.0)
+    mask[..., 0] = 0.0  # every row keeps an allowed entry
+    assert np.any(mask == -1e9)
+    leaves = [leaf(rng.standard_normal(ashape) * 2.0)]
+    _assert_same_op(lambda a: T.softmax(a, axis=-1, mask=mask),
+                    lambda a: composite_masked_softmax(a, mask), leaves)
+    probs = T.softmax(Tensor(leaves[0].data), axis=-1, mask=mask).data
+    assert np.all(probs[np.broadcast_to(mask, ashape) < 0] < 1e-12)
+
+
+def test_masked_softmax_rejects_bad_masks():
+    a = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError):
+        T.softmax(a, mask=np.zeros((3, 3)))
+    with pytest.raises(ShapeError):  # would grow the output
+        T.softmax(a, mask=np.zeros((5, 2, 3, 4)))
+    with pytest.raises(NumericsError):
+        T.softmax(a, mask=np.full((3, 4), np.nan))
+
+
+def test_gelu_matches_tanh_form():
+    x = np.linspace(-6.0, 6.0, 101)
+    c = math.sqrt(2.0 / math.pi)
+    ref = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * np.power(x, 3))))
+    assert np.max(np.abs(T.gelu(Tensor(x)).data - ref)) <= 1e-14
+
+
 # ---- backward contracts --------------------------------------------------------
 
 def test_backward_sum_gives_ones():
