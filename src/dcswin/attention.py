@@ -1,8 +1,9 @@
 """Windowed multi-head self-attention and cross-feature attention.
 
-Feature maps are [B, C, H, W]. `window_partition` tiles the (optionally
-cyclically shifted and zero-padded) map into non-overlapping w x w windows
-and returns tokens [B*nW, w*w, C]; `window_reverse` is its exact inverse.
+Feature maps are channels-last [B, H, W, C]. `window_partition` tiles the
+(optionally cyclically shifted and zero-padded) map into non-overlapping
+w x w windows over axes 1-2 and returns tokens [B*nW, w*w, C];
+`window_reverse` is its exact inverse.
 Disallowed token pairs (across the wrap-around seam created by the shift,
 or involving padding) are suppressed with an additive -1e9 before softmax.
 """
@@ -116,14 +117,14 @@ class PartitionInfo:
 
 
 def window_partition(x: Tensor, spec: WindowSpec) -> tuple[Tensor, PartitionInfo]:
-    """Tile [B,C,H,W] into [B*nW, w*w, C] tokens (shift, then pad, then cut).
+    """Tile [B,H,W,C] into [B*nW, w*w, C] tokens (pad, then shift, then cut).
 
     Windows are laid out batch-major, then row-major over the window grid;
     tokens inside a window are row-major.
     """
     if x.data.ndim != 4:
-        raise ShapeError(f"window_partition expects [B,C,H,W], got {x.shape}")
-    b, c, h, w_in = x.data.shape
+        raise ShapeError(f"window_partition expects [B,H,W,C], got {x.shape}")
+    b, h, w_in, c = x.data.shape
     w = spec.window
     if w > h or w > w_in:
         raise ConfigError(f"window {w} exceeds feature map side ({h},{w_in}); "
@@ -134,11 +135,10 @@ def window_partition(x: Tensor, spec: WindowSpec) -> tuple[Tensor, PartitionInfo
     if pad_h or pad_w:
         t = T.pad2d(t, pad_h, pad_w)
     if spec.shift:
-        t = T.roll(t, (-spec.shift, -spec.shift), (2, 3))
-    hp, wp = h + pad_h, w_in + pad_w
-    gh, gw = hp // w, wp // w
-    t = T.reshape(t, (b, c, gh, w, gw, w))
-    t = T.permute(t, (0, 2, 4, 3, 5, 1))
+        t = T.roll(t, (-spec.shift, -spec.shift), (1, 2))
+    gh, gw = (h + pad_h) // w, (w_in + pad_w) // w
+    t = T.reshape(t, (b, gh, w, gw, w, c))
+    t = T.permute(t, (0, 1, 3, 2, 4, 5))
     t = T.reshape(t, (b * gh * gw, w * w, c))
     return t, PartitionInfo(b, c, h, w_in, pad_h, pad_w, gh, gw, spec)
 
@@ -152,13 +152,13 @@ def window_reverse(windows: Tensor, info: PartitionInfo) -> Tensor:
         raise ShapeError(f"window_reverse: got {windows.data.shape}, "
                          f"partition info implies {expect}")
     t = T.reshape(windows, (b, info.grid_h, info.grid_w, w, w, c))
-    t = T.permute(t, (0, 5, 1, 3, 2, 4))
-    t = T.reshape(t, (b, c, info.padded_h, info.padded_w))
+    t = T.permute(t, (0, 1, 3, 2, 4, 5))
+    t = T.reshape(t, (b, info.padded_h, info.padded_w, c))
     if info.spec.shift:
-        t = T.roll(t, (info.spec.shift, info.spec.shift), (2, 3))
+        t = T.roll(t, (info.spec.shift, info.spec.shift), (1, 2))
     if info.pad_h or info.pad_w:
-        t = T.slice_nd(t, (slice(None), slice(None),
-                           slice(0, info.height), slice(0, info.width)))
+        t = T.slice_nd(t, (slice(None), slice(0, info.height),
+                           slice(0, info.width)))
     return t
 
 
@@ -249,9 +249,7 @@ def _attend(q_src: Tensor, kv_src: Tensor, params: AttentionParams,
     ctx = T.matmul(weights, v)
     ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (nb, lq, c))
     out = T.linear(ctx, params.wo, params.bo)
-    if return_weights:
-        return out, weights
-    return out
+    return (out, weights) if return_weights else out
 
 
 def mhsa(tokens: Tensor, params: AttentionParams, cfg: AttentionConfig,
@@ -266,22 +264,24 @@ def windowed_mhsa(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
                   spec: WindowSpec, return_weights: bool = False):
     """Partition -> masked self-attention per window -> reverse."""
     tokens, info = window_partition(x, spec)
-    mask = attention_mask(info)
+    out = mhsa(tokens, params, cfg, attention_mask(info), return_weights)
     if return_weights:
-        out, weights = mhsa(tokens, params, cfg, mask, return_weights=True)
+        out, weights = out
         return window_reverse(out, info), weights, info
-    out = mhsa(tokens, params, cfg, mask)
     return window_reverse(out, info)
 
 
+# Channels-first helpers. The model keeps its maps channels-last and never
+# calls them; perfbench's tracer still wraps both by name.
+
 def map_to_tokens(x: Tensor) -> Tensor:
-    """[B,C,H,W] -> [B, H*W, C] (row-major positions)."""
+    """Channels-first [B,C,H,W] -> [B, H*W, C] (row-major positions)."""
     b, c, h, w = x.data.shape
     return T.permute(T.reshape(x, (b, c, h * w)), (0, 2, 1))
 
 
 def tokens_to_map(t: Tensor, h: int, w: int) -> Tensor:
-    """[B, H*W, C] -> [B,C,H,W]; inverse of `map_to_tokens`."""
+    """[B, H*W, C] -> channels-first [B,C,H,W]; inverse of `map_to_tokens`."""
     b, length, c = t.data.shape
     if length != h * w:
         raise ShapeError(f"tokens_to_map: {length} tokens != {h}x{w}")
@@ -293,28 +293,26 @@ def cross_attention(current: Tensor, prev: Tensor, params: AttentionParams,
                     return_weights: bool = False):
     """Attend from `current` (queries) into `prev` (keys/values).
 
-    Both are [B,C,H,W] with equal B and C; spatial sizes may differ. The
+    Both are [B,H,W,C] with equal B and C; spatial sizes may differ. The
     attended result is added back onto `current` unless residual=False.
     """
     for name, t in (("current", current), ("prev", prev)):
         if t.data.ndim != 4:
-            raise ShapeError(f"cross_attention: {name} must be [B,C,H,W], "
+            raise ShapeError(f"cross_attention: {name} must be [B,H,W,C], "
                              f"got {t.shape}")
     if current.data.shape[0] != prev.data.shape[0]:
         raise ShapeError(f"cross_attention: batch mismatch "
                          f"{current.data.shape[0]} vs {prev.data.shape[0]}")
-    if current.data.shape[1] != prev.data.shape[1]:
+    if current.data.shape[3] != prev.data.shape[3]:
         raise ShapeError(f"cross_attention: channel mismatch {current.data.shape} "
                          f"vs {prev.data.shape}; align prev first")
-    b, c, h, w = current.data.shape
-    cur_t = map_to_tokens(current)
-    prev_t = map_to_tokens(prev)
+    b, h, w, c = current.data.shape
+    _, hp, wp, _ = prev.data.shape
+    att = _attend(T.reshape(current, (b, h * w, c)),
+                  T.reshape(prev, (b, hp * wp, c)), params, cfg,
+                  return_weights=return_weights)
     if return_weights:
-        att, weights = _attend(cur_t, prev_t, params, cfg, return_weights=True)
-    else:
-        att = _attend(cur_t, prev_t, params, cfg)
-    att_map = tokens_to_map(att, h, w)
-    out = T.add(current, att_map) if residual else att_map
-    if return_weights:
-        return out, weights
-    return out
+        att, weights = att
+    att = T.reshape(att, current.data.shape)
+    out = T.add(current, att) if residual else att
+    return (out, weights) if return_weights else out

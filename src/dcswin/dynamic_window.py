@@ -1,9 +1,10 @@
 """Per-pixel window-scale prediction and mixture-weighted window attention.
 
-A 1x1 convolution over the input image emits S per-pixel scale logits;
-softmax turns them into a scale probability field. Each stage pools the
-field to its own grid and mixes the outputs of windowed attention run at
-each candidate window size, weighted per sample by the pooled mixture.
+A 1x1 convolution over the channels-first input image emits S per-pixel
+scale logits; softmax turns them into a scale probability field [B,S,H,W].
+Its spatial mean is one per-sample mixture, shared by every stage: each
+block mixes the outputs of windowed attention over its channels-last
+[B,H,W,C] map at each candidate window size, weighted by that mixture.
 """
 from __future__ import annotations
 
@@ -74,19 +75,16 @@ def predict_scales(x: Tensor, w: Tensor, b: Tensor,
     return ScaleField(T.softmax(logits, axis=1), tuple(candidates))
 
 
-def pool_to_stage(field: ScaleField, stage_hw: tuple[int, int]) -> StageMixture:
-    """Average-resize the field to the stage grid, take the spatial mean,
-    and renormalize to a per-sample distribution."""
-    th, tw = int(stage_hw[0]), int(stage_hw[1])
-    p = field.probs
-    h, w = p.data.shape[2], p.data.shape[3]
-    if th < 1 or tw < 1 or h % th or w % tw:
-        raise ShapeError(f"stage grid ({th},{tw}) must divide field ({h},{w})")
-    pooled = T.avg_pool2d(p, h // th, w // tw)
-    m = T.reduce_mean(pooled, axis=(2, 3))
+def pool_to_stage(field: ScaleField) -> StageMixture:
+    """Spatial mean of the field, renormalized to a per-sample distribution.
+
+    Box-averaging to any stage grid before the mean would change nothing
+    (the mean of equal-size box means is the global mean), so every stage
+    shares this one mixture.
+    """
+    m = T.reduce_mean(field.probs, axis=(2, 3))
     norm = T.reduce_sum(m, axis=1, keepdims=True)
-    m = T.div(m, T.broadcast_to(norm, m.shape))
-    return StageMixture(m)
+    return StageMixture(T.div(m, T.broadcast_to(norm, m.shape)))
 
 
 def _mixture_weights(mixture: Union[StageMixture, Tensor]) -> Tensor:
@@ -108,9 +106,12 @@ def dynamic_window_attention(x: Tensor, mixture: Union[StageMixture, Tensor],
                              hard: bool = False) -> Tensor:
     """Mixture-weighted sum of windowed attention at every candidate size.
 
-    Q/K/V/output projections are shared across candidates; only the window
-    geometry differs. Candidates whose weight is exactly zero for every
-    sample are skipped, so a one-hot mixture reproduces single-window
+    x is [B,H,W,C]. Q/K/V/output projections are shared across candidates;
+    only the window geometry differs. Candidates with the same window and
+    shift (e.g. several clipped to the stage side) are attended once, with
+    their weight columns summed; hard selection takes its argmax over the
+    original candidate list first. Windows whose weight is exactly zero for
+    every sample are skipped, so a one-hot mixture reproduces single-window
     attention exactly. With shift=True each candidate uses its own
     half-window cyclic shift (suppressed when the window covers the map).
     """
@@ -118,17 +119,21 @@ def dynamic_window_attention(x: Tensor, mixture: Union[StageMixture, Tensor],
     weights = _mixture_weights(mixture)
     if hard:
         weights = hard_selection(weights)
-    b, _, h, w_sp = x.data.shape
+    b, h, w_sp, _ = x.data.shape
     if weights.data.shape != (b, len(candidates)):
         raise ShapeError(f"mixture shape {weights.data.shape} != "
                          f"({b}, {len(candidates)})")
-    out: Optional[Tensor] = None
+    columns: dict[WindowSpec, Tensor] = {}
     for i, cand in enumerate(candidates):
+        s = cand // 2 if (shift and cand < min(h, w_sp)) else 0
+        spec = WindowSpec(cand, s)
         col = T.slice_nd(weights, (slice(None), slice(i, i + 1)))
+        columns[spec] = T.add(columns[spec], col) if spec in columns else col
+    out: Optional[Tensor] = None
+    for spec, col in columns.items():
         if np.all(col.data == 0.0):
             continue
-        s = cand // 2 if (shift and cand < min(h, w_sp)) else 0
-        branch = windowed_mhsa(x, params, cfg, WindowSpec(cand, s))
+        branch = windowed_mhsa(x, params, cfg, spec)
         wmap = T.broadcast_to(T.reshape(col, (b, 1, 1, 1)), branch.shape)
         term = T.mul(branch, wmap)
         out = term if out is None else T.add(out, term)

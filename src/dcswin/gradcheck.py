@@ -199,7 +199,7 @@ def _op_cases(seed: int) -> dict[str, tuple[Callable[[], Tensor], dict[str, Tens
     cases["mean"] = (lambda: _probe(T.reduce_mean(s2, axis=0)), {"a": s2})
     s3 = _leaf(rng, (2, 3, 4, 4))
     cases["mean_pool"] = (lambda: _probe(T.mean_pool(s3, (2, 3))), {"a": s3})
-    s4 = _leaf(rng, (2, 2, 4, 4))
+    s4 = _leaf(rng, (2, 4, 4, 2))
     cases["avg_pool2d"] = (lambda: _probe(T.avg_pool2d(s4, 2)), {"a": s4})
 
     sm = _leaf(rng, (3, 5), -3.0, 3.0)
@@ -256,7 +256,7 @@ def _attention_cases(seed: int):
     leaves = {"tokens": tokens, **params.named("p")}
     cases["mhsa"] = (lambda: _probe(mhsa(tokens, params, cfg)), leaves)
 
-    xmap = _leaf(rng, (1, 4, 4, 4))
+    xmap = _leaf(rng, (1, 4, 4, 4))  # [B,H,W,C]
     wparams = AttentionParams.init(cfg, np.random.default_rng(seed + 2))
     wparams.wo.data[...] = rng.uniform(-0.5, 0.5, size=wparams.wo.data.shape)
     spec = WindowSpec(window=2, shift=1)
@@ -264,13 +264,22 @@ def _attention_cases(seed: int):
     cases["windowed_mhsa"] = (
         lambda: _probe(windowed_mhsa(xmap, wparams, cfg, spec)), wleaves)
 
-    cur = _leaf(rng, (1, 4, 2, 2))
-    prev = _leaf(rng, (1, 4, 2, 2))
+    cur = _leaf(rng, (1, 2, 2, 4))
+    prev = _leaf(rng, (1, 2, 2, 4))
     cparams = AttentionParams.init(cfg, np.random.default_rng(seed + 3))
     cparams.wo.data[...] = rng.uniform(-0.5, 0.5, size=cparams.wo.data.shape)
     cleaves = {"cur": cur, "prev": prev, **cparams.named("p")}
     cases["cross_attention"] = (
         lambda: _probe(cross_attention(cur, prev, cparams, cfg)), cleaves)
+
+    # 5x5 pads to 6x6 under window 2, so padding and the shift seam both mask
+    pmap = _leaf(rng, (1, 5, 5, 4))
+    pparams = AttentionParams.init(cfg, np.random.default_rng(seed + 4))
+    pparams.wo.data[...] = rng.uniform(-0.5, 0.5, size=pparams.wo.data.shape)
+    pspec = WindowSpec(window=2, shift=1)
+    cases["windowed_mhsa_padded"] = (
+        lambda: _probe(windowed_mhsa(pmap, pparams, cfg, pspec)),
+        {"x": pmap, **pparams.named("p")})
 
     return cases
 
@@ -292,7 +301,19 @@ def _dynamic_window_case(seed: int):
                                                shift=False))
 
     leaves = {"x": x, "mix_logits": logits, **params.named("p")}
-    return {"dynamic_window_attention": (f, leaves)}
+
+    # (2, 4, 4): the two 4-windows share one branch and a summed weight
+    xd = _leaf(rng, (2, 4, 4, 4))
+    dlogits = _leaf(rng, (2, 3))
+
+    def f_dup():
+        mix = T.softmax(dlogits, axis=1)
+        return _probe(dynamic_window_attention(xd, mix, (2, 4, 4), params, cfg,
+                                               shift=True))
+
+    dleaves = {"x": xd, "mix_logits": dlogits, **params.named("p")}
+    return {"dynamic_window_attention": (f, leaves),
+            "dynamic_window_attention_duplicates": (f_dup, dleaves)}
 
 
 def op_names() -> list[str]:

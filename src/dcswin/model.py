@@ -6,12 +6,18 @@ patch merging between stages (2x2 concat, linear to double width) ->
 cross-scale fusion of each stage's output with the previous stage's ->
 global average pool -> linear head.
 
+Feature maps are channels-last [B, H, W, C] from the patch embedding to
+the global pool, so norms, MLPs and projections apply to them directly;
+only the input image [B, 3, H, W] and the scale field predicted from it
+stay channels-first.
+
 Both mechanisms sit behind independent config switches so ablations
 (`dynamic_window=False`, `cross_scale=False`) degrade the model to a plain
 hierarchical windowed transformer.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
@@ -20,8 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import (AttentionConfig, AttentionParams, WindowSpec,
-                        cross_attention, map_to_tokens, tokens_to_map,
-                        windowed_mhsa)
+                        cross_attention, windowed_mhsa)
 from .dynamic_window import (ScaleField, dynamic_window_attention,
                              pool_to_stage, predict_scales)
 from .errors import ConfigError, FormatError, ShapeError
@@ -103,8 +108,11 @@ class ModelConfig:
                               f"{self.selection!r}")
         if self.fixed_window < 1:
             raise ConfigError(f"fixed_window must be >= 1, got {self.fixed_window}")
-        if self.mlp_ratio <= 0:
-            raise ConfigError(f"mlp_ratio must be positive, got {self.mlp_ratio}")
+        # widths double per stage, so the first stage has the narrowest MLP
+        if not math.isfinite(self.mlp_ratio) or \
+                self.mlp_hidden(self.embed_dims[0]) < 1:
+            raise ConfigError(f"mlp_ratio {self.mlp_ratio} must be finite and "
+                              f"give every stage an MLP width >= 1")
         if self.cross_scale_stages is not None:
             bad = [i for i in self.cross_scale_stages if not (1 <= i < n)]
             if bad:
@@ -147,20 +155,6 @@ class ModelConfig:
         base.update(overrides)
         return cls(**base)
 
-    @classmethod
-    def desk(cls, **overrides) -> "ModelConfig":
-        return cls(**overrides)
-
-    @classmethod
-    def full_scale(cls, **overrides) -> "ModelConfig":
-        """Four-stage layout ending at 1024 channels (224px inputs)."""
-        base = dict(image_size=224, patch_size=4,
-                    embed_dims=(128, 256, 512, 1024), depths=(2, 2, 18, 2),
-                    num_heads=(4, 8, 16, 32), candidates=(7, 14, 28),
-                    fixed_window=7, mlp_ratio=4.0)
-        base.update(overrides)
-        return cls(**base)
-
     def ablated(self, arm: str) -> "ModelConfig":
         """full | no-dw | no-cs | baseline."""
         if arm == "full":
@@ -178,7 +172,7 @@ class ModelConfig:
         def seq(v):
             return ",".join(str(x) for x in v)
 
-        out = {
+        return {
             "image_size": str(self.image_size),
             "patch_size": str(self.patch_size),
             "embed_dims": seq(self.embed_dims),
@@ -194,21 +188,27 @@ class ModelConfig:
             "cross_scale_stages": ("all" if self.cross_scale_stages is None
                                    else seq(self.cross_scale_stages)),
         }
-        return out
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> "ModelConfig":
-        def get(key, default):
-            return mapping.get(key, default)
+        """Inverse of `to_mapping`; a malformed value raises ConfigError."""
+        def get(key):
+            return mapping.get(key, cls.__dataclass_fields__[key].default)
 
-        def ints(key, default):
-            raw = get(key, default)
-            if isinstance(raw, str):
-                return tuple(int(v) for v in raw.split(",") if v.strip())
-            return raw
+        def number(key, kind):
+            raw = get(key)
+            try:
+                return kind(raw)
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"{key}: not {kind.__name__}: {raw!r}") from e
 
-        def boolean(key, default):
-            raw = get(key, default)
+        def ints(key):
+            raw = get(key)
+            return [v for v in raw.split(",") if v.strip()] \
+                if isinstance(raw, str) else raw
+
+        def boolean(key):
+            raw = get(key)
             if isinstance(raw, bool):
                 return raw
             low = raw.strip().lower()
@@ -218,24 +218,22 @@ class ModelConfig:
                 return False
             raise ConfigError(f"{key}: not a boolean: {raw!r}")
 
-        css_raw = get("cross_scale_stages", "all")
-        css = None if (css_raw in (None, "all", "")) else \
-            tuple(int(v) for v in css_raw.split(","))
-        d = cls.__dataclass_fields__
+        css = get("cross_scale_stages")
         return cls(
-            image_size=int(get("image_size", d["image_size"].default)),
-            patch_size=int(get("patch_size", d["patch_size"].default)),
-            embed_dims=ints("embed_dims", "32,64,128"),
-            depths=ints("depths", "2,2,2"),
-            num_heads=ints("num_heads", "2,4,8"),
-            candidates=ints("candidates", "2,4,8"),
-            num_classes=int(get("num_classes", d["num_classes"].default)),
-            mlp_ratio=float(get("mlp_ratio", d["mlp_ratio"].default)),
-            selection=str(get("selection", d["selection"].default)),
-            dynamic_window=boolean("dynamic_window", d["dynamic_window"].default),
-            cross_scale=boolean("cross_scale", d["cross_scale"].default),
-            fixed_window=int(get("fixed_window", d["fixed_window"].default)),
-            cross_scale_stages=css,
+            image_size=number("image_size", int),
+            patch_size=number("patch_size", int),
+            embed_dims=ints("embed_dims"),
+            depths=ints("depths"),
+            num_heads=ints("num_heads"),
+            candidates=ints("candidates"),
+            num_classes=number("num_classes", int),
+            mlp_ratio=number("mlp_ratio", float),
+            selection=str(get("selection")),
+            dynamic_window=boolean("dynamic_window"),
+            cross_scale=boolean("cross_scale"),
+            fixed_window=number("fixed_window", int),
+            cross_scale_stages=(None if css in (None, "all", "")
+                                else css.split(",")),
         )
 
     # ---- closed-form parameter count ---------------------------------------
@@ -323,13 +321,13 @@ class PatchEmbed:
         self.proj = Linear(3 * patch * patch, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
+        """Channels-first image [B,3,H,W] -> channels-last map [B,H/p,W/p,C]."""
         b, c, h, w = x.data.shape
         p = self.patch
         t = T.reshape(x, (b, c, h // p, p, w // p, p))
         t = T.permute(t, (0, 2, 4, 1, 3, 5))
-        t = T.reshape(t, (b, (h // p) * (w // p), c * p * p))
-        t = self.proj(t)
-        return tokens_to_map(t, h // p, w // p)
+        t = T.reshape(t, (b, h // p, w // p, c * p * p))
+        return self.proj(t)
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return self.proj.named(f"{prefix}.proj")
@@ -342,14 +340,13 @@ class PatchMerge:
         self.proj = Linear(4 * dim_in, dim_out, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        b, c, h, w = x.data.shape
+        b, h, w, c = x.data.shape
         if h % 2 or w % 2:
             raise ShapeError(f"patch merge needs even spatial dims, got {x.shape}")
-        t = T.reshape(x, (b, c, h // 2, 2, w // 2, 2))
-        t = T.permute(t, (0, 2, 4, 3, 5, 1))
-        t = T.reshape(t, (b, (h // 2) * (w // 2), 4 * c))
-        t = self.proj(t)
-        return tokens_to_map(t, h // 2, w // 2)
+        t = T.reshape(x, (b, h // 2, 2, w // 2, 2, c))
+        t = T.permute(t, (0, 1, 3, 2, 4, 5))
+        t = T.reshape(t, (b, h // 2, w // 2, 4 * c))
+        return self.proj(t)
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return self.proj.named(f"{prefix}.proj")
@@ -377,8 +374,7 @@ class Block:
         self.mlp = Mlp(dim, cfg.mlp_hidden(dim), rng)
 
     def __call__(self, x: Tensor, mixture) -> Tensor:
-        b, c, h, w = x.data.shape
-        n1 = tokens_to_map(self.ln1(map_to_tokens(x)), h, w)
+        n1 = self.ln1(x)
         if self.dynamic:
             att = dynamic_window_attention(n1, mixture, self.candidates,
                                            self.attn, self.attn_cfg,
@@ -386,9 +382,7 @@ class Block:
         else:
             att = windowed_mhsa(n1, self.attn, self.attn_cfg, self.fixed_spec)
         x = T.add(x, att)
-        n2 = self.ln2(map_to_tokens(x))
-        x = T.add(x, tokens_to_map(self.mlp(n2), h, w))
-        return x
+        return T.add(x, self.mlp(self.ln2(x)))
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {**self.ln1.named(f"{prefix}.ln1"),
@@ -408,13 +402,12 @@ class CrossScaleFuse:
         self.attn = AttentionParams.init(self.attn_cfg, rng)
 
     def __call__(self, current: Tensor, prev: Tensor) -> Tensor:
-        _, _, h, w = current.data.shape
-        _, _, hp, wp = prev.data.shape
+        _, h, w, _ = current.data.shape
+        _, hp, wp, _ = prev.data.shape
         if hp % h or wp % w:
             raise ShapeError(f"previous grid ({hp},{wp}) must be a multiple of "
                              f"current ({h},{w})")
-        pooled = T.avg_pool2d(prev, hp // h, wp // w)
-        aligned = tokens_to_map(self.align(map_to_tokens(pooled)), h, w)
+        aligned = self.align(T.avg_pool2d(prev, hp // h, wp // w))
         return cross_attention(current, aligned, self.attn, self.attn_cfg)
 
     def named(self, prefix: str) -> dict[str, Tensor]:
@@ -474,13 +467,11 @@ class DCSWin:
             raise ConfigError(f"input {x.data.shape[2]}x{x.data.shape[3]} does "
                               f"not match configured image_size "
                               f"{self.cfg.image_size}")
-        field = self.predictor(x) if self.predictor is not None else None
+        mixture = (pool_to_stage(self.predictor(x))
+                   if self.predictor is not None else None)
         feat = self.patch_embed(x)
         prev: Optional[Tensor] = None
         for i, blocks in enumerate(self.stages):
-            side = self.cfg.stage_side(i)
-            mixture = (pool_to_stage(field, (side, side))
-                       if field is not None else None)
             for block in blocks:
                 feat = block(feat, mixture)
             if i in self.fuses and prev is not None:
@@ -488,7 +479,7 @@ class DCSWin:
             prev = feat
             if i < len(self.merges):
                 feat = self.merges[i](feat)
-        pooled = T.mean_pool(feat, (2, 3))
+        pooled = T.mean_pool(feat, (1, 2))
         return self.head(pooled)
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -488,18 +488,20 @@ def roll(a: Tensor, shifts: Sequence[int], axes: Sequence[int]) -> Tensor:
 
 
 def pad2d(a: Tensor, pad_bottom: int, pad_right: int) -> Tensor:
-    """Zero-pad the last two axes at the bottom/right edges."""
+    """Zero-pad axes 1 and 2 (H and W of a [B,H,W,...] map) at the
+    bottom/right edges."""
     a = _as_tensor(a)
-    if a.data.ndim < 2:
-        raise ShapeError(f"pad2d needs >=2 axes, got shape {a.data.shape}")
+    if a.data.ndim < 3:
+        raise ShapeError(f"pad2d needs >=3 axes, got shape {a.data.shape}")
     if pad_bottom < 0 or pad_right < 0:
         raise ShapeError("pad2d: negative padding")
-    width = [(0, 0)] * (a.data.ndim - 2) + [(0, pad_bottom), (0, pad_right)]
+    width = [(0, 0), (0, pad_bottom), (0, pad_right)] + \
+        [(0, 0)] * (a.data.ndim - 3)
     out = np.pad(a.data, width)
-    h, w = a.data.shape[-2], a.data.shape[-1]
+    h, w = a.data.shape[1], a.data.shape[2]
 
     def bw(g):
-        return (np.ascontiguousarray(g[..., :h, :w]),)
+        return (np.ascontiguousarray(g[:, :h, :w]),)
 
     return _finish(out, (a,), bw, "pad2d")
 
@@ -590,23 +592,26 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def mean_pool(a: Tensor, axes) -> Tensor:
-    """Mean over the given axes (global average pooling when axes=(2,3))."""
+    """Mean over the given axes (global average pooling of a [B,H,W,C] map
+    when axes=(1,2))."""
     return reduce_mean(a, axis=axes, keepdims=False)
 
 
 def avg_pool2d(a: Tensor, factor_h: int, factor_w: Optional[int] = None) -> Tensor:
-    """Non-overlapping box average over the last two axes."""
+    """Non-overlapping box average over axes 1 and 2 (H and W of a
+    [B,H,W,...] map)."""
     if factor_w is None:
         factor_w = factor_h
     a = _as_tensor(a)
-    h, w = a.data.shape[-2], a.data.shape[-1]
+    if a.data.ndim < 3:
+        raise ShapeError(f"avg_pool2d needs >=3 axes, got shape {a.data.shape}")
+    b, h, w = a.data.shape[:3]
     if h % factor_h or w % factor_w:
         raise ShapeError(f"avg_pool2d: spatial shape ({h},{w}) not divisible "
                          f"by factors ({factor_h},{factor_w})")
-    lead = a.data.shape[:-2]
-    x = reshape(a, lead + (h // factor_h, factor_h, w // factor_w, factor_w))
-    nd = len(lead)
-    return reduce_mean(x, axis=(nd + 1, nd + 3), keepdims=False)
+    x = reshape(a, (b, h // factor_h, factor_h, w // factor_w, factor_w)
+                + a.data.shape[3:])
+    return reduce_mean(x, axis=(2, 4), keepdims=False)
 
 
 # ---- linear algebra -------------------------------------------------------

@@ -33,6 +33,11 @@ from dcswin.trainer import (Adam, TrainConfig, evaluate_model,
                             run_experiment, train)
 
 
+def channels_last(a):
+    """[B,C,H,W] draws as the contiguous [B,H,W,C] map the model uses."""
+    return np.ascontiguousarray(np.moveaxis(a, 1, -1))
+
+
 def verdict(number: int, label: str, failures: list, detail: str = ""):
     status = "PASS" if not failures else "FAIL"
     line = f"criterion {number} ({label}): {status}{detail}"
@@ -300,8 +305,10 @@ def plain_windowed_forward(model: DCSWin, x: Tensor) -> Tensor:
                                             p[f"{pre}.ln1.beta"]), side, side)
             win = cfg.stage_fixed_window(i)
             shift = win // 2 if (j % 2 == 1 and win < side) else 0
-            att = windowed_mhsa(n1, model.stages[i][j].attn, acfg,
-                                WindowSpec(win, shift))
+            # the model's attention takes channels-last maps
+            att = T.permute(windowed_mhsa(T.permute(n1, (0, 2, 3, 1)),
+                                          model.stages[i][j].attn, acfg,
+                                          WindowSpec(win, shift)), (0, 3, 1, 2))
             feat = T.add(feat, att)
             n2 = T.layer_norm(map_to_tokens(feat), p[f"{pre}.ln2.gamma"],
                               p[f"{pre}.ln2.beta"])
@@ -326,7 +333,7 @@ def test_criterion_4_mechanism_reductions():
     rng = stream(40, "accept")
     acfg = AttentionConfig(4, 2)
     params = AttentionParams.init(acfg, rng, zero_out=False)
-    x = Tensor(rng.standard_normal((2, 4, 8, 8)))
+    x = Tensor(channels_last(rng.standard_normal((2, 4, 8, 8))))
     candidates = (2, 4)
     worst_onehot = 0.0
     for shift in (False, True):
@@ -356,14 +363,15 @@ def test_criterion_4_mechanism_reductions():
 
     # partition/reverse inverse pairs
     for h, w, win, shift in ((8, 8, 4, 2), (6, 10, 4, 3), (5, 7, 3, 1)):
-        xm = Tensor(np.random.default_rng(h + w).standard_normal((2, 3, h, w)))
+        xm = Tensor(channels_last(
+            np.random.default_rng(h + w).standard_normal((2, 3, h, w))))
         tokens, info = window_partition(xm, WindowSpec(win, shift))
         if not np.array_equal(window_reverse(tokens, info).data, xm.data):
             failures.append(f"partition/reverse not inverse at {(h, w, win, shift)}")
 
     # row-stochastic weights and shift-mask isolation
     p2 = AttentionParams.init(acfg, stream(42, "accept"), zero_out=False)
-    xs = Tensor(stream(43, "accept").standard_normal((1, 4, 8, 8)))
+    xs = Tensor(channels_last(stream(43, "accept").standard_normal((1, 4, 8, 8))))
     _, weights, info = windowed_mhsa(xs, p2, acfg, WindowSpec(4, 2),
                                      return_weights=True)
     mask = attention_mask(info)

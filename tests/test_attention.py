@@ -12,8 +12,14 @@ from dcswin.rng import stream
 from dcswin.tensor import Tensor
 
 
+def channels_last(a):
+    """[B,C,H,W] draws as the contiguous [B,H,W,C] map the model uses."""
+    return np.ascontiguousarray(np.moveaxis(a, 1, -1))
+
+
 def rand_map(rng, b, c, h, w):
-    return Tensor(rng.standard_normal((b, c, h, w)), requires_grad=True)
+    return Tensor(channels_last(rng.standard_normal((b, c, h, w))),
+                  requires_grad=True)
 
 
 def params_for(dim, rng, zero_out=False):
@@ -36,13 +42,13 @@ def test_partition_single_window_degenerate():
     assert tokens.data.shape == (1, 25, 2)
     # row-major token order inside the single window
     assert np.array_equal(tokens.data[0, :, 0],
-                          x.data[0, 0].reshape(-1))
+                          x.data[0, :, :, 0].reshape(-1))
 
 
 def test_partition_layout_row_major():
     # 1x1x4x4 with values 0..15: window 2 gives windows in row-major grid
     # order, each window's tokens row-major.
-    x = Tensor(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4))
+    x = Tensor(channels_last(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)))
     tokens, _ = window_partition(x, WindowSpec(2))
     assert np.array_equal(tokens.data[:, :, 0],
                           [[0, 1, 4, 5], [2, 3, 6, 7],
@@ -215,7 +221,7 @@ def test_shift_mask_isolation_end_to_end():
     rng = stream(4, "t-attn")
     cfg = AttentionConfig(4, 2)
     p = AttentionParams.init(cfg, rng, zero_out=False)
-    x = Tensor(rng.standard_normal((1, 4, 8, 8)))
+    x = Tensor(channels_last(rng.standard_normal((1, 4, 8, 8))))
     _, weights, info = windowed_mhsa(x, p, cfg, WindowSpec(4, 2),
                                      return_weights=True)
     mask = attention_mask(info)
@@ -231,9 +237,9 @@ def test_windowed_mhsa_pad_tokens_get_no_weight():
     rng = stream(5, "t-attn")
     cfg = AttentionConfig(4, 1)
     p = AttentionParams.init(cfg, rng, zero_out=False)
-    x = Tensor(rng.standard_normal((1, 4, 5, 5)))
+    x = Tensor(channels_last(rng.standard_normal((1, 4, 5, 5))))
     out = windowed_mhsa(x, p, cfg, WindowSpec(4))
-    assert out.data.shape == (1, 4, 5, 5)
+    assert out.data.shape == (1, 5, 5, 4)
     _, weights, info = windowed_mhsa(x, p, cfg, WindowSpec(4),
                                      return_weights=True)
     mask = attention_mask(info)
@@ -249,7 +255,8 @@ def test_windowed_mhsa_gradients_flow():
     rng = stream(6, "t-attn")
     cfg = AttentionConfig(4, 2)
     p = AttentionParams.init(cfg, rng, zero_out=False)
-    x = Tensor(rng.standard_normal((2, 4, 6, 6)), requires_grad=True)
+    x = Tensor(channels_last(rng.standard_normal((2, 4, 6, 6))),
+               requires_grad=True)
     out = windowed_mhsa(x, p, cfg, WindowSpec(4, 2))
     T.backward(T.reduce_mean(T.mul(out, out)))
     assert x.grad is not None and np.all(np.isfinite(x.grad))
@@ -278,8 +285,8 @@ def test_cross_attention_identity_at_zero_init():
     rng = stream(7, "t-attn")
     cfg = AttentionConfig(6, 2)
     p = AttentionParams.init(cfg, rng, zero_out=True)
-    cur = Tensor(rng.standard_normal((2, 6, 3, 3)))
-    prev = Tensor(rng.standard_normal((2, 6, 5, 5)))
+    cur = Tensor(channels_last(rng.standard_normal((2, 6, 3, 3))))
+    prev = Tensor(channels_last(rng.standard_normal((2, 6, 5, 5))))
     out = cross_attention(cur, prev, p, cfg)
     assert np.array_equal(out.data, cur.data)
 
@@ -288,21 +295,21 @@ def test_cross_attention_constant_prev_position_independent():
     rng = stream(8, "t-attn")
     cfg = AttentionConfig(4, 1)
     p = AttentionParams.init(cfg, rng, zero_out=False)
-    cur = Tensor(rng.standard_normal((1, 4, 3, 3)))
-    prev = Tensor(np.broadcast_to(rng.standard_normal((1, 4, 1, 1)),
-                                  (1, 4, 4, 4)).copy())
+    cur = Tensor(channels_last(rng.standard_normal((1, 4, 3, 3))))
+    prev = Tensor(channels_last(np.broadcast_to(
+        rng.standard_normal((1, 4, 1, 1)), (1, 4, 4, 4))))
     att = cross_attention(cur, prev, p, cfg, residual=False)
     # all keys/values identical -> attended output constant across queries
-    flat = att.data.reshape(1, 4, -1)
-    assert np.allclose(flat, flat[:, :, :1], atol=1e-12)
+    flat = att.data.reshape(1, -1, 4)
+    assert np.allclose(flat, flat[:, :1], atol=1e-12)
 
 
 def test_cross_attention_spatial_sizes_may_differ():
     rng = stream(9, "t-attn")
     cfg = AttentionConfig(4, 2)
     p = AttentionParams.init(cfg, rng, zero_out=False)
-    cur = Tensor(rng.standard_normal((2, 4, 4, 4)))
-    prev = Tensor(rng.standard_normal((2, 4, 8, 8)))
+    cur = Tensor(channels_last(rng.standard_normal((2, 4, 4, 4))))
+    prev = Tensor(channels_last(rng.standard_normal((2, 4, 8, 8))))
     out = cross_attention(cur, prev, p, cfg)
     assert out.data.shape == cur.data.shape
 
@@ -311,11 +318,11 @@ def test_cross_attention_1x1_reduces_to_single_token():
     rng = stream(10, "t-attn")
     cfg = AttentionConfig(4, 1)
     p = AttentionParams.init(cfg, rng, zero_out=False)
-    cur = Tensor(rng.standard_normal((1, 4, 1, 1)))
-    prev = Tensor(rng.standard_normal((1, 4, 1, 1)))
+    cur = Tensor(channels_last(rng.standard_normal((1, 4, 1, 1))))
+    prev = Tensor(channels_last(rng.standard_normal((1, 4, 1, 1))))
     out, weights = cross_attention(cur, prev, p, cfg, return_weights=True)
     assert np.array_equal(weights.data, np.ones_like(weights.data))
-    assert out.data.shape == (1, 4, 1, 1)
+    assert out.data.shape == (1, 1, 1, 4)
 
 
 def test_cross_attention_mismatches_rejected():
@@ -323,11 +330,11 @@ def test_cross_attention_mismatches_rejected():
     cfg = AttentionConfig(4, 1)
     p = AttentionParams.init(cfg, rng, zero_out=False)
     with pytest.raises(ShapeError):
-        cross_attention(Tensor(np.zeros((1, 4, 2, 2))),
-                        Tensor(np.zeros((2, 4, 2, 2))), p, cfg)
+        cross_attention(Tensor(np.zeros((1, 2, 2, 4))),
+                        Tensor(np.zeros((2, 2, 2, 4))), p, cfg)
     with pytest.raises(ShapeError):
-        cross_attention(Tensor(np.zeros((1, 4, 2, 2))),
-                        Tensor(np.zeros((1, 6, 2, 2))), p, cfg)
+        cross_attention(Tensor(np.zeros((1, 2, 2, 4))),
+                        Tensor(np.zeros((1, 2, 2, 6))), p, cfg)
     with pytest.raises(ShapeError):
-        cross_attention(Tensor(np.zeros((4, 2, 2))),
-                        Tensor(np.zeros((1, 4, 2, 2))), p, cfg)
+        cross_attention(Tensor(np.zeros((2, 2, 4))),
+                        Tensor(np.zeros((1, 2, 2, 4))), p, cfg)

@@ -1,4 +1,5 @@
-"""Scale-field prediction, stage pooling, and mixture-weighted attention."""
+"""Scale-field prediction, the per-sample mixture, and mixture-weighted
+attention."""
 import numpy as np
 import pytest
 
@@ -11,6 +12,11 @@ from dcswin.dynamic_window import (ScaleField, StageMixture,
 from dcswin.errors import ConfigError, ShapeError
 from dcswin.rng import stream
 from dcswin.tensor import Tensor
+
+
+def channels_last(a):
+    """[B,C,H,W] draws as the contiguous [B,H,W,C] map the model uses."""
+    return np.ascontiguousarray(np.moveaxis(a, 1, -1))
 
 
 def attn_setup(dim=4, heads=2, key=0):
@@ -105,7 +111,7 @@ def test_pool_constant_field_keeps_distribution():
     probs = np.zeros((2, 3, 8, 8))
     probs[:, 0], probs[:, 1], probs[:, 2] = 0.5, 0.3, 0.2
     field = ScaleField(Tensor(probs), (2, 4, 8))
-    mix = pool_to_stage(field, (4, 4))
+    mix = pool_to_stage(field)
     assert np.allclose(mix.weights.data, [[0.5, 0.3, 0.2]] * 2, atol=1e-12)
 
 
@@ -113,7 +119,7 @@ def test_pool_one_hot_field_stays_one_hot():
     probs = np.zeros((1, 2, 4, 4))
     probs[:, 1] = 1.0
     field = ScaleField(Tensor(probs), (2, 4))
-    mix = pool_to_stage(field, (2, 2))
+    mix = pool_to_stage(field)
     assert np.allclose(mix.weights.data, [[0.0, 1.0]], atol=1e-12)
 
 
@@ -122,14 +128,9 @@ def test_pool_mixes_spatial_regions_and_renormalizes():
     probs[:, 0, :2] = 1.0   # top half votes scale 0
     probs[:, 1, 2:] = 1.0   # bottom half votes scale 1
     field = ScaleField(Tensor(probs), (2, 4))
-    mix = pool_to_stage(field, (1, 1))
+    mix = pool_to_stage(field)
     assert np.allclose(mix.weights.data, [[0.5, 0.5]], atol=1e-12)
     assert np.allclose(mix.weights.data.sum(axis=1), 1.0, atol=1e-9)
-
-
-def test_pool_requires_divisible_grid():
-    with pytest.raises(ShapeError):
-        pool_to_stage(uniform_field(h=4, w=4), (3, 3))
 
 
 # ---- dynamic window attention -------------------------------------------------------
@@ -144,7 +145,7 @@ def one_hot_mix(b, s, k):
 @pytest.mark.parametrize("k", [0, 1])
 def test_one_hot_mixture_reduces_exactly(shift, k):
     params, cfg, rng = attn_setup(key=10)
-    x = Tensor(rng.standard_normal((2, 4, 8, 8)))
+    x = Tensor(channels_last(rng.standard_normal((2, 4, 8, 8))))
     candidates = (2, 4)
     out = dynamic_window_attention(x, one_hot_mix(2, 2, k), candidates,
                                    params, cfg, shift=shift)
@@ -156,7 +157,7 @@ def test_one_hot_mixture_reduces_exactly(shift, k):
 
 def test_duplicate_candidates_consistent():
     params, cfg, rng = attn_setup(key=11)
-    x = Tensor(rng.standard_normal((1, 4, 8, 8)))
+    x = Tensor(channels_last(rng.standard_normal((1, 4, 8, 8))))
     out = dynamic_window_attention(x, Tensor([[0.5, 0.5]]), (4, 4),
                                    params, cfg)
     ref = windowed_mhsa(x, params, cfg, WindowSpec(4))
@@ -165,7 +166,7 @@ def test_duplicate_candidates_consistent():
 
 def test_output_in_convex_hull_of_branches():
     params, cfg, rng = attn_setup(key=12)
-    x = Tensor(rng.standard_normal((2, 4, 8, 8)))
+    x = Tensor(channels_last(rng.standard_normal((2, 4, 8, 8))))
     candidates = (2, 4, 8)
     mix = Tensor(np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]]))
     out = dynamic_window_attention(x, mix, candidates, params, cfg)
@@ -178,7 +179,7 @@ def test_output_in_convex_hull_of_branches():
 
 def test_stage_mixture_object_accepted():
     params, cfg, rng = attn_setup(key=13)
-    x = Tensor(rng.standard_normal((1, 4, 4, 4)))
+    x = Tensor(channels_last(rng.standard_normal((1, 4, 4, 4))))
     mix = StageMixture(Tensor([[0.25, 0.75]]))
     out = dynamic_window_attention(x, mix, (2, 4), params, cfg)
     assert out.data.shape == x.data.shape
@@ -186,7 +187,7 @@ def test_stage_mixture_object_accepted():
 
 def test_hard_selection_picks_argmax_branch():
     params, cfg, rng = attn_setup(key=14)
-    x = Tensor(rng.standard_normal((1, 4, 8, 8)))
+    x = Tensor(channels_last(rng.standard_normal((1, 4, 8, 8))))
     mix = Tensor([[0.3, 0.7]])
     out = dynamic_window_attention(x, mix, (2, 4), params, cfg, hard=True)
     ref = windowed_mhsa(x, params, cfg, WindowSpec(4))
@@ -198,9 +199,41 @@ def test_hard_selection_tie_breaks_to_smaller_index():
     assert np.array_equal(sel.data, [[1.0, 0.0], [0.0, 1.0]])
 
 
+def test_hard_selection_argmax_before_merging_duplicates():
+    # merged first, the two 4x4 columns (0.35 + 0.25) would outvote window 2
+    params, cfg, rng = attn_setup(key=18)
+    x = Tensor(channels_last(rng.standard_normal((1, 4, 4, 4))))
+    mix = Tensor([[0.4, 0.35, 0.25]])
+    out = dynamic_window_attention(x, mix, (2, 4, 4), params, cfg, hard=True)
+    ref = windowed_mhsa(x, params, cfg, WindowSpec(2))
+    assert np.max(np.abs(out.data - ref.data)) <= 1e-12
+
+
+def test_duplicate_windows_attended_once(monkeypatch):
+    import dcswin.dynamic_window as dw
+
+    params, cfg, rng = attn_setup(key=19)
+    x = Tensor(channels_last(rng.standard_normal((2, 4, 4, 4))))
+    mix = Tensor([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
+    specs = []
+
+    def counting(x, params, cfg, spec):
+        specs.append(spec)
+        return windowed_mhsa(x, params, cfg, spec)
+
+    monkeypatch.setattr(dw, "windowed_mhsa", counting)
+    out = dynamic_window_attention(x, mix, (2, 4, 4), params, cfg, shift=True)
+    assert specs == [WindowSpec(2, 1), WindowSpec(4, 0)]
+    b2 = windowed_mhsa(x, params, cfg, WindowSpec(2, 1)).data
+    b4 = windowed_mhsa(x, params, cfg, WindowSpec(4, 0)).data
+    w2 = mix.data[:, 0].reshape(2, 1, 1, 1)
+    ref = w2 * b2 + (1.0 - w2) * b4
+    assert np.max(np.abs(out.data - ref)) <= 1e-12
+
+
 def test_gradients_reach_mixture_weights():
     params, cfg, rng = attn_setup(key=15)
-    x = Tensor(rng.standard_normal((1, 4, 4, 4)))
+    x = Tensor(channels_last(rng.standard_normal((1, 4, 4, 4))))
     mix = Tensor([[0.25, 0.75]], requires_grad=True)
     out = dynamic_window_attention(x, mix, (2, 4), params, cfg)
     T.backward(T.reduce_mean(T.mul(out, out)))
@@ -210,13 +243,13 @@ def test_gradients_reach_mixture_weights():
 
 def test_zero_weight_everywhere_rejected():
     params, cfg, rng = attn_setup(key=16)
-    x = Tensor(rng.standard_normal((1, 4, 4, 4)))
+    x = Tensor(channels_last(rng.standard_normal((1, 4, 4, 4))))
     with pytest.raises(ConfigError):
         dynamic_window_attention(x, Tensor([[0.0, 0.0]]), (2, 4), params, cfg)
 
 
 def test_mixture_shape_mismatch_rejected():
     params, cfg, rng = attn_setup(key=17)
-    x = Tensor(rng.standard_normal((2, 4, 4, 4)))
+    x = Tensor(channels_last(rng.standard_normal((2, 4, 4, 4))))
     with pytest.raises(ShapeError):
         dynamic_window_attention(x, Tensor([[1.0, 0.0]]), (2, 4), params, cfg)

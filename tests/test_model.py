@@ -1,6 +1,8 @@
 """Model assembly: config validation, parameter accounting, persistence,
 and equivalence of the ablated baseline with a hand-wired plain
 windowed transformer."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from dcswin.attention import AttentionConfig, WindowSpec, map_to_tokens, \
 from dcswin.errors import ConfigError, FormatError, ShapeError
 from dcswin.model import DCSWin, ModelConfig
 from dcswin.rng import stream
-from dcswin.serialization import save_checkpoint
+from dcswin.serialization import (CHECKPOINT_MAGIC, FORMAT_VERSION,
+                                  save_checkpoint)
 from dcswin.tensor import Tensor
 
 
@@ -58,6 +61,7 @@ def test_from_mapping_defaults():
     dict(mlp_ratio=0.0),
     dict(depths=(0, 1)),
     dict(cross_scale_stages=(0,)),
+    dict(mlp_ratio=0.01),                       # MLP width int(8 * 0.01) = 0
 ])
 def test_config_rejections(kwargs):
     base = dict(image_size=16, patch_size=4, embed_dims=(8, 16),
@@ -65,6 +69,43 @@ def test_config_rejections(kwargs):
     base.update(kwargs)
     with pytest.raises(ConfigError):
         ModelConfig(**base)
+
+
+BAD_MAPPING_VALUES = [
+    ("image_size", "abc"),
+    ("patch_size", "4.0"),
+    ("num_classes", ""),
+    ("fixed_window", "two"),
+    ("embed_dims", "32,x"),
+    ("depths", "2;2;2"),
+    ("cross_scale_stages", "1,,2"),
+    ("mlp_ratio", "abc"),
+    ("mlp_ratio", "nan"),
+    ("mlp_ratio", "inf"),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_MAPPING_VALUES)
+def test_from_mapping_bad_value_is_config_error(key, value):
+    with pytest.raises(ConfigError):
+        ModelConfig.from_mapping({key: value})
+
+
+@pytest.mark.parametrize("ratio", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_mlp_ratio_rejected(ratio):
+    with pytest.raises(ConfigError):
+        ModelConfig.micro(mlp_ratio=ratio)
+
+
+@pytest.mark.parametrize("key,value", BAD_MAPPING_VALUES)
+def test_load_hand_written_checkpoint_bad_config(tmp_path, key, value):
+    text = f"{key} = {value}\n".encode("utf-8")
+    path = tmp_path / "hand.dcsm"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", FORMAT_VERSION)
+                     + struct.pack("<Q", len(text)) + text
+                     + struct.pack("<Q", 0))
+    with pytest.raises(ConfigError):
+        DCSWin.load(path)
 
 
 def test_stage_candidates_clip_to_side():
@@ -159,7 +200,10 @@ def plain_windowed_forward(model: DCSWin, x: Tensor) -> Tensor:
             win = cfg.stage_fixed_window(i)
             shift = win // 2 if (j % 2 == 1 and win < side) else 0
             block_params = model.stages[i][j].attn
-            att = windowed_mhsa(n1, block_params, acfg, WindowSpec(win, shift))
+            # the model's attention takes channels-last maps
+            att = T.permute(windowed_mhsa(T.permute(n1, (0, 2, 3, 1)),
+                                          block_params, acfg,
+                                          WindowSpec(win, shift)), (0, 3, 1, 2))
             feat = T.add(feat, att)
             n2 = T.layer_norm(map_to_tokens(feat), p[f"{pre}.ln2.gamma"],
                               p[f"{pre}.ln2.beta"])

@@ -13,6 +13,11 @@ def leaf(data):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
 
 
+def channels_last(a):
+    """[B,C,H,W] draws as the contiguous [B,H,W,C] map the model uses."""
+    return np.ascontiguousarray(np.moveaxis(a, 1, -1))
+
+
 # ---- arithmetic & shape ops -------------------------------------------------
 
 def test_matmul_hand_example():
@@ -89,12 +94,12 @@ def test_roll_matches_numpy_and_inverts():
 
 def test_pad2d_and_slice_strip_roundtrip():
     rng = np.random.default_rng(5)
-    x = Tensor(rng.standard_normal((1, 2, 3, 5)))
+    x = Tensor(channels_last(rng.standard_normal((1, 2, 3, 5))))
     padded = T.pad2d(x, 2, 1)
-    assert padded.data.shape == (1, 2, 5, 6)
-    assert np.all(padded.data[:, :, 3:, :] == 0)
-    stripped = T.slice_nd(padded, (slice(None), slice(None), slice(0, 3),
-                                   slice(0, 5)))
+    assert padded.data.shape == (1, 5, 6, 2)
+    assert np.all(padded.data[:, 3:, :, :] == 0)
+    assert np.all(padded.data[:, :, 5:, :] == 0)
+    stripped = T.slice_nd(padded, (slice(None), slice(0, 3), slice(0, 5)))
     assert np.array_equal(stripped.data, x.data)
 
 
@@ -117,11 +122,11 @@ def test_mean_pool_constant_map():
 def test_avg_pool2d_matches_block_means():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((2, 3, 4, 6))
-    out = T.avg_pool2d(Tensor(x), 2, 3)
+    out = T.avg_pool2d(Tensor(channels_last(x)), 2, 3)
     ref = x.reshape(2, 3, 2, 2, 2, 3).mean(axis=(3, 5))
-    assert np.allclose(out.data, ref, atol=1e-12)
+    assert np.allclose(out.data, channels_last(ref), atol=1e-12)
     with pytest.raises(ShapeError):
-        T.avg_pool2d(Tensor(x), 3)
+        T.avg_pool2d(Tensor(channels_last(x)), 3)
 
 
 # ---- softmax / cross entropy --------------------------------------------------
