@@ -111,6 +111,16 @@ def _cmd_split(args) -> int:
     return EXIT_OK
 
 
+def _seed_list(text: str, source: str) -> list[int]:
+    try:
+        seeds = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(f"{source}: malformed seed list {text!r}") from None
+    if not seeds:
+        raise ConfigError(f"{source}: no seeds parsed from {text!r}")
+    return seeds
+
+
 def _cmd_train(args) -> int:
     model_cfg, train_cfg, extra = load_run_config(args.config)
     arm = args.ablation or "full"
@@ -127,9 +137,9 @@ def _cmd_train(args) -> int:
     dataset = ArrayDataset.from_manifest(manifest,
                                          image_size=model_cfg.image_size)
     if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        if not seeds:
-            raise ConfigError(f"no seeds parsed from {args.seeds!r}")
+        seeds = _seed_list(args.seeds, "--seeds")
+    elif "run.seeds" in extra:
+        seeds = _seed_list(extra["run.seeds"], "run.seeds")
     else:
         seeds = [train_cfg.seed + i for i in range(train_cfg.num_runs)]
     report = run_experiment(

@@ -59,9 +59,6 @@ class DatasetManifest:
     def label_index(self, label: str) -> int:
         return self.classes.index(label)
 
-    def record_by_id(self) -> dict[str, ManifestRecord]:
-        return {rec.id: rec for rec in self.records}
-
     def ids_by_class(self) -> dict[str, list[str]]:
         out: dict[str, list[str]] = {name: [] for name in self.classes}
         for rec in self.records:

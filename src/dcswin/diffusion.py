@@ -37,7 +37,8 @@ class NoiseSchedule:
         if betas.ndim != 1 or betas.size < 1:
             raise ConfigError(f"betas must be a 1-d nonempty array, got shape "
                               f"{betas.shape}")
-        if np.any(betas < 0.0) or np.any(betas >= 1.0):
+        # written so that a NaN beta fails the check
+        if not np.all((betas >= 0.0) & (betas < 1.0)):
             raise ConfigError("every beta must lie in [0, 1)")
         alphas = 1.0 - betas
         alpha_bars = np.cumprod(alphas)
@@ -95,6 +96,20 @@ def sample_chain(x0: np.ndarray, t: int, schedule: NoiseSchedule,
     return x
 
 
+def diffuse_batch(x0: np.ndarray, t_max: int, schedule: NoiseSchedule,
+                  rng: np.random.Generator,
+                  ts: np.ndarray | None = None) -> np.ndarray:
+    """Noise each sample of [B, ...] to its own step. Every t is drawn
+    uniformly from [1, t_max] first (unless `ts` is given), then each
+    sample takes one `forward_diffuse` jump, in batch order."""
+    if ts is None:
+        ts = rng.integers(1, t_max + 1, size=x0.shape[0])
+    out = np.empty_like(x0)
+    for i in range(x0.shape[0]):
+        out[i] = forward_diffuse(x0[i], int(ts[i]), schedule, rng)
+    return out
+
+
 def consistency_loss(model, x0: np.ndarray, schedule: NoiseSchedule,
                      t_max: int, rng: np.random.Generator,
                      ts: np.ndarray | None = None) -> Tensor:
@@ -111,16 +126,11 @@ def consistency_loss(model, x0: np.ndarray, schedule: NoiseSchedule,
     if not (1 <= t_max <= schedule.num_steps):
         raise ConfigError(f"t_max={t_max} outside [1, {schedule.num_steps}]")
     n = x0.shape[0]
-    if ts is None:
-        ts = rng.integers(1, t_max + 1, size=n)
-    else:
+    if ts is not None:
         ts = np.asarray(ts)
         if ts.shape != (n,):
             raise ConfigError(f"ts shape {ts.shape} != ({n},)")
-
-    noisy = np.empty_like(x0)
-    for i in range(n):
-        noisy[i] = forward_diffuse(x0[i], int(ts[i]), schedule, rng)
+    noisy = diffuse_batch(x0, t_max, schedule, rng, ts)
 
     with T.no_grad():
         clean_logits = model.forward(Tensor(x0))

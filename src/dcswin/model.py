@@ -31,10 +31,14 @@ from .dynamic_window import (ScaleField, dynamic_window_attention,
                              pool_to_stage, predict_scales)
 from .errors import ConfigError, FormatError, ShapeError
 from .rng import stream
-from .serialization import load_checkpoint, save_checkpoint
+from .serialization import (config_from_mapping, config_to_mapping,
+                            load_checkpoint, save_checkpoint)
 from .tensor import Tensor
 
 INIT_STD = 0.02
+# Largest accepted `param_count()`: 400 MB per float64 copy of the weights.
+# The default config has 485,360 parameters.
+MAX_PARAMS = 50_000_000
 
 
 def _tuple_of_ints(value, name: str) -> tuple[int, ...]:
@@ -117,6 +121,9 @@ class ModelConfig:
             bad = [i for i in self.cross_scale_stages if not (1 <= i < n)]
             if bad:
                 raise ConfigError(f"cross_scale_stages {bad} outside [1, {n})")
+        if self.param_count() > MAX_PARAMS:
+            raise ConfigError(f"config has {self.param_count()} parameters, "
+                              f"more than the limit of {MAX_PARAMS}")
 
     # ---- geometry -------------------------------------------------------
     @property
@@ -169,72 +176,12 @@ class ModelConfig:
 
     # ---- config text ------------------------------------------------------
     def to_mapping(self) -> dict[str, str]:
-        def seq(v):
-            return ",".join(str(x) for x in v)
-
-        return {
-            "image_size": str(self.image_size),
-            "patch_size": str(self.patch_size),
-            "embed_dims": seq(self.embed_dims),
-            "depths": seq(self.depths),
-            "num_heads": seq(self.num_heads),
-            "candidates": seq(self.candidates),
-            "num_classes": str(self.num_classes),
-            "mlp_ratio": repr(self.mlp_ratio),
-            "selection": self.selection,
-            "dynamic_window": "true" if self.dynamic_window else "false",
-            "cross_scale": "true" if self.cross_scale else "false",
-            "fixed_window": str(self.fixed_window),
-            "cross_scale_stages": ("all" if self.cross_scale_stages is None
-                                   else seq(self.cross_scale_stages)),
-        }
+        return config_to_mapping(self)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> "ModelConfig":
         """Inverse of `to_mapping`; a malformed value raises ConfigError."""
-        def get(key):
-            return mapping.get(key, cls.__dataclass_fields__[key].default)
-
-        def number(key, kind):
-            raw = get(key)
-            try:
-                return kind(raw)
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"{key}: not {kind.__name__}: {raw!r}") from e
-
-        def ints(key):
-            raw = get(key)
-            return [v for v in raw.split(",") if v.strip()] \
-                if isinstance(raw, str) else raw
-
-        def boolean(key):
-            raw = get(key)
-            if isinstance(raw, bool):
-                return raw
-            low = raw.strip().lower()
-            if low in ("true", "1", "on", "yes"):
-                return True
-            if low in ("false", "0", "off", "no"):
-                return False
-            raise ConfigError(f"{key}: not a boolean: {raw!r}")
-
-        css = get("cross_scale_stages")
-        return cls(
-            image_size=number("image_size", int),
-            patch_size=number("patch_size", int),
-            embed_dims=ints("embed_dims"),
-            depths=ints("depths"),
-            num_heads=ints("num_heads"),
-            candidates=ints("candidates"),
-            num_classes=number("num_classes", int),
-            mlp_ratio=number("mlp_ratio", float),
-            selection=str(get("selection")),
-            dynamic_window=boolean("dynamic_window"),
-            cross_scale=boolean("cross_scale"),
-            fixed_window=number("fixed_window", int),
-            cross_scale_stages=(None if css in (None, "all", "")
-                                else css.split(",")),
-        )
+        return config_from_mapping(cls, mapping)
 
     # ---- closed-form parameter count ---------------------------------------
     def param_count(self) -> int:

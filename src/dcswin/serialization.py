@@ -7,17 +7,21 @@ Checkpoint ("DCSM"): magic, u32 format version, u64-length UTF-8 config
 text (flat `key = value` lines), u64 tensor count, then name-prefixed
 tensor blocks. Readers reject unknown magics/versions and report byte
 offsets on truncation.
+
+Config dataclasses map to and from the flat text through one codec driven
+by their field types (`config_to_mapping` / `config_from_mapping`).
 """
 from __future__ import annotations
 
 import io
 import struct
+from dataclasses import fields
 from pathlib import Path
-from typing import BinaryIO, Mapping, Union
+from typing import BinaryIO, Mapping, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 TENSOR_MAGIC = b"DCST"
 CHECKPOINT_MAGIC = b"DCSM"
@@ -122,6 +126,55 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def load_config_file(path: Union[str, Path]) -> dict[str, str]:
     return parse_config_text(Path(path).read_text(encoding="utf-8"))
+
+
+_BOOLS = {"true": True, "1": True, "on": True, "yes": True,
+          "false": False, "0": False, "off": False, "no": False}
+
+
+def _encode(value) -> str:
+    if value is None:
+        return "all"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def _decode(kind, key: str, raw: str):
+    options = get_args(kind)
+    if type(None) in options:          # Optional[X]: `all` (or blank) is None
+        if raw.strip() in ("all", ""):
+            return None
+        kind = options[0]
+    try:
+        if get_origin(kind) is tuple:
+            return tuple(int(v) for v in raw.split(","))
+        if kind is bool:
+            return _BOOLS[raw.strip().lower()]
+        return kind(raw)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"{key}: not {getattr(kind, '__name__', kind)}: "
+                          f"{raw!r}") from e
+
+
+def config_to_mapping(config) -> dict[str, str]:
+    """Every field of a config dataclass as text, in field order: ints and
+    strs via `str`, floats via `repr`, bools as true/false, tuples
+    comma-joined, None as `all`."""
+    return {f.name: _encode(getattr(config, f.name)) for f in fields(config)}
+
+
+def config_from_mapping(cls, mapping: Mapping[str, str]):
+    """Inverse of `config_to_mapping`. Keys naming no field are ignored and
+    absent fields keep their defaults; a malformed value raises
+    ConfigError."""
+    kinds = get_type_hints(cls)
+    return cls(**{f.name: _decode(kinds[f.name], f.name, mapping[f.name])
+                  for f in fields(cls) if f.name in mapping})
 
 
 # ---- checkpoints -----------------------------------------------------------

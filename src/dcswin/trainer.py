@@ -26,13 +26,15 @@ import numpy as np
 
 from . import tensor as T
 from .data import ArrayDataset, DatasetSplit
-from .diffusion import NoiseSchedule, consistency_loss, forward_diffuse
+from .diffusion import NoiseSchedule, consistency_loss, diffuse_batch
 from .errors import ConfigError, FormatError
 from .metrics import (ConfusionMatrix, MetricsReport, aggregate_runs,
                       evaluate_predictions, write_predictions_jsonl)
 from .model import DCSWin, ModelConfig
 from .rng import restore, state_of, stream
-from .serialization import config_to_text, load_checkpoint, save_checkpoint
+from .serialization import (config_from_mapping, config_to_mapping,
+                            config_to_text, load_checkpoint, load_config_file,
+                            save_checkpoint)
 from .tensor import Tensor, backward, cross_entropy, no_grad
 
 OPTIMIZER_KINDS = ("adam", "sgd")
@@ -66,12 +68,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # range checks are written as `not (lo <= x <= hi)` so NaN fails them
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.initial_lr <= 0:
-            raise ConfigError(f"initial_lr must be positive, got {self.initial_lr}")
+        if not (0.0 < self.initial_lr < math.inf):
+            raise ConfigError(f"initial_lr must be positive and finite, got "
+                              f"{self.initial_lr}")
         # tau = 1.0 is the supervised arm (set saturates empty), so the
         # closed upper end is allowed.
         if not (0.0 < self.tau <= 1.0):
@@ -99,9 +103,13 @@ class TrainConfig:
         if not (0.0 < self.step_gamma <= 1.0):
             raise ConfigError(f"step_gamma must be in (0, 1], got "
                               f"{self.step_gamma}")
-        if self.consistency_weight < 0:
-            raise ConfigError(f"consistency_weight must be >= 0, got "
-                              f"{self.consistency_weight}")
+        if not (0.0 <= self.consistency_weight < math.inf):
+            raise ConfigError(f"consistency_weight must be >= 0 and finite, "
+                              f"got {self.consistency_weight}")
+        for name in ("beta_start", "beta_end"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ConfigError(f"{name} must be in [0, 1), got "
+                                  f"{getattr(self, name)}")
         if self.diffusion_steps < 1:
             raise ConfigError(f"diffusion_steps must be >= 1, got "
                               f"{self.diffusion_steps}")
@@ -128,26 +136,12 @@ class TrainConfig:
         return self.initial_lr * self.step_gamma ** (epoch // self.step_size)
 
     def to_mapping(self) -> dict[str, str]:
-        out: dict[str, str] = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = repr(v) if isinstance(v, float) else str(v)
-        return out
+        return config_to_mapping(self)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> "TrainConfig":
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in mapping:
-                continue
-            raw = mapping[f.name]
-            if f.type == "int":
-                kwargs[f.name] = int(raw)
-            elif f.type == "float":
-                kwargs[f.name] = float(raw)
-            else:
-                kwargs[f.name] = str(raw)
-        return cls(**kwargs)
+        """Inverse of `to_mapping`; a malformed value raises ConfigError."""
+        return config_from_mapping(cls, mapping)
 
 
 # ---- optimizers -------------------------------------------------------------
@@ -274,28 +268,29 @@ def generate_pseudo_labels(model: DCSWin, dataset: ArrayDataset,
     """Inference over the unlabeled pool in manifest (lexicographic) order;
     keep argmax labels whose max softmax probability is strictly above tau."""
     ids = sorted(unlabeled_ids)
-    records: list[PseudoLabel] = []
-    with no_grad():
-        for start in range(0, len(ids), batch_size):
-            chunk = ids[start:start + batch_size]
-            logits = model(Tensor(dataset.batch(chunk)))
-            probs = T.softmax(logits, axis=1).data
-            labels = probs.argmax(axis=1)
-            confidences = probs.max(axis=1)
-            for i, sample_id in enumerate(chunk):
-                if confidences[i] > tau:
-                    records.append(PseudoLabel(sample_id, int(labels[i]),
-                                               float(confidences[i])))
-    return PseudoLabelSet(tuple(records), tau)
+    if not ids:
+        return PseudoLabelSet((), tau)
+    probs = predict_probs(model, dataset, ids, batch_size)
+    labels = probs.argmax(axis=1)
+    confidences = probs.max(axis=1)
+    return PseudoLabelSet(tuple(
+        PseudoLabel(sample_id, int(labels[i]), float(confidences[i]))
+        for i, sample_id in enumerate(ids) if confidences[i] > tau), tau)
 
 
 # ---- checkpoint state -------------------------------------------------------
 
+def _run_mapping(model_cfg: ModelConfig, cfg: TrainConfig,
+                 model_prefix: str = "") -> dict[str, str]:
+    """Both configs as one flat mapping; train keys carry `train.`."""
+    out = {model_prefix + k: v for k, v in model_cfg.to_mapping().items()}
+    out.update({f"train.{k}": v for k, v in cfg.to_mapping().items()})
+    return out
+
+
 def _checkpoint_config(model: DCSWin, cfg: TrainConfig, epoch_next: int,
                        opt, rngs: dict, dataset: ArrayDataset) -> dict[str, str]:
-    config = model.cfg.to_mapping()
-    for key, value in cfg.to_mapping().items():
-        config[f"train.{key}"] = value
+    config = _run_mapping(model.cfg, cfg)
     config["progress.epoch_next"] = str(epoch_next)
     config["opt.kind"] = opt.kind
     config["opt.step"] = str(opt.step_count)
@@ -320,16 +315,11 @@ def _save_state(path: Path, model: DCSWin, cfg: TrainConfig, epoch_next: int,
 def _load_state(path: Path, model: DCSWin, cfg: TrainConfig, opt,
                 dataset: ArrayDataset) -> tuple[int, dict]:
     config, tensors = load_checkpoint(path)
-    for key, value in model.cfg.to_mapping().items():
+    for key, value in _run_mapping(model.cfg, cfg).items():
         if config.get(key) != value:
             raise FormatError(f"checkpoint/config mismatch: {key!r} is "
                               f"{config.get(key)!r} in checkpoint, {value!r} "
                               "in the requested run")
-    for key, value in cfg.to_mapping().items():
-        if config.get(f"train.{key}") != value:
-            raise FormatError(f"checkpoint/config mismatch: train.{key} is "
-                              f"{config.get('train.' + key)!r} in checkpoint, "
-                              f"{value!r} in the requested run")
     stored_mean = json.loads(config["norm.mean"])
     if not np.array_equal(np.asarray(stored_mean), dataset.norm_mean):
         raise FormatError("checkpoint/config mismatch: normalization stats "
@@ -343,11 +333,6 @@ def _load_state(path: Path, model: DCSWin, cfg: TrainConfig, opt,
 
 
 # ---- the loop ---------------------------------------------------------------
-
-def _batches(order: Sequence[str], batch_size: int):
-    for start in range(0, len(order), batch_size):
-        yield list(order[start:start + batch_size])
-
 
 def train(model: DCSWin, dataset: ArrayDataset, split: DatasetSplit,
           cfg: TrainConfig, run_dir: Optional[Union[str, Path]] = None,
@@ -382,12 +367,8 @@ def train(model: DCSWin, dataset: ArrayDataset, split: DatasetSplit,
         inference and evaluation always see clean inputs."""
         if cfg.augment_t == 0:
             return batch
-        rng = rngs["augment-noise"]
-        ts = rng.integers(1, cfg.augment_t + 1, size=batch.shape[0])
-        out = np.empty_like(batch)
-        for i in range(batch.shape[0]):
-            out[i] = forward_diffuse(batch[i], int(ts[i]), schedule, rng)
-        return out
+        return diffuse_batch(batch, cfg.augment_t, schedule,
+                             rngs["augment-noise"])
 
     run_dir = Path(run_dir) if run_dir is not None else None
     state_path = log_path = None
@@ -409,10 +390,26 @@ def train(model: DCSWin, dataset: ArrayDataset, split: DatasetSplit,
         log_path.write_text("".join(line + "\n" for line in lines),
                             encoding="utf-8")
 
-    def emit(kind: str, epoch: int, ids: Sequence[str], loss: float) -> None:
-        if step_listener is not None:
-            step_listener({"kind": kind, "epoch": epoch, "ids": tuple(ids),
-                           "loss": loss})
+    def run_pass(kind: str, order: list[str],
+                 loss_of: Callable[[list[str]], Tensor]) -> float:
+        """One optimizer step per mini-batch of `order` at the current
+        epoch's lr; returns the sample-weighted mean loss."""
+        total = 0.0
+        for start in range(0, len(order), cfg.batch_size):
+            chunk = order[start:start + cfg.batch_size]
+            model.zero_grad()
+            loss = loss_of(chunk)
+            backward(loss)
+            opt.step(lr)
+            value = float(loss.data)
+            total += value * len(chunk)
+            if step_listener is not None:
+                step_listener({"kind": kind, "epoch": epoch,
+                               "ids": tuple(chunk), "loss": value})
+        return total / len(order)
+
+    def shuffled(ids: Sequence[str], name: str) -> list[str]:
+        return [ids[i] for i in rngs[name].permutation(len(ids))]
 
     truth_all = dataset.labels  # synthetic pools carry ground truth
 
@@ -420,20 +417,11 @@ def train(model: DCSWin, dataset: ArrayDataset, split: DatasetSplit,
         t0 = time.perf_counter()
         lr = cfg.learning_rate(epoch)
 
-        perm = rngs["shuffle-labeled"].permutation(len(labeled_ids))
-        order = [labeled_ids[i] for i in perm]
-        total, seen = 0.0, 0
-        for chunk in _batches(order, cfg.batch_size):
-            x = Tensor(augment(dataset.batch(chunk)))
-            y = dataset.labels_for(chunk)
-            model.zero_grad()
-            loss = cross_entropy(model(x), y)
-            backward(loss)
-            opt.step(lr)
-            total += float(loss.data) * len(chunk)
-            seen += len(chunk)
-            emit("labeled", epoch, chunk, float(loss.data))
-        labeled_loss = total / seen
+        labeled_loss = run_pass(
+            "labeled", shuffled(labeled_ids, "shuffle-labeled"),
+            lambda chunk: cross_entropy(
+                model(Tensor(augment(dataset.batch(chunk)))),
+                dataset.labels_for(chunk)))
 
         pseudo_loss: Optional[float] = None
         pseudo_count = 0
@@ -443,38 +431,24 @@ def train(model: DCSWin, dataset: ArrayDataset, split: DatasetSplit,
                                             cfg.tau, cfg.batch_size)
             pseudo_count = len(pseudo)
             if pseudo_count > 0:
-                truth = truth_all[dataset.rows(pseudo.ids())]
-                pseudo_precision = float(np.mean(pseudo.labels() == truth))
-                perm = rngs["shuffle-pseudo"].permutation(pseudo_count)
-                p_ids = pseudo.ids()
-                p_labels = pseudo.labels()
-                total, seen = 0.0, 0
-                for idx in _batches([int(i) for i in perm], cfg.batch_size):
-                    chunk = [p_ids[i] for i in idx]
-                    y = p_labels[idx]
-                    model.zero_grad()
-                    ce = cross_entropy(model(Tensor(augment(
-                        dataset.batch(chunk)))), y)
-                    loss = T.scale(ce, cfg.pseudo_weight)
-                    backward(loss)
-                    opt.step(lr)
-                    total += float(loss.data) * len(chunk)
-                    seen += len(chunk)
-                    emit("pseudo", epoch, chunk, float(loss.data))
-                pseudo_loss = total / seen
+                p_ids, p_labels = pseudo.ids(), pseudo.labels()
+                truth = truth_all[dataset.rows(p_ids)]
+                pseudo_precision = float(np.mean(p_labels == truth))
+                label_of = dict(zip(p_ids, p_labels))
+                pseudo_loss = run_pass(
+                    "pseudo", shuffled(p_ids, "shuffle-pseudo"),
+                    lambda chunk: T.scale(cross_entropy(
+                        model(Tensor(augment(dataset.batch(chunk)))),
+                        np.array([label_of[i] for i in chunk])),
+                        cfg.pseudo_weight))
 
         if cfg.consistency_weight > 0 and unlabeled_ids:
-            perm = rngs["shuffle-unlabeled"].permutation(len(unlabeled_ids))
-            order = [unlabeled_ids[i] for i in perm]
-            for chunk in _batches(order, cfg.batch_size):
-                model.zero_grad()
-                closs = consistency_loss(model, dataset.batch(chunk), schedule,
-                                         cfg.consistency_t_max,
-                                         rngs["diffusion-noise"])
-                loss = T.scale(closs, cfg.consistency_weight)
-                backward(loss)
-                opt.step(lr)
-                emit("consistency", epoch, chunk, float(loss.data))
+            run_pass(
+                "consistency", shuffled(unlabeled_ids, "shuffle-unlabeled"),
+                lambda chunk: T.scale(consistency_loss(
+                    model, dataset.batch(chunk), schedule,
+                    cfg.consistency_t_max, rngs["diffusion-noise"]),
+                    cfg.consistency_weight))
 
         record = {
             "epoch": epoch,
@@ -531,11 +505,7 @@ def evaluate_model(model: DCSWin, dataset: ArrayDataset, ids: Sequence[str],
 def write_run_config(path: Union[str, Path], model_cfg: ModelConfig,
                      cfg: TrainConfig, seeds: Sequence[int],
                      extra: Optional[Mapping[str, str]] = None) -> None:
-    mapping: dict[str, str] = {}
-    for key, value in model_cfg.to_mapping().items():
-        mapping[f"model.{key}"] = value
-    for key, value in cfg.to_mapping().items():
-        mapping[f"train.{key}"] = value
+    mapping = _run_mapping(model_cfg, cfg, model_prefix="model.")
     mapping["run.seeds"] = ",".join(str(s) for s in seeds)
     for key, value in (extra or {}).items():
         mapping[str(key)] = str(value)
@@ -545,17 +515,22 @@ def write_run_config(path: Union[str, Path], model_cfg: ModelConfig,
 def load_run_config(path: Union[str, Path]
                     ) -> tuple[ModelConfig, TrainConfig, dict[str, str]]:
     """Parse a run config file of `model.*` / `train.*` keys; remaining keys
-    are returned verbatim."""
-    from .serialization import load_config_file
+    are returned verbatim. A `model.*` / `train.*` key naming no field, or a
+    malformed value, raises ConfigError."""
     mapping = load_config_file(path)
-    model_map = {k[len("model."):]: v for k, v in mapping.items()
-                 if k.startswith("model.")}
-    train_map = {k[len("train."):]: v for k, v in mapping.items()
-                 if k.startswith("train.")}
+
+    def section(prefix: str, cls):
+        sub = {k[len(prefix):]: v for k, v in mapping.items()
+               if k.startswith(prefix)}
+        unknown = sorted(set(sub) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"{path}: unknown keys "
+                              f"{[prefix + k for k in unknown]}")
+        return cls.from_mapping(sub)
+
     rest = {k: v for k, v in mapping.items()
             if not k.startswith(("model.", "train."))}
-    return (ModelConfig.from_mapping(model_map),
-            TrainConfig.from_mapping(train_map), rest)
+    return section("model.", ModelConfig), section("train.", TrainConfig), rest
 
 
 def run_experiment(dataset: ArrayDataset, split: DatasetSplit,

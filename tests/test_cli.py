@@ -160,6 +160,54 @@ class TestTrainEval:
         assert rc == EXIT_RUNTIME
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["train.epochs = abc",
+                                      "train.bogus = 1"])
+    def test_bad_train_key_is_runtime_error(self, workspace, tmp_path,
+                                            capsys, line):
+        key = line.split("=")[0].strip()
+        kept = [k for k in (workspace / "run.cfg").read_text().splitlines()
+                if k.split("=")[0].strip() != key]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(kept + [line]) + "\n")
+        rc = main(["train", "--config", str(cfg),
+                   "--split", str(workspace / "split.json"),
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_RUNTIME
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_seeds_used_without_seeds_flag(self, workspace, tmp_path):
+        cfg = tmp_path / "seeds.cfg"
+        write_run_config(cfg, ModelConfig.micro(num_classes=2),
+                         TrainConfig(epochs=1, initial_lr=3e-3, batch_size=3,
+                                     tau=0.5, warmup_epochs=1, num_runs=1,
+                                     seed=0), seeds=[5, 7])
+        out_dir = tmp_path / "out"
+        rc = main(["train", "--config", str(cfg),
+                   "--split", str(workspace / "split.json"),
+                   "--out", str(out_dir)])
+        assert rc == EXIT_OK
+        assert sorted(p.name for p in out_dir.glob("seed*")) == \
+            ["seed5", "seed7"]
+        assert "run.seeds = 5,7" in (out_dir / "run_config.txt").read_text()
+        assert json.loads((out_dir / "report.json").read_text())["seeds"] \
+            == [5, 7]
+
+    @pytest.mark.parametrize("seeds", ["5,x", " , "])
+    def test_malformed_run_seeds_is_runtime_error(self, workspace, tmp_path,
+                                                  capsys, seeds):
+        cfg = tmp_path / "seeds.cfg"
+        text = (workspace / "run.cfg").read_text()
+        cfg.write_text(text.replace("run.seeds = 0", f"run.seeds = {seeds}"))
+        rc = main(["train", "--config", str(cfg),
+                   "--split", str(workspace / "split.json"),
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_RUNTIME
+        assert err.startswith("error:") and "run.seeds" in err
+
     def test_eval_class_mismatch_is_runtime_error(self, workspace, tmp_path,
                                                   capsys):
         other = tmp_path / "threeclass"

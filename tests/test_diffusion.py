@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import dcswin.tensor as T
-from dcswin.diffusion import (NoiseSchedule, consistency_loss, forward_diffuse,
-                              sample_chain)
+from dcswin.diffusion import (NoiseSchedule, consistency_loss, diffuse_batch,
+                              forward_diffuse, sample_chain)
 from dcswin.errors import ConfigError
 from dcswin.model import DCSWin, ModelConfig
 from dcswin.rng import stream
@@ -47,6 +47,24 @@ def test_schedule_validation():
         NoiseSchedule(np.zeros((2, 2)))
     with pytest.raises(ConfigError):
         NoiseSchedule.linear(0)
+
+
+@pytest.mark.parametrize("betas", [[float("nan")], [0.1, float("nan")],
+                                   [float("inf")], [0.1, float("-inf")]])
+def test_non_finite_betas_rejected(betas):
+    with pytest.raises(ConfigError):
+        NoiseSchedule(np.array(betas))
+
+
+def test_diffuse_batch_draws_all_steps_then_one_jump_per_sample():
+    s = NoiseSchedule.linear(10, 0.01, 0.1)
+    x0 = stream(4, "t-batch").standard_normal((3, 2, 2, 2))
+    got = diffuse_batch(x0, 6, s, stream(5, "t-batch"))
+    rng = stream(5, "t-batch")
+    ts = rng.integers(1, 7, size=3)
+    want = np.stack([forward_diffuse(x0[i], int(ts[i]), s, rng)
+                     for i in range(3)])
+    assert np.array_equal(got, want)
 
 
 def test_t_range_checked():

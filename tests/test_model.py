@@ -82,6 +82,9 @@ BAD_MAPPING_VALUES = [
     ("mlp_ratio", "abc"),
     ("mlp_ratio", "nan"),
     ("mlp_ratio", "inf"),
+    ("mlp_ratio", "1e300"),        # over the parameter cap
+    ("embed_dims", "32,,64,128"),
+    ("dynamic_window", "maybe"),
 ]
 
 
@@ -106,6 +109,18 @@ def test_load_hand_written_checkpoint_bad_config(tmp_path, key, value):
                      + struct.pack("<Q", 0))
     with pytest.raises(ConfigError):
         DCSWin.load(path)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(mlp_ratio=1e6),
+    dict(mlp_ratio=1e300),
+    dict(embed_dims=(4096, 8192), num_heads=(2, 2)),
+    dict(depths=(10**9, 1)),
+])
+def test_oversized_config_rejected(kwargs):
+    """Rejected from the closed-form count, before any weight exists."""
+    with pytest.raises(ConfigError, match="parameters"):
+        ModelConfig.micro(**kwargs)
 
 
 def test_stage_candidates_clip_to_side():

@@ -109,6 +109,15 @@ class TestTrainConfig:
         {"augment_t": 51},
         {"checkpoint_every": 0},
         {"num_runs": 0},
+        {"initial_lr": float("nan")},
+        {"initial_lr": float("inf")},
+        {"consistency_weight": float("nan")},
+        {"consistency_weight": float("inf")},
+        {"beta_start": float("nan")},
+        {"beta_start": float("inf")},
+        {"beta_start": -0.1},
+        {"beta_end": float("nan")},
+        {"beta_end": 1.0},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -122,6 +131,18 @@ class TestTrainConfig:
 
     def test_mapping_defaults(self):
         assert TrainConfig.from_mapping({}) == TrainConfig()
+
+    @pytest.mark.parametrize("key,value", [
+        ("epochs", "abc"),
+        ("epochs", "5.0"),
+        ("batch_size", ""),
+        ("initial_lr", "fast"),
+        ("tau", "nan"),
+        ("beta_end", "inf"),
+    ])
+    def test_mapping_bad_value_is_config_error(self, key, value):
+        with pytest.raises(ConfigError):
+            TrainConfig.from_mapping({key: value})
 
 
 # ---- optimizers -----------------------------------------------------------------
@@ -460,6 +481,21 @@ class TestExperiment:
         assert t2 == cfg
         assert rest["run.seeds"] == "0,1"
         assert rest["note"] == "smoke"
+
+    @pytest.mark.parametrize("line", ["train.epoch = 5", "model.depth = 1",
+                                      "train.epochs = abc"])
+    def test_run_config_bad_model_or_train_key_rejected(self, tmp_path, line):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{line}\nnote = kept\n")
+        with pytest.raises(ConfigError):
+            load_run_config(path)
+
+    def test_run_config_other_keys_pass_through(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("train.epochs = 5\nrun.whatever = 1\n")
+        _, cfg, rest = load_run_config(path)
+        assert cfg.epochs == 5
+        assert rest == {"run.whatever": "1"}
 
     def test_run_experiment_writes_artifacts(self, dataset, split, tmp_path):
         report = run_experiment(dataset, split, ModelConfig.micro(num_classes=2),
