@@ -211,45 +211,21 @@ def _geometry_mask(height: int, width: int, pad_h: int, pad_w: int,
     return mask
 
 
-def _project_heads(tokens: Tensor, w: Tensor, b: Tensor,
-                   cfg: AttentionConfig) -> Tensor:
-    nb, length, _ = tokens.data.shape
-    p = T.linear(tokens, w, b)
-    p = T.reshape(p, (nb, length, cfg.num_heads, cfg.head_dim))
-    return T.permute(p, (0, 2, 1, 3))
-
-
 def _attend(q_src: Tensor, kv_src: Tensor, params: AttentionParams,
             cfg: AttentionConfig, mask: Optional[np.ndarray] = None,
             return_weights: bool = False):
-    nb, lq, c = q_src.data.shape
-    lk = kv_src.data.shape[1]
+    c = q_src.data.shape[2]
     if c != cfg.dim or kv_src.data.shape[2] != cfg.dim:
         raise ShapeError(f"attention: token dim {c}/{kv_src.data.shape[2]} "
                          f"!= configured {cfg.dim}")
-    q = _project_heads(q_src, params.wq, params.bq, cfg)
-    k = _project_heads(kv_src, params.wk, params.bk, cfg)
-    v = _project_heads(kv_src, params.wv, params.bv, cfg)
-    logits = T.scale(T.matmul(q, T.permute(k, (0, 1, 3, 2))),
-                     1.0 / np.sqrt(cfg.head_dim))
-    if mask is None:
-        weights = T.softmax(logits, axis=-1)
-    else:
-        m = np.asarray(mask, dtype=np.float64)
-        if m.ndim == 2:
-            m = m[None]
-        if m.ndim != 3 or nb % m.shape[0]:
-            raise ShapeError(f"mask of shape {m.shape} does not tile "
-                             f"{nb} windows")
-        # windows are batch-major, so the nW window masks repeat per image
-        per_image = T.reshape(logits, (nb // m.shape[0], m.shape[0])
-                              + logits.shape[1:])
-        weights = T.reshape(T.softmax(per_image, axis=-1, mask=m[:, None]),
-                            logits.shape)
-    ctx = T.matmul(weights, v)
-    ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (nb, lq, c))
+    q = T.linear(q_src, params.wq, params.bq)
+    k = T.linear(kv_src, params.wk, params.bk)
+    v = T.linear(kv_src, params.wv, params.bv)
+    ctx = T.multihead_attention(q, k, v, cfg.num_heads, mask)
     out = T.linear(ctx, params.wo, params.bo)
-    return (out, weights) if return_weights else out
+    if return_weights:
+        return out, Tensor(T.attention_weights(q, k, cfg.num_heads, mask))
+    return out
 
 
 def mhsa(tokens: Tensor, params: AttentionParams, cfg: AttentionConfig,

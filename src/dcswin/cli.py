@@ -123,8 +123,7 @@ def _seed_list(text: str, source: str) -> list[int]:
 
 def _cmd_train(args) -> int:
     model_cfg, train_cfg, extra = load_run_config(args.config)
-    arm = args.ablation or "full"
-    model_cfg = model_cfg.ablated(arm)
+    model_cfg = model_cfg.ablated(args.ablation or "full")
     if args.supervised_only:
         from dataclasses import replace
         train_cfg = replace(train_cfg, tau=1.0)
@@ -147,8 +146,8 @@ def _cmd_train(args) -> int:
         resume=not args.no_resume,
         extra_config={"data.manifest": str(manifest_path),
                       "data.split": str(Path(args.split).resolve()),
-                      "run.arm": arm,
-                      "run.supervised_only": str(args.supervised_only)})
+                      "run.arm": model_cfg.arm,
+                      "run.supervised_only": str(train_cfg.tau >= 1.0)})
     print(f"report: {Path(args.out) / 'report.json'}")
     print(report.render())
     return EXIT_OK

@@ -204,11 +204,19 @@ def _op_cases(seed: int) -> dict[str, tuple[Callable[[], Tensor], dict[str, Tens
 
     sm = _leaf(rng, (3, 5), -3.0, 3.0)
     cases["softmax"] = (lambda: _probe(T.softmax(sm, axis=1)), {"a": sm})
-    # blocked (-1e9) entries in every row, broadcast over the leading axis
-    sk = _leaf(rng, (2, 3, 4), -3.0, 3.0)
-    sk_mask = np.where(np.arange(12).reshape(3, 4) % 3 == 1, -1e9, 0.0)
-    cases["softmax_masked"] = (
-        lambda: _probe(T.softmax(sk, axis=-1, mask=sk_mask)), {"a": sk})
+    # 2 heads, Lq != Lk; the mask blocks (-1e9) entries in every row and
+    # tiles its 2 window blocks over the 4 batch-major windows
+    aq, ak, av = (_leaf(rng, (4, 3, 4)), _leaf(rng, (4, 5, 4)),
+                  _leaf(rng, (4, 5, 4)))
+    cases["multihead_attention"] = (
+        lambda: _probe(T.multihead_attention(aq, ak, av, 2)),
+        {"q": aq, "k": ak, "v": av})
+    mq, mk, mv = (_leaf(rng, (4, 3, 4)), _leaf(rng, (4, 5, 4)),
+                  _leaf(rng, (4, 5, 4)))
+    a_mask = np.where(np.arange(30).reshape(2, 3, 5) % 4 == 1, -1e9, 0.0)
+    cases["multihead_attention_masked"] = (
+        lambda: _probe(T.multihead_attention(mq, mk, mv, 2, a_mask)),
+        {"q": mq, "k": mk, "v": mv})
     ls = _leaf(rng, (3, 5), -3.0, 3.0)
     cases["log_softmax"] = (lambda: _probe(T.log_softmax(ls, axis=1)), {"a": ls})
 

@@ -174,6 +174,13 @@ class ModelConfig:
             return replace(self, dynamic_window=False, cross_scale=False)
         raise ConfigError(f"unknown ablation arm {arm!r}")
 
+    @property
+    def arm(self) -> str:
+        """The ablation arm that the two mechanism flags select."""
+        return {(True, True): "full", (False, True): "no-dw",
+                (True, False): "no-cs", (False, False): "baseline"}[
+                    (self.dynamic_window, self.cross_scale)]
+
     # ---- config text ------------------------------------------------------
     def to_mapping(self) -> dict[str, str]:
         return config_to_mapping(self)

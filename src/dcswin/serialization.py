@@ -32,12 +32,24 @@ _TAG_FOR = {np.dtype("float64"): 1, np.dtype("float32"): 2}
 
 
 def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
+    """Read exactly n bytes. A declared size is checked against the bytes
+    left in the stream first, so a hostile one is never allocated."""
     pos = f.tell()
-    buf = f.read(n)
-    if len(buf) != n:
+    left = f.seek(0, io.SEEK_END) - pos
+    f.seek(pos)
+    if n > left:
         raise FormatError(f"truncated {what} at byte {pos}: wanted {n} bytes, "
-                          f"got {len(buf)}")
-    return buf
+                          f"got {left}")
+    return f.read(n)
+
+
+def _read_text(f: BinaryIO, n: int, what: str) -> str:
+    pos = f.tell()
+    try:
+        return _read_exact(f, n, what).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{what} at byte {pos} is not UTF-8: {e.reason} "
+                          f"at offset {e.start}") from None
 
 
 def write_tensor(f: BinaryIO, arr: np.ndarray) -> None:
@@ -75,7 +87,12 @@ def read_tensor(f: BinaryIO) -> np.ndarray:
     for d in dims:
         count *= d
     raw = _read_exact(f, count * dtype.itemsize, "tensor data")
-    return np.frombuffer(raw, dtype=dtype).reshape(dims).astype(dtype.newbyteorder("="))
+    try:
+        arr = np.frombuffer(raw, dtype=dtype).reshape(dims)
+    except ValueError:  # an empty tensor whose other dims exceed NumPy's range
+        raise FormatError(f"impossible tensor dims {dims} at byte "
+                          f"{pos + 12}") from None
+    return arr.astype(dtype.newbyteorder("="))
 
 
 def save_tensor(path: Union[str, Path], arr: np.ndarray) -> None:
@@ -207,13 +224,12 @@ def load_checkpoint(path: Union[str, Path]) -> tuple[dict[str, str],
             raise FormatError(f"unsupported checkpoint version {version} "
                               f"(supported: {FORMAT_VERSION})")
         text_len = struct.unpack("<Q", _read_exact(f, 8, "config length"))[0]
-        config = parse_config_text(_read_exact(f, text_len, "config text")
-                                   .decode("utf-8"))
+        config = parse_config_text(_read_text(f, text_len, "config text"))
         count = struct.unpack("<Q", _read_exact(f, 8, "tensor count"))[0]
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
             name_len = struct.unpack("<Q", _read_exact(f, 8, "tensor name length"))[0]
-            name = _read_exact(f, name_len, "tensor name").decode("utf-8")
+            name = _read_text(f, name_len, "tensor name")
             if name in tensors:
                 raise FormatError(f"duplicate tensor name {name!r} "
                                   f"at byte {f.tell()}")

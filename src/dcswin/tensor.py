@@ -11,8 +11,9 @@ Conventions:
   * no implicit broadcasting: `add`/`mul`/`div` demand identical shapes,
     expansion is explicit via `broadcast_to`; the exceptions are `matmul`,
     which broadcasts its leading batch dimensions, and two in-op
-    broadcasts of a trailing operand: the bias of `linear` and the
-    additive constant mask of `softmax`;
+    broadcasts: the bias of `linear` over the leading axes, and the
+    additive constant mask of `multihead_attention` over heads and over
+    the batch-major windows;
   * checked mode (default on) rejects NaN/Inf at every op boundary.
 
 Tapes nest: `with Tape() as t:` records onto `t`; outside any explicit
@@ -37,7 +38,8 @@ __all__ = [
     "exp", "log", "sqrt", "tanh", "relu", "gelu",
     "broadcast_to", "reshape", "permute", "roll", "pad2d", "slice_nd",
     "concat", "reduce_sum", "reduce_mean", "mean_pool", "avg_pool2d",
-    "matmul", "softmax", "log_softmax", "cross_entropy",
+    "matmul", "softmax", "multihead_attention", "attention_weights",
+    "log_softmax", "cross_entropy",
     "conv1x1", "linear", "layer_norm", "detach",
 ]
 
@@ -412,17 +414,41 @@ _GELU_A = 0.044715
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh form."""
+    """Gaussian error linear unit, tanh form.
+
+    Forward and backward each work in two full-size buffers. They round
+    exactly as `0.5 * x * (1 + tanh(c * (x + a * x * x * x)))` and its
+    textbook derivative do: the products are taken in the same order, and
+    halving a product is exact outside the subnormal range.
+    """
     a = _as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * (x * x * x))
-    th = np.tanh(inner)
-    out = 0.5 * x * (1.0 + th)
+    th = x * x
+    th *= x
+    th *= _GELU_A
+    th += x
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    out = th + 1.0
+    out *= x
+    out *= 0.5
 
     def bw(g):
-        sech2 = 1.0 - th * th
-        d = 0.5 * (1.0 + th) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        return (g * d,)
+        # 0.5 * x * (1 - th^2) * c * (1 + 3a * x^2) + 0.5 * (1 + th)
+        d = x * 0.5
+        t = th * th
+        np.subtract(1.0, t, out=t)
+        d *= t
+        d *= _GELU_C
+        np.multiply(x, 3.0 * _GELU_A, out=t)
+        t *= x
+        t += 1.0
+        d *= t
+        np.add(th, 1.0, out=t)
+        t *= 0.5
+        t += d
+        t *= g
+        return (t,)
 
     return _finish(out, (a,), bw, "gelu")
 
@@ -650,30 +676,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _finish(out, (a, b), bw, "matmul")
 
 
-def softmax(a: Tensor, axis: int = -1,
-            mask: Optional[np.ndarray] = None) -> Tensor:
-    """Stable softmax along one axis; rows sum to 1.
-
-    `mask` is an optional additive constant (no gradient), broadcast onto
-    `a` before the row max: 0 keeps an entry, a large negative value such
-    as -1e9 suppresses it.
-    """
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """Stable softmax along one axis; rows sum to 1."""
     a = _as_tensor(a)
     ax = axis % a.data.ndim
-    if mask is None:
-        out = a.data - a.data.max(axis=ax, keepdims=True)
-    else:
-        m = np.asarray(mask, dtype=np.float64)
-        try:
-            grown = np.broadcast_shapes(m.shape, a.data.shape) != a.data.shape
-        except ValueError:
-            grown = True
-        if grown:
-            raise ShapeError(f"softmax: mask shape {m.shape} does not "
-                             f"broadcast onto {a.data.shape}")
-        _screen(m, "softmax mask")
-        out = a.data + m
-        out -= out.max(axis=ax, keepdims=True)
+    out = a.data - a.data.max(axis=ax, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=ax, keepdims=True)
 
@@ -682,6 +689,102 @@ def softmax(a: Tensor, axis: int = -1,
         return ((g - inner) * out,)
 
     return _finish(out, (a,), bw, "softmax")
+
+
+def _heads(a: np.ndarray, num_heads: int) -> np.ndarray:
+    """[N, L, C] as a strided [N, heads, L, C // heads] view, no copy."""
+    n, length, c = a.shape
+    return a.reshape(n, length, num_heads, c // num_heads).transpose(0, 2, 1, 3)
+
+
+def _attention_probs(qd: np.ndarray, kd: np.ndarray, num_heads: int,
+                     mask: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-head softmax(q k^T / sqrt(d) + mask) as [N, heads, Lq, Lk], and
+    the contiguous k^T [N, heads, d, Lk] it was computed with."""
+    if qd.ndim != 3 or kd.ndim != 3 or qd.shape[0] != kd.shape[0] \
+            or qd.shape[2] != kd.shape[2]:
+        raise ShapeError(f"multihead_attention expects [N, Lq, C] queries and "
+                         f"[N, Lk, C] keys, got {qd.shape} and {kd.shape}")
+    n, lq, c = qd.shape
+    lk = kd.shape[1]
+    if num_heads < 1 or c % num_heads:
+        raise ShapeError(f"multihead_attention: width {c} does not split "
+                         f"into {num_heads} heads")
+    if mask is not None:
+        m = np.asarray(mask, dtype=np.float64)
+        if m.ndim == 2:
+            m = m[None]
+        if m.ndim != 3 or m.shape[1:] != (lq, lk) or n % m.shape[0]:
+            raise ShapeError(f"multihead_attention: mask of shape {m.shape} "
+                             f"does not tile {n} windows of {lq}x{lk}")
+        _screen(m, "attention mask")
+    # k^T is the one head-split copy: with it every product below runs
+    # on operands oriented as a plain batched matmul would orient them,
+    # so results round exactly as that matmul chain does
+    kt = np.ascontiguousarray(_heads(kd, num_heads).transpose(0, 1, 3, 2))
+    probs = np.matmul(_heads(qd, num_heads), kt)
+    probs *= 1.0 / math.sqrt(c // num_heads)
+    _screen(probs, "attention logits")
+    if mask is not None:
+        # windows are batch-major, so the nW window masks repeat per image
+        per_image = probs.reshape((n // m.shape[0], m.shape[0], num_heads,
+                                   lq, lk))
+        per_image += m[:, None]
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs, kt
+
+
+def attention_weights(q: Tensor, k: Tensor, num_heads: int,
+                      mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """The [N, heads, Lq, Lk] weights `multihead_attention` applies; no
+    graph is recorded."""
+    return _attention_probs(_as_tensor(q).data, _as_tensor(k).data,
+                            num_heads, mask)[0]
+
+
+def multihead_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
+                        mask: Optional[np.ndarray] = None) -> Tensor:
+    """softmax(q_h k_h^T / sqrt(d) + mask) v_h for every head h.
+
+    q is [N, Lq, C], k and v are [N, Lk, C]; head h owns channels
+    [h*d, (h+1)*d) with d = C // num_heads, and the heads of the output
+    [N, Lq, C] are laid out the same way. `mask` is an additive constant
+    (no gradient), [Lq, Lk] or one [nW, Lq, Lk] block per window, tiled
+    over the batch-major windows of N: 0 keeps a pair, a large negative
+    value such as -1e9 suppresses it.
+
+    With P the weights and dP = g_h v_h^T, the gradients are
+    dS = (dP - rowsum(dP * P)) * P / sqrt(d), dq_h = dS k_h,
+    dk_h = (q_h^T dS)^T and dv_h = P^T g_h.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    qd, kd, vd = q.data, k.data, v.data
+    if vd.shape != kd.shape:
+        raise ShapeError(f"multihead_attention: values {vd.shape} and keys "
+                         f"{kd.shape} differ")
+    probs, kt = _attention_probs(qd, kd, num_heads, mask)
+    inv_sqrt_d = 1.0 / math.sqrt(qd.shape[2] // num_heads)
+    out = np.empty(qd.shape)
+    np.matmul(probs, _heads(vd, num_heads), out=_heads(out, num_heads))
+
+    def bw(g):
+        gh = _heads(g, num_heads)
+        dv = np.empty(vd.shape)
+        np.matmul(probs.swapaxes(-1, -2), gh, out=_heads(dv, num_heads))
+        ds = np.matmul(gh, _heads(vd, num_heads).swapaxes(-1, -2))
+        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds *= probs
+        ds *= inv_sqrt_d
+        dq = np.empty(qd.shape)
+        np.matmul(ds, kt.swapaxes(-1, -2), out=_heads(dq, num_heads))
+        dk = np.empty(kd.shape)
+        _heads(dk, num_heads)[...] = np.matmul(
+            _heads(qd, num_heads).swapaxes(-1, -2), ds).swapaxes(-1, -2)
+        return dq, dk, dv
+
+    return _finish(out, (q, k, v), bw, "multihead_attention")
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -7,7 +7,7 @@ from dcswin.attention import (AttentionConfig, AttentionParams, WindowSpec,
                               attention_mask, cross_attention, map_to_tokens,
                               mhsa, tokens_to_map, window_partition,
                               window_reverse, windowed_mhsa)
-from dcswin.errors import ConfigError, ShapeError
+from dcswin.errors import ConfigError, NumericsError, ShapeError
 from dcswin.rng import stream
 from dcswin.tensor import Tensor
 
@@ -191,6 +191,27 @@ def test_mask_saturation_attends_single_key():
     assert np.all(only < 1e-12)
     # every query's context is v(key 3), so all output rows coincide
     assert np.allclose(out.data, out.data[:, :1], atol=1e-12)
+
+
+def test_mhsa_records_five_tape_entries():
+    rng = stream(12, "t-attn")
+    cfg = AttentionConfig(4, 2)
+    p = AttentionParams.init(cfg, rng, zero_out=False)
+    tok = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    with T.Tape() as tape:
+        mhsa(tok, p, cfg)
+    # the q, k, v and output linears, and one attention op
+    assert len(tape) == 5
+
+
+def test_mhsa_overflowing_logits_raise():
+    rng = stream(13, "t-attn")
+    cfg = AttentionConfig(4, 2)
+    p = AttentionParams.init(cfg, rng, zero_out=False)
+    tok = Tensor(rng.standard_normal((2, 3, 4)) * 1e200)
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericsError, match="attention logits"):
+        mhsa(tok, p, cfg)
 
 
 def test_rows_stochastic_random_configs():

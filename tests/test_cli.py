@@ -153,6 +153,26 @@ class TestTrainEval:
         assert "model.dynamic_window = false" in cfg_text
         assert "model.cross_scale = false" in cfg_text
 
+    def test_rerun_config_records_its_own_arm(self, workspace):
+        first = workspace / "run_base_sup"
+        rc = main(["train", "--config", str(workspace / "run.cfg"),
+                   "--split", str(workspace / "split.json"),
+                   "--out", str(first), "--ablation", "baseline",
+                   "--supervised-only", "--seeds", "0"])
+        assert rc == EXIT_OK
+        # the written config carries the arm; no flag is needed to re-run it
+        again = workspace / "run_base_sup_again"
+        rc = main(["train", "--config", str(first / "run_config.txt"),
+                   "--split", str(workspace / "split.json"),
+                   "--out", str(again)])
+        assert rc == EXIT_OK
+        cfg_text = (again / "run_config.txt").read_text()
+        assert "model.dynamic_window = false" in cfg_text
+        assert "run.arm = baseline" in cfg_text
+        assert "train.tau = 1.0" in cfg_text
+        assert "run.supervised_only = True" in cfg_text
+        assert cfg_text == (first / "run_config.txt").read_text()
+
     def test_train_missing_config_is_runtime_error(self, workspace, capsys):
         rc = main(["train", "--config", str(workspace / "absent.cfg"),
                    "--split", str(workspace / "split.json"),

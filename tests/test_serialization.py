@@ -1,11 +1,13 @@
 """Binary tensor block, config text, and checkpoint container tests."""
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dcswin.errors import FormatError
+from dcswin.errors import DcswinError, FormatError
+from dcswin.model import DCSWin, ModelConfig
 from dcswin.serialization import (
     CHECKPOINT_MAGIC,
     FORMAT_VERSION,
@@ -230,3 +232,115 @@ class TestCheckpoint:
         (tmp_path / "bad.ckpt").write_bytes(buf.getvalue())
         with pytest.raises(FormatError, match="has no '='"):
             load_checkpoint(tmp_path / "bad.ckpt")
+
+
+# ---- hostile sizes and byte mutations -------------------------------------------
+
+def tensor_header(dims, tag=1):
+    return (TENSOR_MAGIC + struct.pack("<I", FORMAT_VERSION)
+            + struct.pack("<I", len(dims))
+            + b"".join(struct.pack("<Q", d) for d in dims)
+            + struct.pack("<B", tag))
+
+
+def checkpoint_bytes(text, blocks=()):
+    out = (CHECKPOINT_MAGIC + struct.pack("<I", FORMAT_VERSION)
+           + struct.pack("<Q", len(text)) + text + struct.pack("<Q", len(blocks)))
+    for name, block in blocks:
+        out += struct.pack("<Q", len(name)) + name + block
+    return out
+
+
+def load_bounded(load, size):
+    """Run `load`, returning the error it raised (or None); fail if it
+    allocated far more than the `size` bytes it was given."""
+    tracemalloc.start()
+    try:
+        load()
+        error = None
+    except DcswinError as e:
+        error = e
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 4 * size + (1 << 20), f"peak allocation {peak} bytes"
+    return error
+
+
+@pytest.mark.parametrize("dims", [(2 ** 40, 2 ** 40), (0, 2 ** 63), (2 ** 30, 1),
+                                  (0, 2 ** 62, 4), (2 ** 64 - 1,)])
+def test_hostile_tensor_dims_raise_format_error(dims, tmp_path):
+    # from a file: reading a declared size there allocates it up front
+    blob = tensor_header(dims) + bytes(16)
+    (tmp_path / "t.dcst").write_bytes(blob)
+    error = load_bounded(lambda: load_tensor(tmp_path / "t.dcst"), len(blob))
+    assert isinstance(error, FormatError)
+
+
+@pytest.mark.parametrize("blob", [
+    CHECKPOINT_MAGIC + struct.pack("<I", FORMAT_VERSION)
+    + struct.pack("<Q", 2 ** 62) + b"a = 1\n",
+    checkpoint_bytes(b"a = \xff\xfe\n"),
+    checkpoint_bytes(b"a = 1\n", [(b"w\xc3", tensor_bytes(np.zeros(1)))]),
+    # one tensor whose name claims 2^62 bytes
+    checkpoint_bytes(b"")[:-8] + struct.pack("<Q", 1) + struct.pack("<Q", 2 ** 62),
+], ids=["config-length", "config-utf8", "name-utf8", "name-length"])
+def test_hostile_checkpoint_fields_raise_format_error(blob, tmp_path):
+    (tmp_path / "m.dcsm").write_bytes(blob)
+    error = load_bounded(lambda: load_checkpoint(tmp_path / "m.dcsm"),
+                         len(blob))
+    assert isinstance(error, FormatError)
+
+
+def checkpoint_fields(blob):
+    """Offsets of the u64 size fields and of the magic and version of every
+    block in a well-formed checkpoint."""
+    sizes, magics, versions = [8], [0], [4]
+    pos = 16 + struct.unpack_from("<Q", blob, 8)[0]
+    sizes.append(pos)
+    count = struct.unpack_from("<Q", blob, pos)[0]
+    pos += 8
+    for _ in range(count):
+        sizes.append(pos)
+        pos += 8 + struct.unpack_from("<Q", blob, pos)[0]
+        magics.append(pos)
+        versions.append(pos + 4)
+        rank = struct.unpack_from("<I", blob, pos + 8)[0]
+        dims = struct.unpack_from(f"<{rank}Q", blob, pos + 12)
+        sizes += [pos + 12 + 8 * i for i in range(rank)]
+        pos += 12 + 8 * rank + 1 + 8 * int(np.prod(dims))
+    assert pos == len(blob)
+    return sizes, magics, versions
+
+
+def test_mutated_checkpoints_load_or_raise_typed_errors(tmp_path):
+    DCSWin(ModelConfig.micro(), seed=0).save(tmp_path / "good.dcsm")
+    good = (tmp_path / "good.dcsm").read_bytes()
+    sizes, magics, versions = checkpoint_fields(good)
+    huge = [2 ** 30, 2 ** 40, 2 ** 62, 2 ** 63, 2 ** 64 - 1, len(good)]
+    rng = np.random.default_rng(0)
+    path = tmp_path / "m.dcsm"
+    kinds = []
+    for _ in range(250):
+        blob = bytearray(good)
+        kind = int(rng.integers(5))
+        if kind == 0:
+            del blob[int(rng.integers(len(good))):]
+        elif kind == 1:
+            for bit in rng.integers(0, 8 * len(good), size=rng.integers(1, 9)):
+                blob[bit // 8] ^= 1 << (bit % 8)
+        elif kind == 2:
+            at = sizes[int(rng.integers(len(sizes)))]
+            blob[at:at + 8] = struct.pack("<Q", huge[int(rng.integers(len(huge)))])
+        elif kind == 3:
+            at = magics[int(rng.integers(len(magics)))]
+            blob[at:at + 4] = rng.integers(0, 256, size=4, dtype=np.uint8).tobytes()
+        else:
+            at = versions[int(rng.integers(len(versions)))]
+            blob[at:at + 4] = struct.pack("<I", int(rng.integers(2, 2 ** 32)))
+        path.write_bytes(bytes(blob))
+        error = load_bounded(lambda: load_checkpoint(path), len(good))
+        kinds.append((kind, error is None))
+    # every kind ran, and only bit flips and benign sizes may still load
+    assert {k for k, _ in kinds} == set(range(5))
+    assert not any(ok for k, ok in kinds if k in (0, 3, 4))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dcswin.tensor as T
+from dcswin.attention import WindowSpec, attention_mask, window_partition
 from dcswin.errors import NumericsError, ShapeError, TapeError
 from dcswin.tensor import Tensor, backward, no_grad
 
@@ -287,8 +288,24 @@ def composite_layer_norm(x, gamma, beta, eps=1e-5):
     return T.add(T.mul(xn, g), b)
 
 
-def composite_masked_softmax(a, mask):
-    return T.softmax(T.add(a, T.broadcast_to(Tensor(mask), a.shape)), axis=-1)
+def composite_attention(q, k, v, num_heads, mask=None):
+    """The per-op chain `multihead_attention` replaced: head-split copies,
+    k^T, a scaled matmul, a tiled mask added through `broadcast_to`,
+    softmax, and the head merge."""
+    n, lq, c = q.data.shape
+    lk = k.data.shape[1]
+    d = c // num_heads
+
+    def heads(t, length):
+        return T.permute(T.reshape(t, (n, length, num_heads, d)), (0, 2, 1, 3))
+
+    logits = T.scale(T.matmul(heads(q, lq), T.permute(heads(k, lk), (0, 1, 3, 2))),
+                     1.0 / np.sqrt(d))
+    if mask is not None:
+        tiled = np.tile(mask, (n // mask.shape[0], 1, 1))[:, None]
+        logits = T.add(logits, T.broadcast_to(Tensor(tiled), logits.shape))
+    ctx = T.matmul(T.softmax(logits, axis=-1), heads(v, lk))
+    return T.reshape(T.permute(ctx, (0, 2, 1, 3)), (n, lq, c))
 
 
 def _value_and_grads(fn, leaves):
@@ -353,31 +370,73 @@ def test_layer_norm_param_shape_mismatch():
         T.layer_norm(Tensor(np.zeros((2, 4))), T.ones((3,)), T.zeros((4,)))
 
 
-@pytest.mark.parametrize("ashape,mshape", [
-    ((3, 5), (3, 5)),          # same shape
-    ((4, 3, 5), (3, 5)),       # broadcast over a leading axis
-    ((2, 3, 4, 5, 5), (3, 1, 5, 5)),  # the attention layout [B, nW, h, L, L]
-])
-def test_masked_softmax_matches_composite(ashape, mshape):
-    rng = np.random.default_rng(40 + len(ashape))
-    mask = np.where(rng.uniform(size=mshape) < 0.3, -1e9, 0.0)
-    mask[..., 0] = 0.0  # every row keeps an allowed entry
-    assert np.any(mask == -1e9)
-    leaves = [leaf(rng.standard_normal(ashape) * 2.0)]
-    _assert_same_op(lambda a: T.softmax(a, axis=-1, mask=mask),
-                    lambda a: composite_masked_softmax(a, mask), leaves)
-    probs = T.softmax(Tensor(leaves[0].data), axis=-1, mask=mask).data
-    assert np.all(probs[np.broadcast_to(mask, ashape) < 0] < 1e-12)
+def _window_mask(side, spec):
+    """The model's additive mask for a side x side map under `spec`."""
+    _, info = window_partition(Tensor(np.zeros((1, side, side, 1))), spec)
+    return attention_mask(info)
 
 
-def test_masked_softmax_rejects_bad_masks():
-    a = Tensor(np.zeros((2, 3, 4)))
-    with pytest.raises(ShapeError):
-        T.softmax(a, mask=np.zeros((3, 3)))
-    with pytest.raises(ShapeError):  # would grow the output
-        T.softmax(a, mask=np.zeros((5, 2, 3, 4)))
+# heads, images, Lq, Lk, width, mask
+ATTENTION_CASES = {
+    "1head-unmasked": (1, 3, 4, 6, 5, None),
+    "2heads-shifted": (2, 2, 4, 4, 6, "shifted"),     # 4 windows, seam pairs
+    "3heads-lq-ne-lk-masked": (3, 2, 3, 7, 6, "random"),
+    "4heads-padded": (4, 2, 4, 4, 8, "padded"),       # 9 windows, pad + seam
+}
+
+
+@pytest.mark.parametrize("case", list(ATTENTION_CASES))
+def test_multihead_attention_matches_composite(case):
+    heads, images, lq, lk, c, kind = ATTENTION_CASES[case]
+    rng = np.random.default_rng(40 + heads)
+    mask = None
+    if kind == "shifted":
+        mask = _window_mask(4, WindowSpec(2, 1))
+    elif kind == "padded":
+        mask = _window_mask(5, WindowSpec(2, 1))
+    elif kind == "random":
+        mask = np.where(rng.uniform(size=(2, lq, lk)) < 0.4, -1e9, 0.0)
+        mask[..., 0] = 0.0  # every row keeps an allowed entry
+    n = images * (1 if mask is None else mask.shape[0])
+    assert mask is None or np.any(mask == -1e9)
+    leaves = [leaf(rng.standard_normal((n, lq, c)) * 2.0),
+              leaf(rng.standard_normal((n, lk, c)) * 2.0),
+              leaf(rng.standard_normal((n, lk, c)))]
+    _assert_same_op(lambda q, k, v: T.multihead_attention(q, k, v, heads, mask),
+                    lambda q, k, v: composite_attention(q, k, v, heads, mask),
+                    leaves)
+
+
+def test_multihead_attention_mask_saturates():
+    rng = np.random.default_rng(45)
+    q, k, v = (Tensor(rng.standard_normal(s) * 3.0)
+               for s in ((2, 3, 4), (2, 5, 4), (2, 5, 4)))
+    mask = np.full((3, 5), -1e9)
+    mask[:, 2] = 0.0
+    weights = T.attention_weights(q, k, 2, mask)
+    assert weights.shape == (2, 2, 3, 5)
+    assert np.all(np.delete(weights, 2, axis=-1) < 1e-12)
+    # every query of every head reads value row 2 alone
+    out = T.multihead_attention(q, k, v, 2, mask).data
+    assert np.allclose(out, np.broadcast_to(v.data[:, 2:3], out.shape),
+                       atol=1e-12)
+
+
+def test_multihead_attention_rejects_bad_masks():
+    q, k = Tensor(np.zeros((4, 3, 4))), Tensor(np.zeros((4, 5, 4)))
+    with pytest.raises(ShapeError):  # 3 window blocks do not tile 4 windows
+        T.multihead_attention(q, k, k, 2, np.zeros((3, 3, 5)))
+    with pytest.raises(ShapeError):  # blocks of the wrong Lq x Lk
+        T.multihead_attention(q, k, k, 2, np.zeros((2, 5, 3)))
     with pytest.raises(NumericsError):
-        T.softmax(a, mask=np.full((3, 4), np.nan))
+        T.multihead_attention(q, k, k, 2, np.full((2, 3, 5), np.nan))
+    with pytest.raises(ShapeError):  # 3 heads do not split width 4
+        T.multihead_attention(q, k, k, 3)
+    with pytest.raises(ShapeError):
+        T.multihead_attention(q, k, Tensor(np.zeros((4, 6, 4))), 2)
+    with pytest.raises(ShapeError):
+        T.multihead_attention(q, Tensor(np.zeros((4, 5, 6))),
+                              Tensor(np.zeros((4, 5, 6))), 2)
 
 
 def test_gelu_matches_tanh_form():
@@ -385,6 +444,23 @@ def test_gelu_matches_tanh_form():
     c = math.sqrt(2.0 / math.pi)
     ref = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * np.power(x, 3))))
     assert np.max(np.abs(T.gelu(Tensor(x)).data - ref)) <= 1e-14
+
+
+def test_gelu_rounds_as_the_one_expression_form():
+    # the buffer-reusing kernels must round exactly as the plain formulas
+    rng = np.random.default_rng(46)
+    x = np.concatenate([np.linspace(-8.0, 8.0, 401), [0.0],
+                        rng.choice([-1.0, 1.0], 400)
+                        * 10.0 ** rng.uniform(-300.0, 100.0, 400)])
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    th = np.tanh(c * (x + a * (x * x * x)))
+    g = rng.standard_normal(x.shape)
+    d = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * c * (1.0 + 3.0 * a * x * x)
+    xt = leaf(x)
+    out = T.gelu(xt)
+    backward(T.reduce_sum(T.mul(out, Tensor(g))))
+    assert np.array_equal(out.data, 0.5 * x * (1.0 + th))
+    assert np.array_equal(xt.grad, g * d)
 
 
 # ---- backward contracts --------------------------------------------------------

@@ -405,6 +405,54 @@ class TestTrainLoop:
         assert strip_wall(read(tmp_path / "full")) == \
             strip_wall(read(tmp_path / "resumed"))
 
+    def test_crash_before_checkpoint_lands_resumes_exactly(
+            self, dataset, split, tiny_manifest, tmp_path, monkeypatch):
+        cfg = fast_cfg(epochs=4, warmup_epochs=1, tau=0.4, checkpoint_every=1,
+                       consistency_weight=0.1, consistency_t_max=5,
+                       augment_t=3, diffusion_steps=10)
+
+        def run(run_dir, data, events):
+            train(DCSWin(ModelConfig.micro(num_classes=2), seed=0), data,
+                  split, cfg, run_dir=run_dir,
+                  step_listener=lambda e: events.append(
+                      (e["kind"], e["epoch"], e["ids"], e["loss"])))
+
+        full_events = []
+        run(tmp_path / "full", dataset, full_events)
+
+        # the third checkpoint's replace fails: epoch 2 is already in
+        # epochs.jsonl, while state.dcsm still says epoch_next = 2
+        real_replace = type(tmp_path).replace
+        calls = []
+
+        def crash_once(self, target):
+            calls.append(target)
+            if len(calls) == 3:
+                raise OSError("injected crash before the checkpoint lands")
+            return real_replace(self, target)
+
+        monkeypatch.setattr(type(tmp_path), "replace", crash_once)
+        data2 = ArrayDataset.from_manifest(tiny_manifest)
+        crashed_events = []
+        with pytest.raises(OSError, match="injected crash"):
+            run(tmp_path / "crashed", data2, crashed_events)
+        monkeypatch.undo()
+        log = tmp_path / "crashed" / "epochs.jsonl"
+        assert [json.loads(line)["epoch"]
+                for line in log.read_text().splitlines()] == [0, 1, 2]
+
+        resumed_events = []
+        run(tmp_path / "crashed", data2, resumed_events)
+        assert resumed_events[0][1] == 2
+        assert [e for e in crashed_events if e[1] < 2] + resumed_events == \
+            full_events
+        read = lambda p: [json.loads(line) for line in
+                          (p / "epochs.jsonl").read_text().splitlines()]
+        assert strip_wall(read(tmp_path / "full")) == \
+            strip_wall(read(tmp_path / "crashed"))
+        assert (tmp_path / "full" / "state.dcsm").read_bytes() == \
+            (tmp_path / "crashed" / "state.dcsm").read_bytes()
+
     def test_resume_rejects_config_mismatch(self, dataset, split, tmp_path):
         cfg = fast_cfg(epochs=3)
         train(DCSWin(ModelConfig.micro(num_classes=2), seed=0), dataset,
