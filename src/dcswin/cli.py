@@ -15,7 +15,7 @@ from .data import (ArrayDataset, DatasetManifest, DatasetSplit,
                    stratified_split, synth_generate)
 from .errors import ConfigError, DcswinError
 from .gradcheck import op_names, run_model_check, run_op_check
-from .model import DCSWin, ModelConfig
+from .model import ARMS, DCSWin
 from .trainer import (TrainConfig, evaluate_model, load_run_config,
                       run_experiment)
 
@@ -56,10 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="dataset manifest (defaults to the one recorded "
                         "in the split file)")
     p.add_argument("--out", required=True)
-    p.add_argument("--ablation",
-                   choices=["full", "no-dw", "no-cs", "baseline"])
+    p.add_argument("--ablation", choices=list(ARMS),
+                   help="set both mechanism flags for this arm")
     p.add_argument("--supervised-only", action="store_true",
-                   help="tau=1.0: pseudo-label set always empty")
+                   help="tau=1.0: no pseudo-labels, and no inference "
+                        "over the unlabeled pool")
     p.add_argument("--seeds", help="comma-separated seed list")
     p.add_argument("--no-resume", action="store_true",
                    help="ignore existing checkpoints in the output dir")
@@ -123,7 +124,8 @@ def _seed_list(text: str, source: str) -> list[int]:
 
 def _cmd_train(args) -> int:
     model_cfg, train_cfg, extra = load_run_config(args.config)
-    model_cfg = model_cfg.ablated(args.ablation or "full")
+    if args.ablation:
+        model_cfg = model_cfg.ablated(args.ablation)
     if args.supervised_only:
         from dataclasses import replace
         train_cfg = replace(train_cfg, tau=1.0)

@@ -1,15 +1,15 @@
 """Hierarchical windowed-attention classifier.
 
 Pipeline: patch embedding -> stages of pre-norm transformer blocks whose
-attention mixes candidate window sizes per the predicted scale field ->
+attention mixes candidate window sizes per the predicted scale mixture ->
 patch merging between stages (2x2 concat, linear to double width) ->
 cross-scale fusion of each stage's output with the previous stage's ->
 global average pool -> linear head.
 
 Feature maps are channels-last [B, H, W, C] from the patch embedding to
 the global pool, so norms, MLPs and projections apply to them directly;
-only the input image [B, 3, H, W] and the scale field predicted from it
-stay channels-first.
+only the input image [B, 3, H, W] and the scale probabilities predicted
+from it stay channels-first.
 
 Both mechanisms sit behind independent config switches so ablations
 (`dynamic_window=False`, `cross_scale=False`) degrade the model to a plain
@@ -20,15 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
 from . import tensor as T
 from .attention import (AttentionConfig, AttentionParams, WindowSpec,
                         cross_attention, windowed_mhsa)
-from .dynamic_window import (ScaleField, dynamic_window_attention,
-                             pool_to_stage, predict_scales)
+from .dynamic_window import (dynamic_window_attention, pool_to_stage,
+                             predict_scales)
 from .errors import ConfigError, FormatError, ShapeError
 from .rng import stream
 from .serialization import (config_from_mapping, config_to_mapping,
@@ -39,6 +39,9 @@ INIT_STD = 0.02
 # Largest accepted `param_count()`: 400 MB per float64 copy of the weights.
 # The default config has 485,360 parameters.
 MAX_PARAMS = 50_000_000
+# Ablation arm -> (dynamic_window, cross_scale).
+ARMS = {"full": (True, True), "no-dw": (False, True),
+        "no-cs": (True, False), "baseline": (False, False)}
 
 
 def _tuple_of_ints(value, name: str) -> tuple[int, ...]:
@@ -163,23 +166,22 @@ class ModelConfig:
         return cls(**base)
 
     def ablated(self, arm: str) -> "ModelConfig":
-        """full | no-dw | no-cs | baseline."""
-        if arm == "full":
+        """This config on `arm` (full | no-dw | no-cs | baseline): both
+        mechanism flags are set from the arm, whatever they were before."""
+        if arm not in ARMS:
+            raise ConfigError(f"unknown ablation arm {arm!r}")
+        dynamic_window, cross_scale = ARMS[arm]
+        if (dynamic_window, cross_scale) == (self.dynamic_window,
+                                             self.cross_scale):
             return self
-        if arm == "no-dw":
-            return replace(self, dynamic_window=False)
-        if arm == "no-cs":
-            return replace(self, cross_scale=False)
-        if arm == "baseline":
-            return replace(self, dynamic_window=False, cross_scale=False)
-        raise ConfigError(f"unknown ablation arm {arm!r}")
+        return replace(self, dynamic_window=dynamic_window,
+                       cross_scale=cross_scale)
 
     @property
     def arm(self) -> str:
         """The ablation arm that the two mechanism flags select."""
-        return {(True, True): "full", (False, True): "no-dw",
-                (True, False): "no-cs", (False, False): "baseline"}[
-                    (self.dynamic_window, self.cross_scale)]
+        flags = (self.dynamic_window, self.cross_scale)
+        return next(arm for arm, f in ARMS.items() if f == flags)
 
     # ---- config text ------------------------------------------------------
     def to_mapping(self) -> dict[str, str]:
@@ -327,7 +329,7 @@ class Block:
         self.ln2 = LayerNorm(dim)
         self.mlp = Mlp(dim, cfg.mlp_hidden(dim), rng)
 
-    def __call__(self, x: Tensor, mixture) -> Tensor:
+    def __call__(self, x: Tensor, mixture: Optional[Tensor]) -> Tensor:
         n1 = self.ln1(x)
         if self.dynamic:
             att = dynamic_window_attention(n1, mixture, self.candidates,
@@ -372,14 +374,13 @@ class CrossScaleFuse:
 class ScalePredictor:
     """1x1 conv over the raw image emitting one logit per candidate scale."""
 
-    def __init__(self, candidates: Sequence[int], rng: np.random.Generator):
-        self.candidates = tuple(candidates)
-        s = len(self.candidates)
-        self.w = T.trunc_normal((s, 3), rng, std=INIT_STD, requires_grad=True)
-        self.b = T.zeros((s,), requires_grad=True)
+    def __init__(self, num_scales: int, rng: np.random.Generator):
+        self.w = T.trunc_normal((num_scales, 3), rng, std=INIT_STD,
+                                requires_grad=True)
+        self.b = T.zeros((num_scales,), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> ScaleField:
-        return predict_scales(x, self.w, self.b, self.candidates)
+    def __call__(self, x: Tensor) -> Tensor:
+        return predict_scales(x, self.w, self.b)
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
@@ -393,7 +394,7 @@ class DCSWin:
         self.cfg = cfg
         rng = stream(seed, "init") if rng is None else rng
         self.patch_embed = PatchEmbed(cfg.patch_size, cfg.embed_dims[0], rng)
-        self.predictor = (ScalePredictor(cfg.candidates, rng)
+        self.predictor = (ScalePredictor(len(cfg.candidates), rng)
                           if cfg.dynamic_window else None)
         self.stages: list[list[Block]] = []
         self.fuses: dict[int, CrossScaleFuse] = {}

@@ -33,7 +33,7 @@ from .errors import NumericsError, ShapeError, TapeError
 __all__ = [
     "Tensor", "Tape", "backward", "no_grad", "checked_mode", "is_checked",
     "set_checked",
-    "tensor", "zeros", "ones", "full", "randn", "trunc_normal",
+    "zeros", "ones", "trunc_normal",
     "add", "add_scalar", "sub", "neg", "mul", "div", "scale",
     "exp", "log", "sqrt", "tanh", "relu", "gelu",
     "broadcast_to", "reshape", "permute", "roll", "pad2d", "slice_nd",
@@ -297,25 +297,12 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 # ---- constructors -------------------------------------------------------
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape, dtype=np.float64), requires_grad=requires_grad)
 
 
 def ones(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.ones(shape, dtype=np.float64), requires_grad=requires_grad)
-
-
-def full(shape, value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full(shape, value, dtype=np.float64), requires_grad=requires_grad)
-
-
-def randn(shape, rng: np.random.Generator, std: float = 1.0,
-          requires_grad: bool = False) -> Tensor:
-    return Tensor(rng.standard_normal(shape) * std, requires_grad=requires_grad)
 
 
 def trunc_normal(shape, rng: np.random.Generator, std: float = 0.02,

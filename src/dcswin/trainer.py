@@ -5,7 +5,8 @@ Epoch structure (0-indexed epoch e):
   (a) labeled mini-batch pass, unweighted cross-entropy;
   (b) if e >= warmup_epochs: regenerate pseudo-labels from the current
       model over the unlabeled pool, then a pseudo pass weighted by
-      pseudo_weight (skipped silently when the set is empty);
+      pseudo_weight (skipped silently when the set is empty). With
+      tau >= 1 the set is empty by construction, so no inference runs;
   (c) if consistency_weight > 0: noise-consistency pass on unlabeled data;
   (d) scheduler step.
 
@@ -266,9 +267,10 @@ def generate_pseudo_labels(model: DCSWin, dataset: ArrayDataset,
                            unlabeled_ids: Sequence[str], tau: float,
                            batch_size: int = 64) -> PseudoLabelSet:
     """Inference over the unlabeled pool in manifest (lexicographic) order;
-    keep argmax labels whose max softmax probability is strictly above tau."""
+    keep argmax labels whose max softmax probability is strictly above tau.
+    A softmax probability never exceeds 1, so tau >= 1 skips inference."""
     ids = sorted(unlabeled_ids)
-    if not ids:
+    if not ids or tau >= 1.0:
         return PseudoLabelSet((), tau)
     probs = predict_probs(model, dataset, ids, batch_size)
     labels = probs.argmax(axis=1)
@@ -533,6 +535,20 @@ def load_run_config(path: Union[str, Path]
     return section("model.", ModelConfig), section("train.", TrainConfig), rest
 
 
+def _check_split(dataset: ArrayDataset, split: DatasetSplit) -> None:
+    """Every pool's ids are in the dataset; labeled and test are non-empty."""
+    for pool in ("labeled", "unlabeled", "test"):
+        ids = getattr(split, pool)
+        if not ids and pool != "unlabeled":
+            raise ConfigError(f"split's {pool} pool is empty")
+        missing = next((i for i in ids
+                        if not isinstance(i, str) or i not in dataset.index),
+                       None)
+        if missing is not None:
+            raise ConfigError(f"split's {pool} pool names id {missing!r}, "
+                              "which is not in the dataset")
+
+
 def run_experiment(dataset: ArrayDataset, split: DatasetSplit,
                    model_cfg: ModelConfig, cfg: TrainConfig,
                    out_dir: Union[str, Path], seeds: Sequence[int],
@@ -541,7 +557,10 @@ def run_experiment(dataset: ArrayDataset, split: DatasetSplit,
                    ) -> MetricsReport:
     """One training run per seed, each in `out_dir/seed<k>/` with its epoch
     log, checkpoint, test predictions, metrics, and confusion matrix; the
-    aggregate report lands in `out_dir/report.json`."""
+    aggregate report lands in `out_dir/report.json`. A split naming an id
+    missing from the dataset, or with an empty labeled or test pool, raises
+    ConfigError before anything is written."""
+    _check_split(dataset, split)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if dataset.norm_mean is None:

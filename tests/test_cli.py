@@ -173,6 +173,43 @@ class TestTrainEval:
         assert "run.supervised_only = True" in cfg_text
         assert cfg_text == (first / "run_config.txt").read_text()
 
+    def test_ablation_full_switches_mechanisms_back_on(self, workspace,
+                                                       tmp_path):
+        cfg = tmp_path / "baseline.cfg"
+        write_run_config(cfg, ModelConfig.micro(num_classes=2)
+                         .ablated("baseline"),
+                         TrainConfig(epochs=1, initial_lr=3e-3, batch_size=3,
+                                     tau=0.5, warmup_epochs=1, num_runs=1,
+                                     seed=0), seeds=[0])
+        out_dir = tmp_path / "out"
+        rc = main(["train", "--config", str(cfg),
+                   "--split", str(workspace / "split.json"),
+                   "--out", str(out_dir), "--ablation", "full"])
+        assert rc == EXIT_OK
+        cfg_text = (out_dir / "run_config.txt").read_text()
+        assert "model.dynamic_window = true" in cfg_text
+        assert "model.cross_scale = true" in cfg_text
+        assert "run.arm = full" in cfg_text
+
+    @pytest.mark.parametrize("pool,ids,needle", [
+        ("unlabeled", ["class0/missing"], "'class0/missing'"),
+        ("test", [], "test pool is empty"),
+    ])
+    def test_hostile_split_is_runtime_error(self, workspace, tmp_path, capsys,
+                                            pool, ids, needle):
+        payload = json.loads((workspace / "split.json").read_text())
+        payload[pool] = ids
+        bad = tmp_path / "bad_split.json"
+        bad.write_text(json.dumps(payload))
+        out_dir = tmp_path / "out"
+        rc = main(["train", "--config", str(workspace / "run.cfg"),
+                   "--split", str(bad), "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_RUNTIME
+        assert err.startswith("error:") and needle in err
+        assert "Traceback" not in err
+        assert not list(out_dir.glob("seed*"))
+
     def test_train_missing_config_is_runtime_error(self, workspace, capsys):
         rc = main(["train", "--config", str(workspace / "absent.cfg"),
                    "--split", str(workspace / "split.json"),

@@ -1,4 +1,4 @@
-"""Scale-field prediction, the per-sample mixture, and mixture-weighted
+"""Scale prediction, the per-sample [B,S] mixture, and mixture-weighted
 attention."""
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ import pytest
 import dcswin.tensor as T
 from dcswin.attention import (AttentionConfig, AttentionParams, WindowSpec,
                               windowed_mhsa)
-from dcswin.dynamic_window import (ScaleField, StageMixture,
-                                   dynamic_window_attention, hard_selection,
+from dcswin.dynamic_window import (dynamic_window_attention, hard_selection,
                                    pool_to_stage, predict_scales)
 from dcswin.errors import ConfigError, ShapeError
 from dcswin.rng import stream
@@ -25,46 +24,14 @@ def attn_setup(dim=4, heads=2, key=0):
     return AttentionParams.init(cfg, rng, zero_out=False), cfg, rng
 
 
-# ---- field / mixture types ------------------------------------------------------
-
-def uniform_field(b=1, s=2, h=4, w=4, candidates=(2, 4)):
-    return ScaleField(Tensor(np.full((b, s, h, w), 1.0 / s)), candidates)
-
-
-def test_scale_field_validation():
-    uniform_field()  # valid
-    with pytest.raises(ShapeError):
-        ScaleField(Tensor(np.full((2, 4, 4), 0.5)), (2, 4))
-    with pytest.raises(ConfigError):
-        ScaleField(Tensor(np.full((1, 3, 4, 4), 1 / 3)), (2, 4))
-    with pytest.raises(ConfigError):
-        ScaleField(Tensor(np.ones((1, 1, 4, 4))), (2,))
-    with pytest.raises(ConfigError):
-        ScaleField(Tensor(np.full((1, 2, 4, 4), 0.5)), (0, 4))
-    with pytest.raises(ConfigError):
-        ScaleField(Tensor(np.full((1, 2, 4, 4), 0.5)), (2, 8))
-    with pytest.raises(ConfigError):
-        ScaleField(Tensor(np.full((1, 2, 4, 4), 0.3)), (2, 4))
-
-
-def test_stage_mixture_validation():
-    StageMixture(Tensor([[0.25, 0.75]]))
-    with pytest.raises(ShapeError):
-        StageMixture(Tensor([0.25, 0.75]))
-    with pytest.raises(ConfigError):
-        StageMixture(Tensor([[0.5, 0.1]]))
-    with pytest.raises(ConfigError):
-        StageMixture(Tensor([[1.5, -0.5]]))
-
-
 # ---- predict_scales ---------------------------------------------------------------
 
 def test_predict_scales_zero_logits_uniform():
     rng = stream(1, "t-dynwin")
     x = Tensor(rng.standard_normal((2, 3, 4, 4)))
-    field = predict_scales(x, Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)),
-                           (2, 4))
-    assert np.allclose(field.probs.data, 0.5, atol=1e-15)
+    probs = predict_scales(x, Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
+    assert probs.data.shape == (2, 2, 4, 4)
+    assert np.allclose(probs.data, 0.5, atol=1e-15)
 
 
 def test_predict_scales_bias_saturation():
@@ -72,8 +39,8 @@ def test_predict_scales_bias_saturation():
     x = Tensor(rng.standard_normal((1, 3, 4, 4)) * 0.01)
     b = np.zeros(3)
     b[1] = 20.0
-    field = predict_scales(x, Tensor(np.zeros((3, 3))), Tensor(b), (2, 3, 4))
-    assert np.all(field.probs.data[:, 1] > 1.0 - 1e-6)
+    probs = predict_scales(x, Tensor(np.zeros((3, 3))), Tensor(b))
+    assert np.all(probs.data[:, 1] > 1.0 - 1e-6)
 
 
 def test_predict_scales_rows_sum_to_one():
@@ -81,8 +48,8 @@ def test_predict_scales_rows_sum_to_one():
     x = Tensor(rng.standard_normal((2, 3, 5, 6)))
     w = Tensor(rng.standard_normal((3, 3)))
     b = Tensor(rng.standard_normal(3))
-    field = predict_scales(x, w, b, (2, 3, 5))
-    assert np.allclose(field.probs.data.sum(axis=1), 1.0, atol=1e-9)
+    probs = predict_scales(x, w, b)
+    assert np.allclose(probs.data.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_predict_scales_translation_consistent():
@@ -91,18 +58,9 @@ def test_predict_scales_translation_consistent():
     x = rng.standard_normal((1, 3, 6, 6))
     w = Tensor(rng.standard_normal((2, 3)))
     b = Tensor(rng.standard_normal(2))
-    f0 = predict_scales(Tensor(x), w, b, (2, 4)).probs.data
-    f1 = predict_scales(Tensor(np.roll(x, (2, 3), axis=(2, 3))), w, b,
-                        (2, 4)).probs.data
+    f0 = predict_scales(Tensor(x), w, b).data
+    f1 = predict_scales(Tensor(np.roll(x, (2, 3), axis=(2, 3))), w, b).data
     assert np.array_equal(f1, np.roll(f0, (2, 3), axis=(2, 3)))
-
-
-def test_predict_scales_errors():
-    x = Tensor(np.zeros((1, 3, 4, 4)))
-    with pytest.raises(ConfigError):
-        predict_scales(x, Tensor(np.zeros((1, 3))), Tensor(np.zeros(1)), (4,))
-    with pytest.raises(ConfigError):
-        predict_scales(x, Tensor(np.zeros((3, 3))), Tensor(np.zeros(3)), (2, 4))
 
 
 # ---- pool_to_stage ----------------------------------------------------------------
@@ -110,27 +68,25 @@ def test_predict_scales_errors():
 def test_pool_constant_field_keeps_distribution():
     probs = np.zeros((2, 3, 8, 8))
     probs[:, 0], probs[:, 1], probs[:, 2] = 0.5, 0.3, 0.2
-    field = ScaleField(Tensor(probs), (2, 4, 8))
-    mix = pool_to_stage(field)
-    assert np.allclose(mix.weights.data, [[0.5, 0.3, 0.2]] * 2, atol=1e-12)
+    mix = pool_to_stage(Tensor(probs))
+    assert mix.data.shape == (2, 3)
+    assert np.allclose(mix.data, [[0.5, 0.3, 0.2]] * 2, atol=1e-12)
 
 
 def test_pool_one_hot_field_stays_one_hot():
     probs = np.zeros((1, 2, 4, 4))
     probs[:, 1] = 1.0
-    field = ScaleField(Tensor(probs), (2, 4))
-    mix = pool_to_stage(field)
-    assert np.allclose(mix.weights.data, [[0.0, 1.0]], atol=1e-12)
+    mix = pool_to_stage(Tensor(probs))
+    assert np.allclose(mix.data, [[0.0, 1.0]], atol=1e-12)
 
 
 def test_pool_mixes_spatial_regions_and_renormalizes():
     probs = np.zeros((1, 2, 4, 4))
     probs[:, 0, :2] = 1.0   # top half votes scale 0
     probs[:, 1, 2:] = 1.0   # bottom half votes scale 1
-    field = ScaleField(Tensor(probs), (2, 4))
-    mix = pool_to_stage(field)
-    assert np.allclose(mix.weights.data, [[0.5, 0.5]], atol=1e-12)
-    assert np.allclose(mix.weights.data.sum(axis=1), 1.0, atol=1e-9)
+    mix = pool_to_stage(Tensor(probs))
+    assert np.allclose(mix.data, [[0.5, 0.5]], atol=1e-12)
+    assert np.allclose(mix.data.sum(axis=1), 1.0, atol=1e-9)
 
 
 # ---- dynamic window attention -------------------------------------------------------
@@ -175,14 +131,6 @@ def test_output_in_convex_hull_of_branches():
     lo, hi = branches.min(axis=0), branches.max(axis=0)
     assert np.all(out.data >= lo - 1e-9)
     assert np.all(out.data <= hi + 1e-9)
-
-
-def test_stage_mixture_object_accepted():
-    params, cfg, rng = attn_setup(key=13)
-    x = Tensor(channels_last(rng.standard_normal((1, 4, 4, 4))))
-    mix = StageMixture(Tensor([[0.25, 0.75]]))
-    out = dynamic_window_attention(x, mix, (2, 4), params, cfg)
-    assert out.data.shape == x.data.shape
 
 
 def test_hard_selection_picks_argmax_branch():

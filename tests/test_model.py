@@ -141,6 +141,18 @@ def test_ablation_arms():
         cfg.ablated("half")
 
 
+ARM_NAMES = ("full", "no-dw", "no-cs", "baseline")
+
+
+@pytest.mark.parametrize("first", ARM_NAMES)
+@pytest.mark.parametrize("second", ARM_NAMES)
+def test_ablated_sets_both_flags(first, second):
+    """Any arm is reachable from any other: `ablated` never keeps a flag."""
+    cfg = ModelConfig().ablated(first).ablated(second)
+    assert cfg.arm == second
+    assert cfg == ModelConfig().ablated(second)
+
+
 # ---- construction & init --------------------------------------------------------
 
 def test_init_statistics_and_zeroed_branches():

@@ -253,11 +253,17 @@ class TestPseudoLabels:
                                     batch_size=16)
         assert ids[0] not in ps.ids()
 
-    def test_generate_tau_one_is_empty(self, dataset, split):
+    def test_generate_tau_one_is_empty(self, dataset, split, monkeypatch):
+        # a softmax confidence never exceeds 1, so no inference is needed
+        def no_inference(*args, **kwargs):
+            raise AssertionError("predict_probs called with tau = 1.0")
+
+        monkeypatch.setattr(trainer_mod, "predict_probs", no_inference)
         model = DCSWin(ModelConfig.micro(num_classes=2), seed=3)
         dataset.fit_normalization(sorted(split.labeled))
         ps = generate_pseudo_labels(model, dataset, split.unlabeled, tau=1.0)
         assert len(ps) == 0
+        assert ps.tau == 1.0
 
 
 # ---- the loop --------------------------------------------------------------------
@@ -544,6 +550,22 @@ class TestExperiment:
         _, cfg, rest = load_run_config(path)
         assert cfg.epochs == 5
         assert rest == {"run.whatever": "1"}
+
+    @pytest.mark.parametrize("pool,ids,match", [
+        ("labeled", ("class0/nope",), "labeled pool names id 'class0/nope'"),
+        ("unlabeled", ("nope",), "unlabeled pool names id 'nope'"),
+        ("test", ("nope",), "test pool names id 'nope'"),
+        ("test", ([1],), r"test pool names id \[1\]"),  # unhashable JSON
+        ("labeled", (), "labeled pool is empty"),
+        ("test", (), "test pool is empty"),
+    ])
+    def test_run_experiment_rejects_bad_split(self, dataset, split, tmp_path,
+                                              pool, ids, match):
+        bad = replace(split, **{pool: ids})
+        with pytest.raises(ConfigError, match=match):
+            run_experiment(dataset, bad, ModelConfig.micro(num_classes=2),
+                           fast_cfg(epochs=1), tmp_path / "out", seeds=[0])
+        assert not (tmp_path / "out").exists()
 
     def test_run_experiment_writes_artifacts(self, dataset, split, tmp_path):
         report = run_experiment(dataset, split, ModelConfig.micro(num_classes=2),
