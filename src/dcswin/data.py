@@ -82,7 +82,7 @@ class DatasetManifest:
         path = Path(path)
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON
             raise FormatError(f"manifest {path} is not valid JSON: {e}") from e
         try:
             records = tuple(ManifestRecord(id=r["id"], path=r["path"],
@@ -156,7 +156,8 @@ class DatasetSplit:
                        labeled_frac=float(payload["labeled_frac"]),
                        audit=payload.get("audit", {}),
                        manifest=payload.get("manifest"))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError,
+                RecursionError) as e:
             raise FormatError(f"split file {path} is malformed: {e}") from e
 
 
@@ -266,7 +267,14 @@ def decode_ppm_bytes(buf: bytes, origin: str = "<bytes>") -> np.ndarray:
         raise FormatError(f"{origin}: {len(buf) - pos - expected} trailing "
                           f"bytes after raster at byte {pos + expected}")
     dtype = np.uint8 if itemsize == 1 else np.dtype(">u2")
-    data = np.frombuffer(raster, dtype=dtype).astype(np.float64) / maxval
+    samples = np.frombuffer(raster, dtype=dtype)
+    # a sample above maxval would decode above 1; none can be at the
+    # dtype's own maximum (255 or 65535), so that common case skips the scan
+    if maxval < 256 ** itemsize - 1 and samples.max() > maxval:
+        over = int(np.argmax(samples > maxval))
+        raise FormatError(f"{origin}: sample {samples[over]} exceeds maxval "
+                          f"{maxval} at byte {pos + over * itemsize}")
+    data = samples.astype(np.float64) / maxval
     if channels == 3:
         img = data.reshape(height, width, 3).transpose(2, 0, 1)
     else:

@@ -40,8 +40,11 @@ def pool_to_stage(probs: Tensor) -> Tensor:
 
 def hard_selection(mixture: Tensor) -> Tensor:
     """One-hot argmax of the [B,S] mixture, detached (no gradient through
-    the choice); ties break toward the smaller candidate index."""
+    the choice); ties break toward the smaller candidate index. The
+    mixture is screened first: the argmax of a NaN row is a finite
+    one-hot, so a deferred screen of the logits would miss it."""
     w = mixture.data
+    T._screen(w, "hard selection mixture")
     hard = np.zeros_like(w)
     hard[np.arange(w.shape[0]), w.argmax(axis=1)] = 1.0
     return Tensor(hard)

@@ -29,7 +29,7 @@ from .attention import (AttentionConfig, AttentionParams, WindowSpec,
                         cross_attention, windowed_mhsa)
 from .dynamic_window import (dynamic_window_attention, pool_to_stage,
                              predict_scales)
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, NumericsError, ShapeError
 from .rng import stream
 from .serialization import (config_from_mapping, config_to_mapping,
                             load_checkpoint, save_checkpoint)
@@ -414,7 +414,13 @@ class DCSWin:
 
     # ---- forward -----------------------------------------------------------
     def forward(self, x: Tensor) -> Tensor:
-        """[B, 3, image_size, image_size] -> [B, num_classes] logits."""
+        """[B, 3, image_size, image_size] -> [B, num_classes] logits.
+
+        The ops inside skip their own NaN/Inf screen and the logits are
+        screened once. If they are not finite, the forward is replayed
+        without a tape and with every op screened, so the `NumericsError`
+        names the first op that went non-finite.
+        """
         if x.data.ndim != 4 or x.data.shape[1] != 3:
             raise ShapeError(f"expected [B,3,H,W] input, got {x.data.shape}")
         if x.data.shape[2] != self.cfg.image_size or \
@@ -422,6 +428,18 @@ class DCSWin:
             raise ConfigError(f"input {x.data.shape[2]}x{x.data.shape[3]} does "
                               f"not match configured image_size "
                               f"{self.cfg.image_size}")
+        try:
+            with T._deferred_screening():
+                logits = self._logits(x)
+            T._screen(logits.data, "model logits")
+            return logits
+        except NumericsError as deferred:
+            failure = deferred
+        with T.no_grad():
+            self._logits(x)
+        raise failure
+
+    def _logits(self, x: Tensor) -> Tensor:
         mixture = (pool_to_stage(self.predictor(x))
                    if self.predictor is not None else None)
         feat = self.patch_embed(x)
@@ -473,12 +491,17 @@ class DCSWin:
         if missing:
             raise FormatError(f"checkpoint missing tensors: {missing[:5]}"
                               f"{'...' if len(missing) > 5 else ''}")
+        arrays = {}
         for name, t in params.items():
-            arr = np.asarray(state[name], dtype=np.float64)
+            arr = np.array(state[name], dtype=np.float64)
             if arr.shape != t.data.shape:
                 raise FormatError(f"tensor {name!r}: checkpoint shape "
                                   f"{arr.shape} != model shape {t.data.shape}")
-            t.data = arr.copy()
+            if not np.all(np.isfinite(arr)):
+                raise FormatError(f"tensor {name!r}: non-finite values")
+            arrays[name] = arr
+        for name, t in params.items():
+            t.data = arrays[name]
 
     def save(self, path: Union[str, Path],
              extra_config: Optional[Mapping[str, str]] = None) -> None:

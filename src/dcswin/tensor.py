@@ -14,7 +14,13 @@ Conventions:
     broadcasts: the bias of `linear` over the leading axes, and the
     additive constant mask of `multihead_attention` over heads and over
     the batch-major windows;
-  * checked mode (default on) rejects NaN/Inf at every op boundary.
+  * checked mode (default on) rejects NaN/Inf with a `NumericsError` that
+    names the op that produced it. Every op screens its output, except
+    inside a model forward: `DCSWin.forward` screens only its logits and,
+    if they are not finite, replays itself with every op screened. Four
+    in-op screens run even there, because each guards a result that
+    would otherwise be finite but wrong: layer_norm's variance, the
+    attention logits, the attention mask and `div`'s divisor.
 
 Tapes nest: `with Tape() as t:` records onto `t`; outside any explicit
 tape, ops record onto a lazily created default tape that is consumed and
@@ -45,6 +51,8 @@ __all__ = [
 
 _grad_enabled: bool = True
 _checked: bool = True
+# set inside a model forward, which screens its logits instead of each op
+_deferred: bool = False
 
 
 def is_checked() -> bool:
@@ -52,14 +60,15 @@ def is_checked() -> bool:
 
 
 def set_checked(enabled: bool) -> None:
-    """Globally enable or disable NaN/Inf screening at op boundaries."""
+    """Globally enable or disable NaN/Inf screening: of every op's output,
+    or of a model forward's logits with a per-op replay on failure."""
     global _checked
     _checked = bool(enabled)
 
 
 @contextmanager
 def checked_mode(enabled: bool):
-    """Temporarily enable or disable NaN/Inf screening at op boundaries."""
+    """Temporarily enable or disable NaN/Inf screening (see `set_checked`)."""
     global _checked
     prev = _checked
     _checked = enabled
@@ -79,6 +88,19 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+@contextmanager
+def _deferred_screening():
+    """Ops skip their output screen; the caller screens the end result and
+    replays with screening on to name the op that went non-finite."""
+    global _deferred
+    prev = _deferred
+    _deferred = True
+    try:
+        yield
+    finally:
+        _deferred = prev
 
 
 def _screen(arr: np.ndarray, what: str) -> None:
@@ -268,7 +290,8 @@ def backward(loss: Tensor) -> None:
 
 def _finish(data: np.ndarray, inputs: tuple[Tensor, ...], bw: Callable,
             what: str) -> Tensor:
-    _screen(data, what)
+    if not _deferred:
+        _screen(data, what)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -352,6 +375,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _same_shape(a, b, "div")
     ad, bd = a.data, b.data
+    # x / inf is a finite 0, so a deferred screen would never see it
+    _screen(bd, "div divisor")
     out = ad / bd
 
     def bw(g):

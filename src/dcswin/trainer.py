@@ -42,6 +42,10 @@ OPTIMIZER_KINDS = ("adam", "sgd")
 SCHEDULER_KINDS = ("cosine", "step")
 _STREAM_NAMES = ("shuffle-labeled", "shuffle-pseudo", "shuffle-unlabeled",
                  "diffusion-noise", "augment-noise")
+# What `_save_state` records besides the run mapping and the tensors.
+_STATE_KEYS = ("progress.epoch_next", "opt.kind", "opt.step",
+               *(f"rng.{name}" for name in _STREAM_NAMES),
+               "norm.mean", "norm.std", "data.classes")
 
 
 @dataclass(frozen=True)
@@ -147,6 +151,22 @@ class TrainConfig:
 
 # ---- optimizers -------------------------------------------------------------
 
+def _state_tensor(tensors: Mapping[str, np.ndarray], key: str, param: Tensor,
+                  nonnegative: bool = False) -> np.ndarray:
+    """A copy of checkpointed optimizer state `key`, which must be finite,
+    non-negative if asked, and shaped like its parameter."""
+    if key not in tensors:
+        raise FormatError(f"checkpoint missing optimizer state {key!r}")
+    arr = np.array(tensors[key], dtype=np.float64)
+    if arr.shape != param.data.shape:
+        raise FormatError(f"optimizer state {key!r} has shape {arr.shape}, "
+                          f"its parameter {param.data.shape}")
+    if not np.all(np.isfinite(arr)) or (nonnegative and np.any(arr < 0.0)):
+        raise FormatError(f"optimizer state {key!r} must be finite"
+                          + (" and non-negative" if nonnegative else ""))
+    return arr
+
+
 class Adam:
     """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8).
 
@@ -185,13 +205,10 @@ class Adam:
 
     def load_state_tensors(self, tensors: Mapping[str, np.ndarray],
                            step_count: int) -> None:
-        for name in self.params:
-            try:
-                self.m[name] = np.asarray(tensors[f"opt.m.{name}"]).copy()
-                self.v[name] = np.asarray(tensors[f"opt.v.{name}"]).copy()
-            except KeyError as e:
-                raise FormatError(f"checkpoint missing optimizer state "
-                                  f"{e.args[0]!r}") from None
+        for name, p in self.params.items():
+            self.m[name] = _state_tensor(tensors, f"opt.m.{name}", p)
+            self.v[name] = _state_tensor(tensors, f"opt.v.{name}", p,
+                                         nonnegative=True)
         self.step_count = step_count
 
 
@@ -218,12 +235,8 @@ class SGD:
 
     def load_state_tensors(self, tensors: Mapping[str, np.ndarray],
                            step_count: int) -> None:
-        for name in self.params:
-            try:
-                self.vel[name] = np.asarray(tensors[f"opt.vel.{name}"]).copy()
-            except KeyError as e:
-                raise FormatError(f"checkpoint missing optimizer state "
-                                  f"{e.args[0]!r}") from None
+        for name, p in self.params.items():
+            self.vel[name] = _state_tensor(tensors, f"opt.vel.{name}", p)
         self.step_count = step_count
 
 
@@ -314,24 +327,73 @@ def _save_state(path: Path, model: DCSWin, cfg: TrainConfig, epoch_next: int,
     tmp.replace(path)
 
 
+def _json_field(config: Mapping[str, str], key: str):
+    try:
+        return json.loads(config[key])
+    except (ValueError, RecursionError):
+        raise FormatError(f"checkpoint {key} is not JSON: "
+                          f"{config[key][:80]!r}") from None
+
+
+def _int_field(config: Mapping[str, str], key: str, lo: int,
+               hi: float = math.inf) -> int:
+    try:
+        value = int(config[key])
+    except ValueError:
+        value = None
+    if value is None or not (lo <= value <= hi):
+        raise FormatError(f"checkpoint {key} must be an integer in "
+                          f"[{lo}, {hi}], got {config[key][:80]!r}")
+    return value
+
+
+def _norm_field(config: Mapping[str, str], key: str) -> np.ndarray:
+    vals = _json_field(config, key)
+    if not (isinstance(vals, list) and len(vals) == 3 and all(
+            type(v) is float and math.isfinite(v) for v in vals)):
+        raise FormatError(f"checkpoint {key} must hold 3 finite floats, "
+                          f"got {config[key][:80]!r}")
+    return np.array(vals)
+
+
+def _stream_field(config: Mapping[str, str], name: str) -> np.random.Generator:
+    state = _json_field(config, f"rng.{name}")
+    try:
+        return restore(state)
+    except (TypeError, ValueError, KeyError, OverflowError) as e:
+        raise FormatError(f"checkpoint rng.{name} is not a PCG64 state: "
+                          f"{e}") from None
+
+
 def _load_state(path: Path, model: DCSWin, cfg: TrainConfig, opt,
                 dataset: ArrayDataset) -> tuple[int, dict]:
+    """Restore model, optimizer and streams from a `_save_state` file and
+    return (epoch to resume at, streams). Every field is checked before
+    the model is changed, so a corrupt file raises FormatError."""
     config, tensors = load_checkpoint(path)
     for key, value in _run_mapping(model.cfg, cfg).items():
         if config.get(key) != value:
             raise FormatError(f"checkpoint/config mismatch: {key!r} is "
                               f"{config.get(key)!r} in checkpoint, {value!r} "
                               "in the requested run")
-    stored_mean = json.loads(config["norm.mean"])
-    if not np.array_equal(np.asarray(stored_mean), dataset.norm_mean):
+    missing = [key for key in _STATE_KEYS if key not in config]
+    if missing:
+        raise FormatError(f"checkpoint missing keys {missing}")
+    epoch_next = _int_field(config, "progress.epoch_next", 0, cfg.epochs)
+    step_count = _int_field(config, "opt.step", 0)
+    if config["opt.kind"] != opt.kind:
+        raise FormatError(f"checkpoint opt.kind {config['opt.kind'][:80]!r} "
+                          f"!= {opt.kind!r} of the requested run")
+    rngs = {name: _stream_field(config, name) for name in _STREAM_NAMES}
+    stored_mean = _norm_field(config, "norm.mean")
+    _norm_field(config, "norm.std")
+    if not np.array_equal(stored_mean, dataset.norm_mean):
         raise FormatError("checkpoint/config mismatch: normalization stats "
                           "differ from the current labeled pool")
+    opt.load_state_tensors(tensors, step_count)
     model.load_state({k: v for k, v in tensors.items()
                       if not k.startswith("opt.")})
-    opt.load_state_tensors(tensors, int(config["opt.step"]))
-    rngs = {name: restore(json.loads(config[f"rng.{name}"]))
-            for name in _STREAM_NAMES}
-    return int(config["progress.epoch_next"]), rngs
+    return epoch_next, rngs
 
 
 # ---- the loop ---------------------------------------------------------------
@@ -395,13 +457,17 @@ def train(model: DCSWin, dataset: ArrayDataset, split: DatasetSplit,
     def run_pass(kind: str, order: list[str],
                  loss_of: Callable[[list[str]], Tensor]) -> float:
         """One optimizer step per mini-batch of `order` at the current
-        epoch's lr; returns the sample-weighted mean loss."""
+        epoch's lr; returns the sample-weighted mean loss. A non-finite
+        parameter gradient raises NumericsError before the step."""
         total = 0.0
         for start in range(0, len(order), cfg.batch_size):
             chunk = order[start:start + cfg.batch_size]
             model.zero_grad()
             loss = loss_of(chunk)
             backward(loss)
+            for name, p in opt.params.items():
+                if p.grad is not None:
+                    T._screen(p.grad, f"gradient of {name}")
             opt.step(lr)
             value = float(loss.data)
             total += value * len(chunk)

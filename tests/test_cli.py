@@ -10,6 +10,7 @@ import dcswin.cli as cli_mod
 from dcswin.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY, main
 from dcswin.gradcheck import GradCheckResult
 from dcswin.model import ModelConfig
+from dcswin.serialization import load_checkpoint, save_checkpoint
 from dcswin.trainer import TrainConfig, write_run_config
 
 
@@ -278,6 +279,23 @@ class TestTrainEval:
                    "--out", str(tmp_path / "report.json")])
         assert rc == EXIT_RUNTIME
         assert "do not match" in capsys.readouterr().err
+
+    def test_corrupt_checkpoint_is_runtime_error(self, workspace, tmp_path,
+                                                 capsys):
+        argv = ["train", "--config", str(workspace / "run.cfg"),
+                "--split", str(workspace / "split.json"),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        state = tmp_path / "out" / "seed0" / "state.dcsm"
+        config, tensors = load_checkpoint(state)
+        config["opt.step"] = "abc"
+        save_checkpoint(state, config, tensors)
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == EXIT_RUNTIME
+        assert err.startswith("error:") and "opt.step" in err
+        assert "Traceback" not in err
 
 
 class TestGradcheckCommand:

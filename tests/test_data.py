@@ -70,6 +70,14 @@ class TestManifest:
         with pytest.raises(FormatError, match="not valid JSON"):
             DatasetManifest.load(p)
 
+    @pytest.mark.parametrize("blob", [b"\x80", b"[" * 100000],
+                             ids=["not-utf8", "too-deep"])
+    def test_load_rejects_undecodable_bytes(self, tmp_path, blob):
+        p = tmp_path / "manifest.json"
+        p.write_bytes(blob)
+        with pytest.raises(FormatError, match="not valid JSON"):
+            DatasetManifest.load(p)
+
     def test_load_rejects_missing_field(self, tmp_path):
         p = tmp_path / "manifest.json"
         p.write_text(json.dumps({"classes": ["a"],
@@ -212,6 +220,17 @@ class TestStratifiedSplit:
         with pytest.raises(FormatError, match="malformed"):
             DatasetSplit.load(p)
 
+    @pytest.mark.parametrize("text", [
+        '{"labeled": [], "unlabeled": [], "test": [], "seed": Infinity, '
+        '"train_frac": 0.5, "labeled_frac": 0.5}',
+        "[" * 100000,
+    ], ids=["infinite-seed", "too-deep"])
+    def test_load_rejects_overflow_and_deep_nesting(self, tmp_path, text):
+        p = tmp_path / "split.json"
+        p.write_text(text)
+        with pytest.raises(FormatError, match="malformed"):
+            DatasetSplit.load(p)
+
 
 # ---- image codecs --------------------------------------------------------------
 
@@ -266,6 +285,14 @@ class TestDecodePPM:
         for bad in (0, 65536):
             with pytest.raises(FormatError, match="maxval"):
                 decode_ppm_bytes(f"P6\n2 2\n{bad}\n".encode() + bytes(12))
+
+    def test_sample_above_maxval_cites_offset(self):
+        with pytest.raises(FormatError, match="sample 2 exceeds maxval 1 at "
+                                               "byte 10"):
+            decode_ppm_bytes(b"P5\n1 2\n1\n" + bytes([1, 2]))
+        with pytest.raises(FormatError, match="sample 300 exceeds maxval "
+                                               "299 at byte 11"):
+            decode_ppm_bytes(b"P5\n1 1\n299\n" + (300).to_bytes(2, "big"))
 
     def test_truncated_raster_cites_offsets(self):
         with pytest.raises(FormatError, match=r"wanted 12 bytes from byte 11, "

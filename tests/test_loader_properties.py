@@ -1,0 +1,128 @@
+"""Property tests for the text and image loaders: every input either loads
+or raises a DcswinError, within the allocation bound of the `.dcsm`
+mutation loop in test_serialization."""
+import json
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from dcswin.data import (DatasetManifest, DatasetSplit,  # noqa: E402
+                         decode_ppm_bytes)
+from dcswin.serialization import parse_config_text  # noqa: E402
+from test_serialization import load_bounded  # noqa: E402
+
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None,
+                    database=None)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+ids = st.text(max_size=6)
+
+
+def json_bytes(payloads):
+    """Arbitrary bytes, arbitrary JSON, and JSON shaped like `payloads`
+    with hostile field values."""
+    return st.one_of(
+        st.binary(max_size=64),
+        st.just(b"[" * 100000),
+        json_values.map(lambda v: json.dumps(v).encode()),
+        payloads.map(lambda v: json.dumps(v).encode()),
+    )
+
+
+manifests = st.fixed_dictionaries({
+    "classes": st.lists(ids, max_size=3) | json_values,
+    "records": st.lists(st.fixed_dictionaries(
+        {"id": ids | json_values, "path": ids, "label": ids | json_values},
+        optional={"tag": ids | json_values}), max_size=3) | json_values,
+})
+splits = st.fixed_dictionaries(
+    {pool: st.lists(ids, max_size=3) | json_values
+     for pool in ("labeled", "unlabeled", "test")}
+    | {"seed": st.integers() | st.floats() | json_values,
+       "train_frac": st.floats() | json_values,
+       "labeled_frac": st.floats() | json_values},
+    optional={"audit": json_values, "manifest": ids | json_values})
+
+
+@st.composite
+def ppm_bytes(draw):
+    """Binary P5/P6 files with small or hostile header fields and a raster
+    whose length is near the one the header implies."""
+    magic = draw(st.sampled_from([b"P6", b"P5", b"P3", b"", b"P"]))
+    fields = draw(st.lists(st.integers(-2, 2 ** 64) | st.integers(0, 5),
+                           min_size=0, max_size=3))
+    sep = draw(st.sampled_from([b" ", b"\n", b"\t", b" # c\n", b""]))
+    header = magic + b"".join(sep + str(f).encode() for f in fields)
+    if len(fields) == 3 and 0 < fields[0] <= 5 and 0 < fields[1] <= 5:
+        size = fields[0] * fields[1] * (3 if magic == b"P6" else 1) \
+            * (2 if fields[2] > 255 else 1)
+    else:
+        size = draw(st.integers(0, 40))
+    size = max(0, size + draw(st.integers(-2, 2)))
+    return header + draw(st.sampled_from([b"\n", b"", b"x"])) \
+        + draw(st.binary(min_size=size, max_size=size))
+
+
+@SETTINGS
+@given(st.one_of(st.binary(max_size=64), ppm_bytes()))
+def test_decode_ppm_bytes_loads_or_raises(blob):
+    out = []
+    error = load_bounded(lambda: out.append(decode_ppm_bytes(blob)),
+                         len(blob))
+    if error is None:
+        img = out[0]
+        assert img.ndim == 3 and img.shape[0] == 3
+        assert np.all((img >= 0.0) & (img <= 1.0))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("props")
+
+
+def test_manifest_load_loads_or_raises(workdir):
+    @SETTINGS
+    @given(json_bytes(manifests))
+    def check(blob):
+        path = workdir / "manifest.json"
+        path.write_bytes(blob)
+        out = []
+        error = load_bounded(lambda: out.append(DatasetManifest.load(path)),
+                             len(blob))
+        if error is None:
+            assert all(rec.label in out[0].classes for rec in out[0].records)
+
+    check()
+
+
+def test_split_load_loads_or_raises(workdir):
+    @SETTINGS
+    @given(json_bytes(splits))
+    def check(blob):
+        path = workdir / "split.json"
+        path.write_bytes(blob)
+        load_bounded(lambda: DatasetSplit.load(path), len(blob))
+
+    check()
+
+
+@SETTINGS
+@given(st.text(max_size=80) | st.lists(
+    st.tuples(st.text(max_size=8), st.sampled_from(["=", " = ", ""]),
+              st.text(max_size=8)), max_size=4).map(
+        lambda rows: "\n".join(k + eq + v for k, eq, v in rows)))
+def test_parse_config_text_loads_or_raises(text):
+    out = []
+    error = load_bounded(lambda: out.append(parse_config_text(text)),
+                         len(text.encode("utf-8", "surrogatepass")))
+    if error is None:
+        assert all(key and "=" not in key and "#" not in key
+                   for key in out[0])

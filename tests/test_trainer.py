@@ -9,9 +9,10 @@ import pytest
 import dcswin.trainer as trainer_mod
 from dcswin import tensor as T
 from dcswin.data import ArrayDataset, DatasetSplit, stratified_split, synth_generate
-from dcswin.errors import ConfigError, FormatError
-from dcswin.model import DCSWin, ModelConfig
+from dcswin.errors import ConfigError, FormatError, NumericsError
+from dcswin.model import ARMS, DCSWin, ModelConfig
 from dcswin.rng import stream
+from dcswin.serialization import load_checkpoint, save_checkpoint
 from dcswin.tensor import Tensor, backward, cross_entropy
 from dcswin.trainer import (
     Adam,
@@ -477,6 +478,72 @@ class TestTrainLoop:
             train(DCSWin(ModelConfig.micro(num_classes=2), seed=0), dataset,
                   split, cfg, run_dir=tmp_path)
 
+    @pytest.mark.parametrize("key,value", [
+        pytest.param("opt.m.head.b", lambda a: np.zeros(1), id="moment-(1,)"),
+        pytest.param("opt.m.head.b", lambda a: np.zeros(3), id="moment-(3,)"),
+        pytest.param("opt.m.head.w", lambda a: np.full_like(a, np.nan),
+                     id="moment-nan"),
+        pytest.param("opt.v.head.b", lambda a: -np.ones_like(a),
+                     id="second-moment-negative"),
+        pytest.param("head.w", lambda a: np.full_like(a, np.inf),
+                     id="param-inf"),
+        pytest.param("progress.epoch_next", "-2", id="epoch-negative"),
+        pytest.param("progress.epoch_next", "4", id="epoch-past-end"),
+        pytest.param("progress.epoch_next", "abc", id="epoch-not-int"),
+        pytest.param("opt.kind", "sgd", id="kind-other"),
+        pytest.param("opt.step", "abc", id="step-not-int"),
+        pytest.param("opt.step", "-7", id="step-negative"),
+        pytest.param("rng.shuffle-labeled", "{}", id="rng-empty"),
+        pytest.param("rng.diffusion-noise", "{", id="rng-not-json"),
+        pytest.param("rng.augment-noise", "[" * 100000, id="rng-deep"),
+        pytest.param("norm.mean", "[0.5, 0.5", id="norm-not-json"),
+        pytest.param("norm.mean", '["0.5", "0.5", "0.5"]',
+                     id="norm-strings"),
+        pytest.param("norm.std", "[1.0, NaN, 1.0]", id="norm-nan"),
+        pytest.param("norm.std", "[1e999, 1, 1]", id="norm-overflow"),
+        pytest.param("norm.mean", None, id="norm-missing"),
+        pytest.param("data.classes", None, id="classes-missing"),
+    ])
+    def test_corrupt_checkpoint_rejected_before_training(
+            self, dataset, split, tmp_path, key, value):
+        """A checkpoint field edited to a value `_save_state` never writes
+        (None deletes the key) raises FormatError before any epoch runs."""
+        cfg = fast_cfg(epochs=3)
+        train(DCSWin(ModelConfig.micro(num_classes=2), seed=0), dataset,
+              split, cfg, run_dir=tmp_path, stop_after=1)
+        path = tmp_path / "state.dcsm"
+        config, tensors = load_checkpoint(path)
+        if key in tensors:
+            tensors[key] = value(tensors[key])
+        elif value is None:
+            del config[key]
+        else:
+            config[key] = value
+        save_checkpoint(path, config, tensors)
+        log = (tmp_path / "epochs.jsonl").read_text()
+        events = []
+        with pytest.raises(FormatError):
+            train(DCSWin(ModelConfig.micro(num_classes=2), seed=0), dataset,
+                  split, cfg, run_dir=tmp_path, step_listener=events.append)
+        assert events == []
+        assert (tmp_path / "epochs.jsonl").read_text() == log
+
+    def test_non_finite_gradient_stops_before_the_step(self, dataset, split,
+                                                       monkeypatch):
+        model = DCSWin(ModelConfig.micro(num_classes=2), seed=0)
+        before = {k: p.data.copy() for k, p in model.named_params().items()}
+        real_backward = trainer_mod.backward
+
+        def poisoned(loss):
+            real_backward(loss)
+            model.head.w.grad[0, 0] = np.nan
+
+        monkeypatch.setattr(trainer_mod, "backward", poisoned)
+        with pytest.raises(NumericsError, match="gradient of head.w"):
+            train(model, dataset, split, fast_cfg())
+        for name, p in model.named_params().items():
+            assert np.array_equal(p.data, before[name]), name
+
     def test_consistency_pass_runs_on_unlabeled(self, dataset, split):
         cfg = fast_cfg(epochs=1, warmup_epochs=1, consistency_weight=0.5,
                        consistency_t_max=5, diffusion_steps=10)
@@ -513,6 +580,23 @@ class TestEvaluation:
         assert probs.shape == (len(ids), 2)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(probs >= 0)
+
+    @pytest.mark.parametrize("selection", ["soft", "hard"])
+    @pytest.mark.parametrize("arm", sorted(ARMS))
+    def test_predict_probs_independent_of_batch_size(self, dataset, arm,
+                                                     selection):
+        model = DCSWin(ModelConfig.micro(num_classes=2, selection=selection)
+                       .ablated(arm), seed=0)
+        # a fresh init zeroes the residual branches' output projections
+        rng = np.random.default_rng(3)
+        for p in model.named_params().values():
+            p.data = p.data + rng.standard_normal(p.data.shape) * 0.05
+        ids = sorted(dataset.index)
+        dataset.fit_normalization(ids)
+        whole = predict_probs(model, dataset, ids, batch_size=64)
+        for batch_size in (7, 4):
+            assert np.array_equal(
+                predict_probs(model, dataset, ids, batch_size), whole)
 
     def test_evaluate_model_returns_all_metrics(self, dataset, split):
         model = DCSWin(ModelConfig.micro(num_classes=2), seed=0)
