@@ -146,19 +146,46 @@ class DatasetSplit:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "DatasetSplit":
+        """Read a split written by `save`. The pools must be lists of
+        strings, the seed an integer and the fractions numbers; nothing is
+        coerced, and a field of the wrong type raises `FormatError` naming
+        it."""
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-            return cls(labeled=tuple(payload["labeled"]),
-                       unlabeled=tuple(payload["unlabeled"]),
-                       test=tuple(payload["test"]),
-                       seed=int(payload["seed"]),
-                       train_frac=float(payload["train_frac"]),
-                       labeled_frac=float(payload["labeled_frac"]),
+            pools = {name: tuple(_json_field(payload, name, _is_id_list,
+                                             "a list of strings"))
+                     for name in ("labeled", "unlabeled", "test")}
+            fracs = {name: float(_json_field(payload, name, _is_number,
+                                             "a number"))
+                     for name in ("train_frac", "labeled_frac")}
+            return cls(**pools, **fracs,
+                       seed=_json_field(payload, "seed", _is_integer,
+                                        "an integer"),
                        audit=payload.get("audit", {}),
                        manifest=payload.get("manifest"))
         except (KeyError, TypeError, ValueError, OverflowError,
                 RecursionError) as e:
             raise FormatError(f"split file {path} is malformed: {e}") from e
+
+
+def _is_id_list(v) -> bool:
+    return isinstance(v, list) and all(isinstance(i, str) for i in v)
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _json_field(payload: dict, name: str, ok, want: str):
+    value = payload[name]
+    if not ok(value):
+        raise TypeError(f"field {name!r} must be {want}, got "
+                        f"{type(value).__name__}")
+    return value
 
 
 def _round_half_up(x: float) -> int:

@@ -1,13 +1,23 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The graph is a tape: every differentiable op appends one entry (inputs,
-output, backward rule) to the active tape in execution order, which is a
-topological order by construction. `backward(loss)` replays the tape in
-reverse, visits each entry at most once, and accumulates gradients into
-the `.grad` of every leaf that has `requires_grad=True`.
+The graph is a tape: every differentiable op appends one entry to the
+active tape in execution order, which is a topological order by
+construction. `backward(loss)` replays the tape in reverse, visits each
+entry at most once, and accumulates gradients into the `.grad` of every
+leaf that has `requires_grad=True`.
+
+The tape keeps only what backward reads. Each recorded output gets a
+serial key, and an entry holds its output's key, its backward rule and,
+per input, the leaf `Tensor` (a leaf that needs a gradient), the key and
+shape (a recorded output) or nothing (no gradient). So an intermediate
+array lives only while its caller or some backward rule holds it, and
+the sweep drops each entry before it runs the rule, which frees the
+arrays that rule saved as soon as it is done with them.
 
 Conventions:
-  * storage is always contiguous row-major float64 (the reference dtype);
+  * storage is contiguous row-major float64 (the reference dtype), with
+    one exception: `broadcast_to` returns NumPy's read-only broadcast
+    view of its input. No op writes into its inputs;
   * no implicit broadcasting: `add`/`mul`/`div` demand identical shapes,
     expansion is explicit via `broadcast_to`; the exceptions are `matmul`,
     which broadcasts its leading batch dimensions, and two in-op
@@ -28,6 +38,7 @@ reset by `backward`. `no_grad()` suspends recording entirely.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
@@ -109,9 +120,13 @@ def _screen(arr: np.ndarray, what: str) -> None:
 
 
 class Tensor:
-    """A leaf or op output. Data is float64; grad (leaves only) matches shape."""
+    """A leaf or op output. Data is float64; grad (leaves only) matches shape.
 
-    __slots__ = ("data", "requires_grad", "grad", "_is_leaf", "_tape")
+    A recorded op output carries the serial key its tape entry names it by;
+    leaves and outputs recorded on no tape have key None.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "_key", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -119,7 +134,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._is_leaf = True
+        self._key: Optional[int] = None
         self._tape: Optional["Tape"] = None
 
     # ---- introspection -------------------------------------------------
@@ -205,16 +220,33 @@ class Tensor:
 
 
 class _Entry:
-    __slots__ = ("inputs", "output", "bw")
+    """One recorded op: its output's key, its backward rule `bw`, and per
+    input what the sweep needs to route that input's gradient: the leaf
+    `Tensor` itself, `(key, shape)` for a recorded output, or None when
+    the input needs no gradient. No array is held here except through
+    `bw`'s closure, which saves only what the rule reads."""
+    __slots__ = ("inputs", "key", "bw")
 
-    def __init__(self, inputs: tuple[Tensor, ...], output: Tensor, bw: Callable):
+    def __init__(self, inputs: tuple, key: int, bw: Callable):
         self.inputs = inputs
-        self.output = output
+        self.key = key
         self.bw = bw
 
 
+def _route(t: Tensor):
+    if not t.requires_grad:
+        return None
+    return t if t._key is None else (t._key, t.data.shape)
+
+
 class Tape:
-    """Ordered record of ops. Reverse replay yields reverse-mode gradients."""
+    """Ordered record of ops. Reverse replay yields reverse-mode gradients.
+
+    `backward` consumes the tape: it pops each entry before running its
+    rule, so the arrays the rule saved are freed as the sweep passes it,
+    and a tape is never swept twice. An autoreset tape (the default one)
+    is empty and ready again afterwards; an explicit tape needs `reset()`.
+    """
 
     def __init__(self, autoreset: bool = False):
         self._entries: list[_Entry] = []
@@ -242,35 +274,50 @@ class Tape:
             raise TapeError("backward already ran on this tape; reset() first")
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        if not any(entry.output is loss for entry in self._entries):
+        key = loss._key
+        if key is None or not any(entry.key == key for entry in self._entries):
             raise TapeError("loss is not recorded on this tape (already "
                             "consumed by a previous backward, or built "
                             "elsewhere)")
         self._used = True
-        flows: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        for entry in reversed(self._entries):
-            g = flows.pop(id(entry.output), None)
-            if g is None:
-                continue
-            grads = entry.bw(g)
-            for t, ig in zip(entry.inputs, grads):
-                if ig is None or not t.requires_grad:
-                    continue
-                if ig.shape != t.data.shape:
-                    raise ShapeError(
-                        f"backward produced grad shape {ig.shape} for input "
-                        f"shape {t.data.shape}")
-                if t._is_leaf:
-                    t.grad = ig.copy() if t.grad is None else t.grad + ig
-                else:
-                    prev = flows.get(id(t))
-                    flows[id(t)] = ig if prev is None else prev + ig
-        if self._autoreset:
-            self.reset()
+        flows = {key: np.ones_like(loss.data)}
+        entries = self._entries
+        try:
+            while entries:
+                entry = entries.pop()
+                g = flows.pop(entry.key, None)
+                # rebinding `entry` frees the previous one, and the arrays
+                # its rule saved, before the next rule runs; a rule's
+                # gradient tuple dies when `_accumulate` returns
+                if g is not None:
+                    _accumulate(entry.inputs, entry.bw(g), flows)
+        finally:
+            if self._autoreset:
+                self.reset()
+
+
+def _accumulate(routes: tuple, grads: Sequence[Optional[np.ndarray]],
+                flows: dict[int, np.ndarray]) -> None:
+    """Add one rule's input gradients into leaf `.grad`s and into the
+    pending flows of recorded outputs."""
+    for route, ig in zip(routes, grads):
+        if ig is None or route is None:
+            continue
+        leaf = isinstance(route, Tensor)
+        shape = route.data.shape if leaf else route[1]
+        if ig.shape != shape:
+            raise ShapeError(f"backward produced grad shape {ig.shape} for "
+                             f"input shape {shape}")
+        if leaf:
+            route.grad = ig.copy() if route.grad is None else route.grad + ig
+        else:
+            prev = flows.get(route[0])
+            flows[route[0]] = ig if prev is None else prev + ig
 
 
 _tape_stack: list[Tape] = []
 _default_tape = Tape(autoreset=True)
+_serial = itertools.count()
 
 
 def _active_tape() -> Optional[Tape]:
@@ -295,16 +342,17 @@ def _finish(data: np.ndarray, inputs: tuple[Tensor, ...], bw: Callable,
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out._key = None
     out._tape = None
     tape = _active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out._is_leaf = False
+        out._key = next(_serial)
         out._tape = tape
-        tape._entries.append(_Entry(inputs, out, bw))
+        tape._entries.append(_Entry(tuple(_route(t) for t in inputs),
+                                    out._key, bw))
     else:
         out.requires_grad = False
-        out._is_leaf = True
     return out
 
 
@@ -468,12 +516,13 @@ def gelu(a: Tensor) -> Tensor:
 # ---- shape --------------------------------------------------------------
 
 def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
-    """Explicit expansion; backward sums over the expanded axes."""
+    """Explicit expansion as a read-only view of `a`'s data, no copy;
+    backward sums over the expanded axes."""
     a = _as_tensor(a)
     shape = tuple(int(s) for s in shape)
     src = a.data.shape
     try:
-        out = np.broadcast_to(a.data, shape).copy()
+        out = np.broadcast_to(a.data, shape)
     except ValueError as e:
         raise ShapeError(f"broadcast_to: cannot expand {src} to {shape}") from e
 
@@ -778,6 +827,7 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
                          f"{kd.shape} differ")
     probs, kt = _attention_probs(qd, kd, num_heads, mask)
     inv_sqrt_d = 1.0 / math.sqrt(qd.shape[2] // num_heads)
+    kshape = kd.shape  # the rule reads k only through kt
     out = np.empty(qd.shape)
     np.matmul(probs, _heads(vd, num_heads), out=_heads(out, num_heads))
 
@@ -791,7 +841,7 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
         ds *= inv_sqrt_d
         dq = np.empty(qd.shape)
         np.matmul(ds, kt.swapaxes(-1, -2), out=_heads(dq, num_heads))
-        dk = np.empty(kd.shape)
+        dk = np.empty(kshape)
         _heads(dk, num_heads)[...] = np.matmul(
             _heads(qd, num_heads).swapaxes(-1, -2), ds).swapaxes(-1, -2)
         return dq, dk, dv
@@ -870,6 +920,7 @@ def conv1x1(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         raise ShapeError(f"conv1x1: channel mismatch between input {x.shape} "
                          f"and kernel {w.shape}")
     xd, wd = x.data, w.data
+    need_dx = x.requires_grad
     out = np.einsum("bchw,sc->bshw", xd, wd, optimize=True)
     inputs: tuple[Tensor, ...]
     if b is not None:
@@ -882,7 +933,8 @@ def conv1x1(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         inputs = (x, w)
 
     def bw(g):
-        dx = np.einsum("bshw,sc->bchw", g, wd, optimize=True)
+        dx = np.einsum("bshw,sc->bchw", g, wd, optimize=True) \
+            if need_dx else None
         dw = np.einsum("bshw,bchw->sc", g, xd, optimize=True)
         if b is not None:
             return dx, dw, g.sum(axis=(0, 2, 3))
@@ -904,6 +956,7 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
                          f"and {wd.shape}")
     n = wd.shape[1]
     x2 = xd.reshape(-1, xd.shape[-1])
+    xshape, need_dx = xd.shape, x.requires_grad
     out = x2 @ wd
     inputs: tuple[Tensor, ...] = (x, w)
     if b is not None:
@@ -915,10 +968,11 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
     def bw(g):
         g2 = g.reshape(-1, n)
-        grads = ((g2 @ wd.T).reshape(xd.shape), x2.T @ g2)
+        dx = (g2 @ wd.T).reshape(xshape) if need_dx else None
+        grads = (dx, x2.T @ g2)
         return grads + (g2.sum(axis=0),) if b is not None else grads
 
-    return _finish(out.reshape(xd.shape[:-1] + (n,)), inputs, bw, "linear")
+    return _finish(out.reshape(xshape[:-1] + (n,)), inputs, bw, "linear")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -231,6 +231,25 @@ class TestStratifiedSplit:
         with pytest.raises(FormatError, match="malformed"):
             DatasetSplit.load(p)
 
+    @pytest.mark.parametrize("field,value", [
+        ("labeled", "abc"),
+        ("test", ["a/1", 2]),
+        ("seed", 1.7),
+        ("seed", True),
+        ("train_frac", "0.8"),
+        ("labeled_frac", False),
+    ], ids=["pool-string", "pool-non-string-id", "seed-float", "seed-bool",
+            "frac-string", "frac-bool"])
+    def test_load_rejects_wrong_field_types(self, tmp_path, field, value):
+        split = stratified_split(make_manifest([8, 8]), seed=5)
+        split.save(tmp_path / "split.json")
+        payload = json.loads((tmp_path / "split.json").read_text())
+        payload[field] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=f"'{field}'"):
+            DatasetSplit.load(p)
+
 
 # ---- image codecs --------------------------------------------------------------
 

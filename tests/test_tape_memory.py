@@ -1,0 +1,108 @@
+"""The tape's memory contract: an entry keeps only what its backward rule
+reads, and the sweep frees each entry's saved arrays as it passes it."""
+import weakref
+
+import numpy as np
+import pytest
+
+import dcswin.tensor as T
+from dcswin.errors import ShapeError
+from dcswin.tensor import Tensor, backward
+
+
+def leaf(data):
+    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+
+
+def probe(x: Tensor, check) -> Tensor:
+    """Identity op whose backward rule calls `check()` before passing the
+    gradient through."""
+    def bw(g):
+        check()
+        return (g,)
+
+    return T._finish(x.data.copy(), (x,), bw, "probe")
+
+
+def test_unread_intermediate_is_freed_when_the_caller_drops_it():
+    x = leaf(np.arange(6.0).reshape(2, 3))
+    y = T.add(x, x)  # add's rule reads no array
+    loss = T.reduce_sum(T.scale(y, 3.0))
+    ref = weakref.ref(y.data)
+    del y
+    assert ref() is None
+    backward(loss)
+    assert np.array_equal(x.grad, np.full((2, 3), 6.0))
+
+
+def test_sweep_frees_a_later_rule_before_an_earlier_rule_runs():
+    x = leaf([0.5, -1.0, 2.0])
+    seen = []
+    held = []
+
+    def check():
+        seen.append(held[0]() is None)
+
+    a = probe(x, check)
+    b = T.exp(a)  # exp's rule saves its output
+    held.append(weakref.ref(b.data))
+    loss = T.reduce_sum(b)
+    del b  # now only exp's rule holds that array
+    assert held[0]() is not None
+    backward(loss)
+    assert seen == [True]
+    assert np.array_equal(x.grad, np.exp(x.data))
+
+
+def test_multihead_attention_drops_the_key_array_after_forward():
+    rng = np.random.default_rng(3)
+    q = leaf(rng.standard_normal((2, 3, 4)))
+    kv = leaf(rng.standard_normal((2, 3, 4)))
+    k = T.scale(kv, 1.0)  # a recorded output the caller can drop
+    out = T.multihead_attention(q, k, kv, num_heads=2)
+    ref = weakref.ref(k.data)
+    del k
+    assert ref() is None
+    backward(T.reduce_sum(out))
+    assert kv.grad.shape == (2, 3, 4) and np.all(np.isfinite(kv.grad))
+
+
+def test_default_tape_recovers_after_a_failed_sweep():
+    x = leaf([1.0, 2.0])
+
+    def bad(g):
+        return (np.zeros(5),)
+
+    loss = T.reduce_sum(T._finish(x.data * 2.0, (x,), bad, "bad"))
+    with pytest.raises(ShapeError, match="grad shape"):
+        backward(loss)
+    backward(T.reduce_sum(T.scale(x, 3.0)))
+    assert np.array_equal(x.grad, [3.0, 3.0])
+
+
+def test_broadcast_to_is_a_read_only_view():
+    x = Tensor(np.arange(3.0).reshape(1, 3))
+    out = T.broadcast_to(x, (4, 3))
+    assert np.shares_memory(out.data, x.data)
+    assert not out.data.flags.writeable
+    assert np.array_equal(out.data, np.tile(x.data, (4, 1)))
+
+
+@pytest.mark.parametrize("op,x_shape,w_shape", [
+    (T.linear, (2, 3, 4), (4, 5)),
+    (T.conv1x1, (2, 4, 3, 3), (5, 4)),
+])
+def test_input_gradient_is_skipped_when_the_input_needs_none(op, x_shape,
+                                                             w_shape):
+    rng = np.random.default_rng(4)
+    w = leaf(rng.standard_normal(w_shape))
+    b = leaf(rng.standard_normal(w_shape[0] if op is T.conv1x1
+                                 else w_shape[1]))
+    for needs in (False, True):
+        x = Tensor(rng.standard_normal(x_shape), requires_grad=needs)
+        with T.Tape() as tape:
+            out = op(x, w, b)
+        (entry,) = tape._entries
+        dx, dw, db = entry.bw(np.ones(out.shape))
+        assert (dx is not None) == needs
+        assert dw.shape == w.shape and db.shape == b.shape

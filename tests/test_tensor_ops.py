@@ -493,11 +493,16 @@ def test_backward_twice_is_an_error():
 
 def test_explicit_tape_requires_reset():
     x = leaf(np.ones(3))
+    with pytest.raises(TapeError):
+        T.Tape().backward(leaf([1.0]))  # a leaf has no entry on a tape
     with T.Tape() as tape:
         loss = T.reduce_sum(x)
         tape.backward(loss)
         with pytest.raises(TapeError):
             tape.backward(loss)
+    tape.reset()
+    with pytest.raises(TapeError):
+        tape.backward(loss)  # consumed: its entries went with the reset
 
 
 def test_grad_accumulates_across_shared_leaf():
