@@ -36,10 +36,6 @@ class AttentionConfig:
             raise ConfigError(f"dim {self.dim} not divisible by "
                               f"{self.num_heads} heads")
 
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.num_heads
-
 
 @dataclass(frozen=True)
 class WindowSpec:
@@ -265,12 +261,11 @@ def tokens_to_map(t: Tensor, h: int, w: int) -> Tensor:
 
 
 def cross_attention(current: Tensor, prev: Tensor, params: AttentionParams,
-                    cfg: AttentionConfig, residual: bool = True,
-                    return_weights: bool = False):
+                    cfg: AttentionConfig, return_weights: bool = False):
     """Attend from `current` (queries) into `prev` (keys/values).
 
     Both are [B,H,W,C] with equal B and C; spatial sizes may differ. The
-    attended result is added back onto `current` unless residual=False.
+    attended result is added back onto `current`.
     """
     for name, t in (("current", current), ("prev", prev)):
         if t.data.ndim != 4:
@@ -289,6 +284,5 @@ def cross_attention(current: Tensor, prev: Tensor, params: AttentionParams,
                   return_weights=return_weights)
     if return_weights:
         att, weights = att
-    att = T.reshape(att, current.data.shape)
-    out = T.add(current, att) if residual else att
+    out = T.add(current, T.reshape(att, current.data.shape))
     return (out, weights) if return_weights else out

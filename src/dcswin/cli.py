@@ -16,7 +16,7 @@ from .data import (ArrayDataset, DatasetManifest, DatasetSplit,
 from .errors import ConfigError, DcswinError
 from .gradcheck import op_names, run_model_check, run_op_check
 from .model import ARMS, DCSWin
-from .trainer import (TrainConfig, evaluate_model, load_run_config,
+from .trainer import (eval_metadata, evaluate_model, load_run_config,
                       run_experiment)
 
 EXIT_OK = 0
@@ -157,17 +157,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model, extra = DCSWin.load(args.checkpoint)
+    classes, mean, std = eval_metadata(extra)
     manifest = DatasetManifest.load(args.manifest)
     dataset = ArrayDataset.from_manifest(manifest,
                                          image_size=model.cfg.image_size)
-    try:
-        classes = json.loads(extra["data.classes"])
-        mean = json.loads(extra["norm.mean"])
-        std = json.loads(extra["norm.std"])
-    except KeyError as e:
-        raise ConfigError(f"checkpoint lacks evaluation metadata "
-                          f"({e.args[0]})") from None
-    if list(classes) != list(dataset.class_names):
+    if classes != list(dataset.class_names):
         raise ConfigError(f"checkpoint classes {classes} do not match "
                           f"manifest classes {list(dataset.class_names)}")
     dataset.set_normalization(mean, std)

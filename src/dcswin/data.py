@@ -485,13 +485,6 @@ def ring_field(rng: np.random.Generator, image_size: int, freq: float,
     return field / max(field.std(), 1e-12)
 
 
-def synth_texture(rng: np.random.Generator, image_size: int, freq: float,
-                  contrast: float, sigma: float) -> np.ndarray:
-    """One grayscale band-limited Gaussian texture in [0,1], shape [H,W]."""
-    return np.clip(0.5 + contrast * ring_field(rng, image_size, freq, sigma),
-                   0.0, 1.0)
-
-
 def synth_generate(out_root: Union[str, Path], num_classes: int = 4,
                    per_class: int = 100, image_size: int = 64, seed: int = 0,
                    overlap: float = 0.0) -> DatasetManifest:

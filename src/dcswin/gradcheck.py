@@ -144,6 +144,9 @@ def _op_cases(seed: int) -> dict[str, tuple[Callable[[], Tensor], dict[str, Tens
     a = _leaf(rng, (3, 4))
     b = _leaf(rng, (3, 4))
     cases["add"] = (lambda: _probe(T.add(a, b)), {"a": a, "b": b})
+    sa = _leaf(rng, (3, 4))
+    sb = _leaf(rng, (3, 4))
+    cases["sub"] = (lambda: _probe(T.sub(sa, sb)), {"a": sa, "b": sb})
 
     c = _leaf(rng, (2, 5))
     d = _leaf(rng, (2, 5))
@@ -155,6 +158,10 @@ def _op_cases(seed: int) -> dict[str, tuple[Callable[[], Tensor], dict[str, Tens
 
     g1 = _leaf(rng, (4, 3))
     cases["neg"] = (lambda: _probe(T.neg(g1)), {"a": g1})
+    g8 = _leaf(rng, (4, 3))
+    cases["scale"] = (lambda: _probe(T.scale(g8, -0.8)), {"a": g8})
+    g9 = _leaf(rng, (4, 3))
+    cases["add_scalar"] = (lambda: _probe(T.add_scalar(g9, 1.7)), {"a": g9})
     g2 = _leaf(rng, (12,))
     cases["exp"] = (lambda: _probe(T.exp(g2)), {"a": g2})
     g3 = Tensor(rng.uniform(0.2, 3.0, size=(8,)), requires_grad=True)
@@ -223,10 +230,6 @@ def _op_cases(seed: int) -> dict[str, tuple[Callable[[], Tensor], dict[str, Tens
     ce = _leaf(rng, (4, 3), -2.0, 2.0)
     ce_t = rng.integers(0, 3, size=4)
     cases["cross_entropy"] = (lambda: T.cross_entropy(ce, ce_t), {"logits": ce})
-    cw = _leaf(rng, (4, 3), -2.0, 2.0)
-    cw_w = rng.uniform(0.3, 1.5, size=4)
-    cases["cross_entropy_weighted"] = (
-        lambda: T.cross_entropy(cw, ce_t, weights=cw_w), {"logits": cw})
 
     cx = _leaf(rng, (2, 3, 4, 4))
     ck = _leaf(rng, (5, 3))

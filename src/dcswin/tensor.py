@@ -15,6 +15,9 @@ the sweep drops each entry before it runs the rule, which frees the
 arrays that rule saved as soon as it is done with them.
 
 Conventions:
+  * ops are the module functions below and take `Tensor`s, never raw
+    arrays; `Tensor` has no operator forms and holds only data, a
+    gradient and a tape key;
   * storage is contiguous row-major float64 (the reference dtype), with
     one exception: `broadcast_to` returns NumPy's read-only broadcast
     view of its input. No op writes into its inputs;
@@ -49,7 +52,6 @@ from .errors import NumericsError, ShapeError, TapeError
 
 __all__ = [
     "Tensor", "Tape", "backward", "no_grad", "checked_mode", "is_checked",
-    "set_checked",
     "zeros", "ones", "trunc_normal",
     "add", "add_scalar", "sub", "neg", "mul", "div", "scale",
     "exp", "log", "sqrt", "tanh", "relu", "gelu",
@@ -70,16 +72,10 @@ def is_checked() -> bool:
     return _checked
 
 
-def set_checked(enabled: bool) -> None:
-    """Globally enable or disable NaN/Inf screening: of every op's output,
-    or of a model forward's logits with a per-op replay on failure."""
-    global _checked
-    _checked = bool(enabled)
-
-
 @contextmanager
 def checked_mode(enabled: bool):
-    """Temporarily enable or disable NaN/Inf screening (see `set_checked`)."""
+    """Temporarily enable or disable NaN/Inf screening, per op or of a
+    model forward's logits (see the module docstring)."""
     global _checked
     prev = _checked
     _checked = enabled
@@ -137,86 +133,13 @@ class Tensor:
         self._key: Optional[int] = None
         self._tape: Optional["Tape"] = None
 
-    # ---- introspection -------------------------------------------------
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
-        return float(self.data)
-
-    def __float__(self) -> float:
-        return self.item()
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
-    # ---- sugar ----------------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
-
-    def __rsub__(self, other):
-        return add_scalar(neg(self), float(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return div(self, other)
-        return scale(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def permute(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return permute(self, axes)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
 
 
 class _Entry:
@@ -356,10 +279,6 @@ def _finish(data: np.ndarray, inputs: tuple[Tensor, ...], bw: Callable,
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ "
@@ -390,37 +309,31 @@ def trunc_normal(shape, rng: np.random.Generator, std: float = 0.02,
 # ---- elementwise --------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     _same_shape(a, b, "add")
     return _finish(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
-    a = _as_tensor(a)
     c = float(c)
     return _finish(a.data + c, (a,), lambda g: (g,), "add_scalar")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     _same_shape(a, b, "sub")
     return _finish(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
 
 
 def neg(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     return _finish(-a.data, (a,), lambda g: (-g,), "neg")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     _same_shape(a, b, "mul")
     ad, bd = a.data, b.data
     return _finish(ad * bd, (a, b), lambda g: (g * bd, g * ad), "mul")
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     _same_shape(a, b, "div")
     ad, bd = a.data, b.data
     # x / inf is a finite 0, so a deferred screen would never see it
@@ -434,37 +347,31 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    a = _as_tensor(a)
     c = float(c)
     return _finish(a.data * c, (a,), lambda g: (g * c,), "scale")
 
 
 def exp(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     out = np.exp(a.data)
     return _finish(out, (a,), lambda g: (g * out,), "exp")
 
 
 def log(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     ad = a.data
     return _finish(np.log(ad), (a,), lambda g: (g / ad,), "log")
 
 
 def sqrt(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     out = np.sqrt(a.data)
     return _finish(out, (a,), lambda g: (g * (0.5 / out),), "sqrt")
 
 
 def tanh(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     out = np.tanh(a.data)
     return _finish(out, (a,), lambda g: (g * (1.0 - out * out),), "tanh")
 
 
 def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     mask = a.data > 0
     return _finish(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,), "relu")
 
@@ -481,7 +388,6 @@ def gelu(a: Tensor) -> Tensor:
     textbook derivative do: the products are taken in the same order, and
     halving a product is exact outside the subnormal range.
     """
-    a = _as_tensor(a)
     x = a.data
     th = x * x
     th *= x
@@ -515,32 +421,32 @@ def gelu(a: Tensor) -> Tensor:
 
 # ---- shape --------------------------------------------------------------
 
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum `g` over the axes that broadcasting `shape` to `g.shape` added
+    or expanded from size 1."""
+    lead = g.ndim - len(shape)
+    if lead:
+        g = g.sum(axis=tuple(range(lead)))
+    keep = tuple(i for i, (s, t) in enumerate(zip(shape, g.shape)) if s == 1 and t != 1)
+    if keep:
+        g = g.sum(axis=keep, keepdims=True)
+    return g
+
+
 def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
     """Explicit expansion as a read-only view of `a`'s data, no copy;
     backward sums over the expanded axes."""
-    a = _as_tensor(a)
     shape = tuple(int(s) for s in shape)
     src = a.data.shape
     try:
         out = np.broadcast_to(a.data, shape)
     except ValueError as e:
         raise ShapeError(f"broadcast_to: cannot expand {src} to {shape}") from e
-
-    lead = len(shape) - len(src)
-
-    def bw(g):
-        if lead:
-            g = g.sum(axis=tuple(range(lead)))
-        keep = tuple(i for i, (s, t) in enumerate(zip(src, g.shape)) if s == 1 and t != 1)
-        if keep:
-            g = g.sum(axis=keep, keepdims=True)
-        return (g.reshape(src),)
-
-    return _finish(out, (a,), bw, "broadcast_to")
+    return _finish(out, (a,), lambda g: (_unbroadcast(g, src).reshape(src),),
+                   "broadcast_to")
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    a = _as_tensor(a)
     shape = tuple(int(s) for s in shape)
     src = a.data.shape
     try:
@@ -553,7 +459,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
-    a = _as_tensor(a)
     axes = tuple(int(x) for x in axes)
     if sorted(axes) != list(range(a.data.ndim)):
         raise ShapeError(f"permute: {axes} is not a permutation of axes "
@@ -566,7 +471,6 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
 
 def roll(a: Tensor, shifts: Sequence[int], axes: Sequence[int]) -> Tensor:
     """Cyclic shift along the given axes; exactly inverted by rolling back."""
-    a = _as_tensor(a)
     shifts = tuple(int(s) for s in shifts)
     axes = tuple(int(x) for x in axes)
     out = np.roll(a.data, shifts, axis=axes)
@@ -577,7 +481,6 @@ def roll(a: Tensor, shifts: Sequence[int], axes: Sequence[int]) -> Tensor:
 def pad2d(a: Tensor, pad_bottom: int, pad_right: int) -> Tensor:
     """Zero-pad axes 1 and 2 (H and W of a [B,H,W,...] map) at the
     bottom/right edges."""
-    a = _as_tensor(a)
     if a.data.ndim < 3:
         raise ShapeError(f"pad2d needs >=3 axes, got shape {a.data.shape}")
     if pad_bottom < 0 or pad_right < 0:
@@ -594,12 +497,9 @@ def pad2d(a: Tensor, pad_bottom: int, pad_right: int) -> Tensor:
 
 
 def slice_nd(a: Tensor, key: tuple) -> Tensor:
-    """Basic slicing (slice objects / ints forbidden: keep ranks stable)."""
-    a = _as_tensor(a)
-    if not isinstance(key, tuple):
-        key = (key,)
-    if not all(isinstance(k, slice) for k in key):
-        raise ShapeError("slice_nd accepts slice objects only")
+    """Basic slicing by a tuple of slices (no ints: ranks stay stable)."""
+    if not (isinstance(key, tuple) and all(isinstance(k, slice) for k in key)):
+        raise ShapeError("slice_nd accepts a tuple of slice objects only")
     out = np.ascontiguousarray(a.data[key])
     src = a.data.shape
 
@@ -612,7 +512,6 @@ def slice_nd(a: Tensor, key: tuple) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat: empty input list")
     datas = [p.data for p in parts]
@@ -641,38 +540,35 @@ def _norm_axes(axis, ndim: int) -> tuple[int, ...]:
     return tuple(a % ndim for a in axis)
 
 
+def _restore_axes(g: np.ndarray, src: tuple[int, ...], axes: tuple[int, ...],
+                  keepdims: bool) -> np.ndarray:
+    """A reduction's output gradient with its reduced axes back as size 1,
+    ready to broadcast over the input shape `src`."""
+    if keepdims:
+        return g
+    return g.reshape(tuple(1 if i in axes else s for i, s in enumerate(src)))
+
+
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
     axes = _norm_axes(axis, a.data.ndim)
     out = a.data.sum(axis=axes, keepdims=keepdims)
     src = a.data.shape
 
     def bw(g):
-        if not keepdims:
-            shape = list(src)
-            for ax in axes:
-                shape[ax] = 1
-            g = g.reshape(shape)
+        g = _restore_axes(g, src, axes, keepdims)
         return (np.broadcast_to(g, src).copy(),)
 
     return _finish(np.asarray(out), (a,), bw, "reduce_sum")
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
     axes = _norm_axes(axis, a.data.ndim)
-    count = 1
-    for ax in axes:
-        count *= a.data.shape[ax]
+    count = math.prod(a.data.shape[ax] for ax in axes)
     out = a.data.mean(axis=axes, keepdims=keepdims)
     src = a.data.shape
 
     def bw(g):
-        if not keepdims:
-            shape = list(src)
-            for ax in axes:
-                shape[ax] = 1
-            g = g.reshape(shape)
+        g = _restore_axes(g, src, axes, keepdims)
         return (np.broadcast_to(g / count, src).copy(),)
 
     return _finish(np.asarray(out), (a,), bw, "reduce_mean")
@@ -689,7 +585,6 @@ def avg_pool2d(a: Tensor, factor_h: int, factor_w: Optional[int] = None) -> Tens
     [B,H,W,...] map)."""
     if factor_w is None:
         factor_w = factor_h
-    a = _as_tensor(a)
     if a.data.ndim < 3:
         raise ShapeError(f"avg_pool2d needs >=3 axes, got shape {a.data.shape}")
     b, h, w = a.data.shape[:3]
@@ -703,19 +598,8 @@ def avg_pool2d(a: Tensor, factor_h: int, factor_w: Optional[int] = None) -> Tens
 
 # ---- linear algebra -------------------------------------------------------
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    lead = g.ndim - len(shape)
-    if lead:
-        g = g.sum(axis=tuple(range(lead)))
-    keep = tuple(i for i, (s, t) in enumerate(zip(shape, g.shape)) if s == 1 and t != 1)
-    if keep:
-        g = g.sum(axis=keep, keepdims=True)
-    return g
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product; leading batch dims broadcast (only here)."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.data.shape} "
                          f"and {b.data.shape}")
@@ -739,7 +623,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax along one axis; rows sum to 1."""
-    a = _as_tensor(a)
     ax = axis % a.data.ndim
     out = a.data - a.data.max(axis=ax, keepdims=True)
     np.exp(out, out=out)
@@ -801,8 +684,7 @@ def attention_weights(q: Tensor, k: Tensor, num_heads: int,
                       mask: Optional[np.ndarray] = None) -> np.ndarray:
     """The [N, heads, Lq, Lk] weights `multihead_attention` applies; no
     graph is recorded."""
-    return _attention_probs(_as_tensor(q).data, _as_tensor(k).data,
-                            num_heads, mask)[0]
+    return _attention_probs(q.data, k.data, num_heads, mask)[0]
 
 
 def multihead_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
@@ -820,7 +702,6 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     dS = (dP - rowsum(dP * P)) * P / sqrt(d), dq_h = dS k_h,
     dk_h = (q_h^T dS)^T and dv_h = P^T g_h.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     qd, kd, vd = q.data, k.data, v.data
     if vd.shape != kd.shape:
         raise ShapeError(f"multihead_attention: values {vd.shape} and keys "
@@ -852,7 +733,6 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Composite log-softmax; the row max is a constant shift, so the
     gradient is exact despite detaching it."""
-    a = _as_tensor(a)
     ax = axis % a.data.ndim
     mx = Tensor(a.data.max(axis=ax, keepdims=True))
     shifted = sub(a, broadcast_to(mx, a.shape))
@@ -860,14 +740,12 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return sub(shifted, broadcast_to(lse, a.shape))
 
 
-def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
+def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean negative log-likelihood of integer targets under softmax(logits).
 
-    `weights` is an optional per-sample vector; a uniform vector factors out
-    of the sum, so `cross_entropy(x, t, w*ones) == w * cross_entropy(x, t)`
-    holds exactly.
+    `logits` is [N, C] and `targets` N class indices in [0, C). A weighted
+    loss scales this mean with `scale`.
     """
-    logits = _as_tensor(logits)
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy expects [N, C] logits, got {logits.shape}")
     n, c = logits.data.shape
@@ -881,38 +759,23 @@ def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
     if t.min(initial=0) < 0 or t.max(initial=0) >= c:
         raise IndexError(f"cross_entropy: target outside [0, {c})")
 
-    w = None
-    uniform = 1.0
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,):
-            raise ShapeError(f"cross_entropy: weight shape {w.shape} != ({n},)")
-        if np.all(w == w[0]):
-            uniform, w = float(w[0]), None
-
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - lse
     rows = np.arange(n)
     per_sample = -logp[rows, t]
-    if w is None:
-        value = uniform * (per_sample.sum() / n)
-    else:
-        value = (w * per_sample).sum() / n
+    value = per_sample.sum() / n
 
     def bw(g):
         p = np.exp(logp)
         p[rows, t] -= 1.0
-        if w is None:
-            return (g * (uniform / n) * p,)
-        return (g * (w[:, None] / n) * p,)
+        return (g * (1.0 / n) * p,)
 
     return _finish(np.asarray(value), (logits,), bw, "cross_entropy")
 
 
 def conv1x1(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """Pointwise convolution: [B,C,H,W] x [S,C] (+[S]) -> [B,S,H,W]."""
-    x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 2:
         raise ShapeError(f"conv1x1 expects [B,C,H,W] and [S,C], got {x.shape} "
                          f"and {w.shape}")
@@ -924,7 +787,6 @@ def conv1x1(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     out = np.einsum("bchw,sc->bshw", xd, wd, optimize=True)
     inputs: tuple[Tensor, ...]
     if b is not None:
-        b = _as_tensor(b)
         if b.data.shape != (wd.shape[0],):
             raise ShapeError(f"conv1x1: bias shape {b.shape} != ({wd.shape[0]},)")
         out = out + b.data[None, :, None, None]
@@ -949,7 +811,6 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     The leading axes are flattened into one 2-D product, so the weight
     gradient is a single [K, N] product rather than one per batch entry.
     """
-    x, w = _as_tensor(x), _as_tensor(w)
     xd, wd = x.data, w.data
     if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
         raise ShapeError(f"linear expects [..., K] and [K, N], got {xd.shape} "
@@ -960,7 +821,6 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     out = x2 @ wd
     inputs: tuple[Tensor, ...] = (x, w)
     if b is not None:
-        b = _as_tensor(b)
         if b.data.shape != (n,):
             raise ShapeError(f"linear: bias shape {b.data.shape} != ({n},)")
         out += b.data
@@ -982,7 +842,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     dxn = g * gamma, the input gradient is
     (dxn - mean(dxn) - xn * mean(dxn * xn)) / denom.
     """
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     c = x.data.shape[-1]
     for name, p in (("gamma", gamma), ("beta", beta)):
         if p.data.shape != (c,):
@@ -1010,5 +869,4 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 def detach(a: Tensor) -> Tensor:
     """Constant copy: same values, no graph connection."""
-    a = _as_tensor(a)
     return Tensor(a.data.copy())

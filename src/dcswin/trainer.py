@@ -328,6 +328,8 @@ def _save_state(path: Path, model: DCSWin, cfg: TrainConfig, epoch_next: int,
 
 
 def _json_field(config: Mapping[str, str], key: str):
+    if key not in config:
+        raise FormatError(f"checkpoint lacks {key}")
     try:
         return json.loads(config[key])
     except (ValueError, RecursionError):
@@ -354,6 +356,22 @@ def _norm_field(config: Mapping[str, str], key: str) -> np.ndarray:
         raise FormatError(f"checkpoint {key} must hold 3 finite floats, "
                           f"got {config[key][:80]!r}")
     return np.array(vals)
+
+
+def _classes_field(config: Mapping[str, str], key: str) -> list[str]:
+    names = _json_field(config, key)
+    if not (isinstance(names, list) and all(type(v) is str for v in names)):
+        raise FormatError(f"checkpoint {key} must be a list of class names, "
+                          f"got {config[key][:80]!r}")
+    return names
+
+
+def eval_metadata(config: Mapping[str, str]
+                  ) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The class names and normalization mean and std that a `_save_state`
+    checkpoint records; a missing or malformed field raises FormatError."""
+    return (_classes_field(config, "data.classes"),
+            _norm_field(config, "norm.mean"), _norm_field(config, "norm.std"))
 
 
 def _stream_field(config: Mapping[str, str], name: str) -> np.random.Generator:
@@ -385,8 +403,7 @@ def _load_state(path: Path, model: DCSWin, cfg: TrainConfig, opt,
         raise FormatError(f"checkpoint opt.kind {config['opt.kind'][:80]!r} "
                           f"!= {opt.kind!r} of the requested run")
     rngs = {name: _stream_field(config, name) for name in _STREAM_NAMES}
-    stored_mean = _norm_field(config, "norm.mean")
-    _norm_field(config, "norm.std")
+    _, stored_mean, _ = eval_metadata(config)
     if not np.array_equal(stored_mean, dataset.norm_mean):
         raise FormatError("checkpoint/config mismatch: normalization stats "
                           "differ from the current labeled pool")

@@ -319,9 +319,9 @@ def test_cross_attention_constant_prev_position_independent():
     cur = Tensor(channels_last(rng.standard_normal((1, 4, 3, 3))))
     prev = Tensor(channels_last(np.broadcast_to(
         rng.standard_normal((1, 4, 1, 1)), (1, 4, 4, 4))))
-    att = cross_attention(cur, prev, p, cfg, residual=False)
+    out = cross_attention(cur, prev, p, cfg)
     # all keys/values identical -> attended output constant across queries
-    flat = att.data.reshape(1, -1, 4)
+    flat = (out.data - cur.data).reshape(1, -1, 4)
     assert np.allclose(flat, flat[:, :1], atol=1e-12)
 
 

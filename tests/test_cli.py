@@ -280,6 +280,27 @@ class TestTrainEval:
         assert rc == EXIT_RUNTIME
         assert "do not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        pytest.param("norm.mean", "[0.5, oops", id="mean-not-json"),
+        pytest.param("norm.std", "[0.5, 0.5]", id="std-two-values"),
+        pytest.param("data.classes", "3", id="classes-not-a-list"),
+    ])
+    def test_eval_bad_metadata_is_runtime_error(self, workspace, tmp_path,
+                                                capsys, key, value):
+        config, tensors = load_checkpoint(
+            workspace / "run" / "seed0" / "state.dcsm")
+        config[key] = value
+        state = tmp_path / "state.dcsm"
+        save_checkpoint(state, config, tensors)
+        rc = main(["eval", "--checkpoint", str(state),
+                   "--manifest", str(workspace / "data" / "manifest.json"),
+                   "--split", str(workspace / "split.json"),
+                   "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_RUNTIME
+        assert err.startswith("error:") and key in err
+        assert "Traceback" not in err
+
     def test_corrupt_checkpoint_is_runtime_error(self, workspace, tmp_path,
                                                  capsys):
         argv = ["train", "--config", str(workspace / "run.cfg"),

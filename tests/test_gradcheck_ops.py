@@ -22,6 +22,21 @@ def test_op_gradcheck(name):
     assert result.passed, result.describe()
 
 
+# the tape API, the constructors and the ops that record no graph
+_NOT_DIFFERENTIABLE = {"Tensor", "Tape", "backward", "no_grad",
+                       "checked_mode", "is_checked", "zeros", "ones",
+                       "trunc_normal", "attention_weights", "detach"}
+_CASE_NAMES = {"slice_nd": "slice", "reduce_sum": "sum",
+               "reduce_mean": "mean"}
+
+
+def test_every_differentiable_op_has_a_case():
+    ops = set(T.__all__) - _NOT_DIFFERENTIABLE
+    missing = sorted(op for op in ops
+                     if _CASE_NAMES.get(op, op) not in op_names())
+    assert not missing, f"ops without a gradcheck case: {missing}"
+
+
 def test_micro_model_directional_gradcheck():
     result = run_model_check(seed=0)
     assert result.passed, result.describe()

@@ -183,28 +183,6 @@ def test_cross_entropy_matches_manual_log_softmax():
     assert abs(float(loss.data) - ref) < 1e-12
 
 
-def test_cross_entropy_uniform_weight_is_exact_scaling():
-    rng = np.random.default_rng(9)
-    logits = rng.standard_normal((4, 3))
-    targets = np.array([0, 2, 1, 1])
-    base = T.cross_entropy(Tensor(logits), targets)
-    weighted = T.cross_entropy(Tensor(logits), targets,
-                               weights=np.full(4, 0.8))
-    assert float(weighted.data) == 0.8 * float(base.data)
-
-
-def test_cross_entropy_per_sample_weights():
-    rng = np.random.default_rng(10)
-    logits = rng.standard_normal((3, 4))
-    targets = np.array([1, 0, 3])
-    w = np.array([0.5, 1.0, 2.0])
-    loss = T.cross_entropy(Tensor(logits), targets, weights=w)
-    z = logits - logits.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    ref = -(w * logp[np.arange(3), targets]).mean()
-    assert abs(float(loss.data) - ref) < 1e-12
-
-
 def test_cross_entropy_target_out_of_range():
     with pytest.raises(IndexError):
         T.cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))

@@ -183,16 +183,18 @@ class TestOptimizers:
             ref_w = ref_w - 0.1 * ref_v
             assert np.array_equal(w.data, ref_w)
 
-    def test_adam_state_roundtrip_continues_identically(self):
+    @pytest.mark.parametrize("optimizer", [Adam, SGD],
+                             ids=lambda cls: cls.__name__)
+    def test_optimizer_state_roundtrip_continues_identically(self, optimizer):
         rng = np.random.default_rng(7)
         grads = [rng.standard_normal(3) for _ in range(6)]
         w1 = Tensor(np.array([0.5, -0.5, 1.0]))
-        opt1 = Adam({"w": w1})
+        opt1 = optimizer({"w": w1})
         for g in grads[:3]:
             w1.grad = g.copy()
             opt1.step(0.01)
         w2 = Tensor(w1.data.copy())
-        opt2 = Adam({"w": w2})
+        opt2 = optimizer({"w": w2})
         opt2.load_state_tensors(opt1.state_tensors(), opt1.step_count)
         for g in grads[3:]:
             w1.grad = g.copy()
@@ -201,8 +203,10 @@ class TestOptimizers:
             opt2.step(0.01)
             assert np.array_equal(w1.data, w2.data)
 
-    def test_missing_optimizer_state_rejected(self):
-        opt = Adam({"w": Tensor(np.zeros(2))})
+    @pytest.mark.parametrize("optimizer", [Adam, SGD],
+                             ids=lambda cls: cls.__name__)
+    def test_missing_optimizer_state_rejected(self, optimizer):
+        opt = optimizer({"w": Tensor(np.zeros(2))})
         with pytest.raises(FormatError, match="missing optimizer state"):
             opt.load_state_tensors({}, 1)
 
