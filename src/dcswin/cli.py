@@ -16,8 +16,9 @@ from .data import (ArrayDataset, DatasetManifest, DatasetSplit,
 from .errors import ConfigError, DcswinError
 from .gradcheck import op_names, run_model_check, run_op_check
 from .model import ARMS, DCSWin
-from .trainer import (eval_metadata, evaluate_model, load_run_config,
-                      run_experiment)
+from .serialization import read_utf8
+from .trainer import (check_ids, eval_metadata, evaluate_model,
+                      load_run_config, run_experiment)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -167,13 +168,15 @@ def _cmd_eval(args) -> int:
     dataset.set_normalization(mean, std)
     if args.ids:
         ids = [line.strip() for line in
-               Path(args.ids).read_text(encoding="utf-8").splitlines()
-               if line.strip()]
+               read_utf8(args.ids, "ids file").splitlines() if line.strip()]
+        source = f"ids file {args.ids}"
     else:
         split = DatasetSplit.load(args.split)
         ids = sorted(getattr(split, args.pool))
+        source = f"split's {args.pool} pool"
     if not ids:
         raise ConfigError("no ids to evaluate")
+    check_ids(dataset, ids, source)
     values, cm, probs = evaluate_model(model, dataset, ids)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

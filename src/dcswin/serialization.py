@@ -141,8 +141,17 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
+def read_utf8(path: Union[str, Path], what: str) -> str:
+    """The text of a file; bytes that are not UTF-8 raise FormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{what} {path} is not UTF-8: {e.reason} at byte "
+                          f"{e.start}") from None
+
+
 def load_config_file(path: Union[str, Path]) -> dict[str, str]:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    return parse_config_text(read_utf8(path, "config file"))
 
 
 _BOOLS = {"true": True, "1": True, "on": True, "yes": True,

@@ -743,8 +743,9 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean negative log-likelihood of integer targets under softmax(logits).
 
-    `logits` is [N, C] and `targets` N class indices in [0, C). A weighted
-    loss scales this mean with `scale`.
+    `logits` is [N, C] and `targets` N integer class indices in [0, C); a
+    target array of any other dtype (float, bool) raises TypeError rather
+    than being truncated. A weighted loss scales this mean with `scale`.
     """
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy expects [N, C] logits, got {logits.shape}")
@@ -755,7 +756,8 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     if t.shape != (n,):
         raise ShapeError(f"cross_entropy: {n} rows but target shape {t.shape}")
     if not np.issubdtype(t.dtype, np.integer):
-        t = t.astype(np.int64)
+        raise TypeError(f"cross_entropy: targets must be integers, got dtype "
+                        f"{t.dtype}")
     if t.min(initial=0) < 0 or t.max(initial=0) >= c:
         raise IndexError(f"cross_entropy: target outside [0, {c})")
 

@@ -46,6 +46,11 @@ _STREAM_NAMES = ("shuffle-labeled", "shuffle-pseudo", "shuffle-unlabeled",
 _STATE_KEYS = ("progress.epoch_next", "opt.kind", "opt.step",
                *(f"rng.{name}" for name in _STREAM_NAMES),
                "norm.mean", "norm.std", "data.classes")
+# Images per forward of a no-grad request (pseudo-labels, evaluation). A
+# stage-0 MLP activation of 8 default-config images (256 tokens x 64
+# channels, float64) is 1 MB, which stays in a 2 MB L2; at 64 images it
+# is 8 MB. Outputs do not depend on the chunk (see `_chunks`).
+INFER_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -278,7 +283,7 @@ class PseudoLabelSet:
 
 def generate_pseudo_labels(model: DCSWin, dataset: ArrayDataset,
                            unlabeled_ids: Sequence[str], tau: float,
-                           batch_size: int = 64) -> PseudoLabelSet:
+                           batch_size: int = INFER_CHUNK) -> PseudoLabelSet:
     """Inference over the unlabeled pool in manifest (lexicographic) order;
     keep argmax labels whose max softmax probability is strictly above tau.
     A softmax probability never exceeds 1, so tau >= 1 skips inference."""
@@ -513,7 +518,7 @@ def train(model: DCSWin, dataset: ArrayDataset, split: DatasetSplit,
         pseudo_precision: Optional[float] = None
         if epoch >= cfg.warmup_epochs and unlabeled_ids:
             pseudo = generate_pseudo_labels(model, dataset, unlabeled_ids,
-                                            cfg.tau, cfg.batch_size)
+                                            cfg.tau)
             pseudo_count = len(pseudo)
             if pseudo_count > 0:
                 p_ids, p_labels = pseudo.ids(), pseudo.labels()
@@ -563,20 +568,29 @@ def train(model: DCSWin, dataset: ArrayDataset, split: DatasetSplit,
 
 # ---- evaluation helpers -----------------------------------------------------
 
+def _chunks(n: int, size: int) -> list[tuple[int, int]]:
+    """[start, stop) bounds of `size`-long chunks covering n items, where a
+    last chunk of one item joins the one before it. NumPy computes a
+    one-row product through gemv, which rounds differently from the gemm
+    of a wider batch: at the default config a one-image chunk gives other
+    bits than one whole-request forward, and chunks of 2 or more do not."""
+    starts = list(range(0, n - 1, size)) or [0]
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def predict_probs(model: DCSWin, dataset: ArrayDataset, ids: Sequence[str],
-                  batch_size: int = 64) -> np.ndarray:
+                  batch_size: int = INFER_CHUNK) -> np.ndarray:
     """[n, num_classes] softmax probabilities, rows in id order."""
     out = []
     with no_grad():
-        for start in range(0, len(ids), batch_size):
-            chunk = list(ids[start:start + batch_size])
-            logits = model(Tensor(dataset.batch(chunk)))
+        for start, stop in _chunks(len(ids), batch_size):
+            logits = model(Tensor(dataset.batch(list(ids[start:stop]))))
             out.append(T.softmax(logits, axis=1).data)
     return np.concatenate(out, axis=0)
 
 
 def evaluate_model(model: DCSWin, dataset: ArrayDataset, ids: Sequence[str],
-                   batch_size: int = 64
+                   batch_size: int = INFER_CHUNK
                    ) -> tuple[dict[str, float], ConfusionMatrix, np.ndarray]:
     probs = predict_probs(model, dataset, ids, batch_size)
     truth = dataset.labels_for(ids)
@@ -618,18 +632,23 @@ def load_run_config(path: Union[str, Path]
     return section("model.", ModelConfig), section("train.", TrainConfig), rest
 
 
+def check_ids(dataset: ArrayDataset, ids: Sequence[str], source: str) -> None:
+    """Raise ConfigError naming `source` if an id is not in the dataset, so
+    a request fails before its first forward rather than inside one."""
+    missing = next((i for i in ids
+                    if not isinstance(i, str) or i not in dataset.index), None)
+    if missing is not None:
+        raise ConfigError(f"{source} names id {missing!r}, which is not in "
+                          "the dataset")
+
+
 def _check_split(dataset: ArrayDataset, split: DatasetSplit) -> None:
     """Every pool's ids are in the dataset; labeled and test are non-empty."""
     for pool in ("labeled", "unlabeled", "test"):
         ids = getattr(split, pool)
         if not ids and pool != "unlabeled":
             raise ConfigError(f"split's {pool} pool is empty")
-        missing = next((i for i in ids
-                        if not isinstance(i, str) or i not in dataset.index),
-                       None)
-        if missing is not None:
-            raise ConfigError(f"split's {pool} pool names id {missing!r}, "
-                              "which is not in the dataset")
+        check_ids(dataset, ids, f"split's {pool} pool")
 
 
 def run_experiment(dataset: ArrayDataset, split: DatasetSplit,

@@ -301,6 +301,51 @@ class TestTrainEval:
         assert err.startswith("error:") and key in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("source,needle", [
+        pytest.param("ids", "'class0/missing'", id="ids-unknown-id"),
+        pytest.param("ids-bytes", "not UTF-8", id="ids-not-utf8"),
+        pytest.param("split", "'class0/missing'", id="split-unknown-id"),
+    ])
+    def test_eval_bad_ids_is_runtime_error(self, workspace, tmp_path, capsys,
+                                           monkeypatch, source, needle):
+        forwards = []
+        monkeypatch.setattr(cli_mod, "evaluate_model",
+                            lambda *a, **k: forwards.append(a))
+        split = json.loads((workspace / "split.json").read_text())
+        if source == "split":
+            split["test"] = split["test"] + ["class0/missing"]
+            bad = tmp_path / "split.json"
+            bad.write_text(json.dumps(split))
+            ids_args = ["--split", str(bad), "--pool", "test"]
+        else:
+            bad = tmp_path / "ids.txt"
+            if source == "ids":
+                bad.write_text("\n".join(split["test"] + ["class0/missing"]))
+            else:
+                bad.write_bytes(b"class0/\xff\xfe\n")
+            ids_args = ["--ids", str(bad)]
+        rc = main(["eval", "--checkpoint",
+                   str(workspace / "run" / "seed0" / "state.dcsm"),
+                   "--manifest", str(workspace / "data" / "manifest.json"),
+                   *ids_args, "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_RUNTIME
+        assert err.startswith("error:") and needle in err
+        assert "Traceback" not in err
+        assert forwards == []
+
+    def test_train_config_not_utf8_is_runtime_error(self, workspace,
+                                                    tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes((workspace / "run.cfg").read_bytes() + b"# \xff\n")
+        rc = main(["train", "--config", str(cfg),
+                   "--split", str(workspace / "split.json"),
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_RUNTIME
+        assert err.startswith("error:") and "not UTF-8" in err
+        assert not (tmp_path / "out").exists()
+
     def test_corrupt_checkpoint_is_runtime_error(self, workspace, tmp_path,
                                                  capsys):
         argv = ["train", "--config", str(workspace / "run.cfg"),

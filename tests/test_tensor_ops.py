@@ -188,6 +188,14 @@ def test_cross_entropy_target_out_of_range():
         T.cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
 
 
+@pytest.mark.parametrize("targets", [np.array([0.7, 1.9]),
+                                     np.array([0.0, 1.0]),
+                                     np.array([True, False])])
+def test_cross_entropy_rejects_non_integer_targets(targets):
+    with pytest.raises(TypeError, match="integers"):
+        T.cross_entropy(Tensor(np.zeros((2, 3))), targets)
+
+
 def test_cross_entropy_empty_batch():
     with pytest.raises(ShapeError):
         T.cross_entropy(Tensor(np.zeros((0, 3))), np.array([], dtype=int))

@@ -349,14 +349,16 @@ class TestTrainLoop:
         real = trainer_mod.generate_pseudo_labels
 
         def counting(*args, **kwargs):
-            calls.append(args[2:])
+            calls.append(args[4:] + tuple(kwargs))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(trainer_mod, "generate_pseudo_labels", counting)
         cfg = fast_cfg(epochs=4, warmup_epochs=1, tau=0.3)
         train(DCSWin(ModelConfig.micro(num_classes=2), seed=0), dataset,
               split, cfg)
-        assert len(calls) == 3  # epochs 1, 2, 3
+        # epochs 1, 2, 3, each in the default inference chunk, not in
+        # cfg.batch_size
+        assert calls == [(), (), ()]
 
     def test_weighted_loss_is_exact_multiple(self, dataset, split):
         model = DCSWin(ModelConfig.micro(num_classes=2), seed=0)
@@ -597,10 +599,62 @@ class TestEvaluation:
             p.data = p.data + rng.standard_normal(p.data.shape) * 0.05
         ids = sorted(dataset.index)
         dataset.fit_normalization(ids)
-        whole = predict_probs(model, dataset, ids, batch_size=64)
-        for batch_size in (7, 4):
+        # 9 and 16 ids leave a last chunk of one image at 8, 5 and 4
+        for n_ids in (9, 16):
+            whole = predict_probs(model, dataset, ids[:n_ids],
+                                  batch_size=n_ids)
+            for batch_size in (trainer_mod.INFER_CHUNK, 7, 5, 4):
+                assert np.array_equal(predict_probs(
+                    model, dataset, ids[:n_ids], batch_size), whole)
+
+    @pytest.mark.parametrize("n_ids,batch_size,sizes", [
+        (64, None, [8] * 8),
+        (17, None, [8, 9]),
+        (9, None, [9]),
+        (1, None, [1]),
+        (9, 4, [4, 5]),
+        (2, 1, [2]),
+    ])
+    def test_no_grad_request_chunks(self, dataset, monkeypatch, n_ids,
+                                    batch_size, sizes):
+        """Requests run in chunks of INFER_CHUNK images, and a last chunk of
+        one image joins the chunk before it."""
+        model = DCSWin(ModelConfig.micro(num_classes=2), seed=0)
+        seen = []
+        real = model.forward
+        monkeypatch.setattr(model, "forward",
+                            lambda x: (seen.append(x.shape[0]), real(x))[1])
+        ids = (sorted(dataset.index) * 4)[:n_ids]
+        dataset.fit_normalization(sorted(dataset.index))
+        kwargs = {} if batch_size is None else {"batch_size": batch_size}
+        probs = predict_probs(model, dataset, ids, **kwargs)
+        assert seen == sizes and probs.shape == (n_ids, 2)
+
+    @pytest.mark.parametrize("arm", ["baseline", "full"])
+    def test_chunked_request_matches_one_forward_default_config(
+            self, tmp_path_factory, arm):
+        """At the default config a one-image forward rounds differently
+        from a wider batch (NumPy computes one-row products through gemv),
+        so this is where a one-image chunk would show; at the micro config
+        it does not."""
+        manifest = synth_generate(tmp_path_factory.mktemp("default64"),
+                                  num_classes=4, per_class=5, image_size=64,
+                                  seed=0)
+        data64 = ArrayDataset.from_manifest(manifest)
+        ids = sorted(data64.index)[:17]
+        data64.fit_normalization(ids)
+        model = DCSWin(ModelConfig().ablated(arm), seed=0)
+        rng = np.random.default_rng(3)
+        for p in model.named_params().values():
+            p.data = p.data + rng.standard_normal(p.data.shape) * 0.05
+        whole = predict_probs(model, data64, ids, batch_size=len(ids))
+        assert np.array_equal(predict_probs(model, data64, ids), whole)
+        for batch_size in (16, 4):
             assert np.array_equal(
-                predict_probs(model, dataset, ids, batch_size), whole)
+                predict_probs(model, data64, ids, batch_size), whole)
+        pair = predict_probs(model, data64, ids[:2], batch_size=2)
+        assert np.array_equal(
+            predict_probs(model, data64, ids[:2], batch_size=1), pair)
 
     def test_evaluate_model_returns_all_metrics(self, dataset, split):
         model = DCSWin(ModelConfig.micro(num_classes=2), seed=0)
