@@ -85,13 +85,30 @@ class DatasetManifest:
         except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON
             raise FormatError(f"manifest {path} is not valid JSON: {e}") from e
         try:
-            records = tuple(ManifestRecord(id=r["id"], path=r["path"],
-                                           label=r["label"], tag=r.get("tag"))
-                            for r in payload["records"])
-            return cls(classes=tuple(payload["classes"]), records=records,
-                       root=path.parent)
-        except (KeyError, TypeError) as e:
-            raise FormatError(f"manifest {path} missing field: {e}") from e
+            if not isinstance(payload, dict):
+                raise TypeError(f"the manifest must be an object, got "
+                                f"{type(payload).__name__}")
+            classes = _json_field(payload, "classes", _is_id_list,
+                                  "a list of strings")
+            records = tuple(_manifest_record(r, f"records[{i}]")
+                            for i, r in enumerate(_json_field(
+                                payload, "records", _is_list, "a list")))
+        except KeyError as e:
+            raise FormatError(f"manifest {path} missing field "
+                              f"{e.args[0]!r}") from e
+        except TypeError as e:
+            raise FormatError(f"manifest {path} is malformed: {e}") from e
+        return cls(classes=tuple(classes), records=records, root=path.parent)
+
+
+def _manifest_record(r, where: str) -> ManifestRecord:
+    if not isinstance(r, dict):
+        raise TypeError(f"{where} must be an object, got {type(r).__name__}")
+    fields = {name: _json_field(r, name, _is_str, "a string", where)
+              for name in ("id", "path", "label")}
+    if r.get("tag") is not None:
+        fields["tag"] = _json_field(r, "tag", _is_str, "a string", where)
+    return ManifestRecord(**fields)
 
 
 def scan_image_tree(root: Union[str, Path]) -> DatasetManifest:
@@ -168,6 +185,14 @@ class DatasetSplit:
             raise FormatError(f"split file {path} is malformed: {e}") from e
 
 
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+def _is_list(v) -> bool:
+    return isinstance(v, list)
+
+
 def _is_id_list(v) -> bool:
     return isinstance(v, list) and all(isinstance(i, str) for i in v)
 
@@ -180,10 +205,16 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _json_field(payload: dict, name: str, ok, want: str):
+def _json_field(payload: dict, name: str, ok, want: str, where: str = ""):
+    """`payload[name]` if `ok` accepts it. A missing key raises `KeyError`
+    and a wrong type `TypeError`, both naming the field (prefixed by
+    `where`, such as `records[3]`)."""
+    label = f"{where}.{name}" if where else name
+    if name not in payload:
+        raise KeyError(label)
     value = payload[name]
     if not ok(value):
-        raise TypeError(f"field {name!r} must be {want}, got "
+        raise TypeError(f"field {label!r} must be {want}, got "
                         f"{type(value).__name__}")
     return value
 
@@ -403,21 +434,32 @@ class ArrayDataset:
     @classmethod
     def from_manifest(cls, manifest: DatasetManifest,
                       image_size: Optional[int] = None) -> "ArrayDataset":
-        images = []
-        labels = []
-        ids = []
-        for rec in manifest.records:
+        """Decode every record, in manifest order, into one `[N,3,H,W]`
+        float64 array. `image_size` resizes each image that is not already
+        `image_size` square; without it every image must have the first
+        one's shape. Each image is copied into its row of the array, which
+        is allocated once from the first image's shape, so loading holds
+        one copy of the pixels and not a list of images next to a stacked
+        copy of them."""
+        records = manifest.records
+        if not records:
+            raise FormatError(f"manifest in {manifest.root} has no records")
+        images = None
+        for row, rec in enumerate(records):
             img = decode_image(manifest.root / rec.path)
             if image_size is not None and img.shape[1:] != (image_size, image_size):
                 img = resize_bilinear(img, (image_size, image_size))
-            images.append(img)
-            labels.append(manifest.label_index(rec.label))
-            ids.append(rec.id)
-        shapes = {img.shape for img in images}
-        if len(shapes) > 1:
-            raise FormatError(f"images disagree on shape: {sorted(shapes)}; "
-                              "pass image_size to resize")
-        return cls(ids, np.stack(images), np.asarray(labels),
+            if images is None:
+                images = np.empty((len(records),) + img.shape)
+            elif img.shape != images.shape[1:]:
+                raise FormatError(
+                    f"images disagree on shape: {rec.id!r} is {img.shape} "
+                    f"but {records[0].id!r} is {images.shape[1:]}; pass "
+                    "image_size to resize")
+            images[row] = img
+        labels = np.fromiter((manifest.label_index(rec.label)
+                              for rec in records), np.int64, len(records))
+        return cls((rec.id for rec in records), images, labels,
                    manifest.classes)
 
     def rows(self, ids: Sequence[str]) -> np.ndarray:

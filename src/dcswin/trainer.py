@@ -472,7 +472,8 @@ def train(model: DCSWin, dataset: ArrayDataset, split: DatasetSplit,
         if len(lines) < start_epoch:
             raise FormatError(f"epoch log {log_path} has {len(lines)} lines "
                               f"but checkpoint resumes at epoch {start_epoch}")
-        records = [json.loads(line) for line in lines]
+        records = [_epoch_record(line, log_path, n)
+                   for n, line in enumerate(lines, 1)]
         log_path.write_text("".join(line + "\n" for line in lines),
                             encoding="utf-8")
 
@@ -564,6 +565,19 @@ def train(model: DCSWin, dataset: ArrayDataset, split: DatasetSplit,
             break
 
     return records
+
+
+def _epoch_record(line: str, log_path: Path, n: int) -> dict:
+    """Line `n` of the epoch log, which must be one JSON object."""
+    try:
+        record = json.loads(line)
+    except (ValueError, RecursionError) as e:
+        raise FormatError(f"epoch log {log_path} line {n} is not valid "
+                          f"JSON: {e}") from e
+    if not isinstance(record, dict):
+        raise FormatError(f"epoch log {log_path} line {n} must be a JSON "
+                          f"object, got {type(record).__name__}")
+    return record
 
 
 # ---- evaluation helpers -----------------------------------------------------

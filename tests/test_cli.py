@@ -280,6 +280,26 @@ class TestTrainEval:
         assert rc == EXIT_RUNTIME
         assert "do not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_empty_manifest_is_runtime_error(self, workspace, tmp_path,
+                                             capsys, command):
+        empty = tmp_path / "manifest.json"
+        empty.write_text(json.dumps({"classes": ["class0", "class1"],
+                                     "records": []}))
+        if command == "train":
+            argv = ["train", "--config", str(workspace / "run.cfg")]
+        else:
+            argv = ["eval", "--checkpoint",
+                    str(workspace / "run" / "seed0" / "state.dcsm")]
+        rc = main(argv + ["--manifest", str(empty),
+                          "--split", str(workspace / "split.json"),
+                          "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_RUNTIME
+        assert err.startswith("error:") and "no records" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key,value", [
         pytest.param("norm.mean", "[0.5, oops", id="mean-not-json"),
         pytest.param("norm.std", "[0.5, 0.5]", id="std-two-values"),

@@ -1,6 +1,8 @@
 """Data pipeline tests: manifests, splits, codecs, resize, normalization,
 and the synthetic texture generator."""
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,8 +84,59 @@ class TestManifest:
         p = tmp_path / "manifest.json"
         p.write_text(json.dumps({"classes": ["a"],
                                  "records": [{"id": "a/x", "label": "a"}]}))
-        with pytest.raises(FormatError, match="missing field"):
+        with pytest.raises(FormatError,
+                           match=re.escape("missing field 'records[0].path'")):
             DatasetManifest.load(p)
+
+    @pytest.mark.parametrize("payload,field", [
+        pytest.param({"records": []}, "classes", id="classes"),
+        pytest.param({"classes": ["a"]}, "records", id="records"),
+        pytest.param({"classes": ["a"], "records": [
+            {"id": "a/x", "path": "a/x.ppm", "label": "a"},
+            {"path": "a/y.ppm", "label": "a"}]}, "records[1].id",
+            id="second-record-id"),
+    ])
+    def test_load_names_missing_field(self, tmp_path, payload, field):
+        p = tmp_path / "manifest.json"
+        p.write_text(json.dumps(payload))
+        with pytest.raises(FormatError,
+                           match=re.escape(f"missing field {field!r}")):
+            DatasetManifest.load(p)
+
+    @pytest.mark.parametrize("payload,needle", [
+        pytest.param({"classes": ["a"], "records": 3},
+                     "field 'records' must be a list, got int",
+                     id="records-int"),
+        pytest.param({"classes": 3, "records": []},
+                     "field 'classes' must be a list of strings, got int",
+                     id="classes-int"),
+        pytest.param({"classes": "ab", "records": []},
+                     "field 'classes' must be a list of strings, got str",
+                     id="classes-str"),
+        pytest.param({"classes": ["a"], "records": [3]},
+                     "records[0] must be an object, got int",
+                     id="record-int"),
+        pytest.param({"classes": ["a"], "records": [["a/x", "a/x.ppm", "a"]]},
+                     "records[0] must be an object, got list",
+                     id="record-list"),
+        pytest.param({"classes": ["a"], "records": [
+            {"id": 7, "path": "a/x.ppm", "label": "a"}]},
+            "field 'records[0].id' must be a string, got int",
+            id="record-id-int"),
+        pytest.param({"classes": ["a"], "records": [
+            {"id": "a/x", "path": "a/x.ppm", "label": "a", "tag": 40}]},
+            "field 'records[0].tag' must be a string, got int",
+            id="record-tag-int"),
+        pytest.param([1, 2], "the manifest must be an object, got list",
+                     id="payload-list"),
+    ])
+    def test_load_rejects_wrong_field_types(self, tmp_path, payload, needle):
+        p = tmp_path / "manifest.json"
+        p.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="is malformed") as info:
+            DatasetManifest.load(p)
+        assert needle in str(info.value)
+        assert "missing field" not in str(info.value)
 
 
 class TestScanImageTree:
@@ -476,10 +529,71 @@ class TestArrayDataset:
         write_constant_tree(tmp_path, {"a": [10]}, size=4)
         encode_ppm(tmp_path / "a" / "s1.ppm", np.full((3, 8, 8), 0.5))
         man = scan_image_tree(tmp_path)
-        with pytest.raises(FormatError, match="disagree on shape"):
+        with pytest.raises(FormatError, match=(
+                r"disagree on shape: 'a/s1' is \(3, 8, 8\) but 'a/s0' is "
+                r"\(3, 4, 4\); pass image_size to resize")):
             ArrayDataset.from_manifest(man)
         ds = ArrayDataset.from_manifest(man, image_size=4)
         assert ds.images.shape == (2, 3, 4, 4)
+
+    def test_empty_manifest_rejected(self, tmp_path):
+        man = DatasetManifest(classes=("a",), records=(), root=tmp_path)
+        with pytest.raises(FormatError, match="no records"):
+            ArrayDataset.from_manifest(man)
+
+    @pytest.mark.parametrize("image_size", [None, 6])
+    def test_from_manifest_matches_stacked_decodes(self, tmp_path,
+                                                   image_size):
+        """Every codec path lands in the dataset array bit for bit as
+        `np.stack` of the decoded (and resized) images would hold it."""
+        rng = np.random.default_rng(0)
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        encode_ppm(tmp_path / "a" / "p6.ppm", rng.random((3, 6, 6)))
+        raster = rng.integers(0, 65536, 6 * 6 * 3).astype(">u2").tobytes()
+        (tmp_path / "a" / "p6_16bit.ppm").write_bytes(
+            b"P6\n6 6\n65535\n" + raster)
+        (tmp_path / "a" / "p5.pgm").write_bytes(
+            b"P5\n6 6\n200\n" + bytes(rng.integers(0, 201, 36).tolist()))
+        signed = rng.standard_normal((3, 6, 6))
+        signed[0, 0, 0] = -0.0
+        save_tensor_image(tmp_path / "b" / "rgb.dcst", signed)
+        save_tensor_image(tmp_path / "b" / "gray.dcst", rng.random((6, 6)))
+        if image_size is not None:
+            encode_ppm(tmp_path / "b" / "big.ppm", rng.random((3, 9, 7)))
+        man = scan_image_tree(tmp_path)
+        ds = ArrayDataset.from_manifest(man, image_size=image_size)
+        decoded = [decode_image(tmp_path / rec.path) for rec in man.records]
+        if image_size is not None:
+            decoded = [resize_bilinear(img, (image_size, image_size))
+                       for img in decoded]
+        want = np.stack(decoded)
+        assert ds.images.dtype == want.dtype and ds.images.shape == want.shape
+        assert ds.images.tobytes() == want.tobytes()
+        assert np.signbit(ds.images[ds.index["b/rgb"], 0, 0, 0])
+        assert ds.labels.tolist() == [man.label_index(r.label)
+                                      for r in man.records]
+        assert ds.ids == [r.id for r in man.records]
+
+    def test_from_manifest_holds_one_copy_of_the_pixels(self, tmp_path):
+        """Loading allocates the dataset array once and fills it image by
+        image: the traced peak stays near one copy of the pixels, where
+        decoding into a list and stacking it holds two."""
+        rng = np.random.default_rng(1)
+        for cls in ("a", "b"):
+            (tmp_path / cls).mkdir()
+            for j in range(20):
+                encode_ppm(tmp_path / cls / f"s{j:02d}.ppm",
+                           rng.random((3, 32, 32)))
+        man = scan_image_tree(tmp_path)
+        tracemalloc.start()
+        try:
+            ds = ArrayDataset.from_manifest(man)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.images.shape == (40, 3, 32, 32)
+        assert peak < 1.25 * ds.images.nbytes
 
     def test_inconsistent_arrays_rejected(self):
         with pytest.raises(ShapeError, match="inconsistent"):

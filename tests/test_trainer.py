@@ -1,6 +1,7 @@
 """Training loop tests: config and schedules, optimizers, pseudo-label
 generation, warmup purity, supervised-arm equivalence, and resume."""
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -483,6 +484,34 @@ class TestTrainLoop:
         with pytest.raises(FormatError, match="has 0 lines"):
             train(DCSWin(ModelConfig.micro(num_classes=2), seed=0), dataset,
                   split, cfg, run_dir=tmp_path)
+
+    @pytest.mark.parametrize("line,needle", [
+        pytest.param('{"epoch": 1, "labeled_lo', "is not valid JSON",
+                     id="garbled"),
+        pytest.param("[1,2]", "must be a JSON object, got list",
+                     id="json-list"),
+    ])
+    def test_resume_rejects_corrupt_log_line(self, dataset, split, tmp_path,
+                                             line, needle):
+        """A log line the checkpoint vouches for that is not a JSON object
+        raises FormatError naming the file and line before anything is
+        written."""
+        cfg = fast_cfg(epochs=3)
+        train(DCSWin(ModelConfig.micro(num_classes=2), seed=0), dataset,
+              split, cfg, run_dir=tmp_path, stop_after=2)
+        log_path = tmp_path / "epochs.jsonl"
+        lines = log_path.read_text().splitlines()
+        log_path.write_text(f"{lines[0]}\n{line}\n")
+        log = log_path.read_bytes()
+        state = (tmp_path / "state.dcsm").read_bytes()
+        events = []
+        with pytest.raises(FormatError,
+                           match=re.escape(f"{log_path} line 2 {needle}")):
+            train(DCSWin(ModelConfig.micro(num_classes=2), seed=0), dataset,
+                  split, cfg, run_dir=tmp_path, step_listener=events.append)
+        assert events == []
+        assert log_path.read_bytes() == log
+        assert (tmp_path / "state.dcsm").read_bytes() == state
 
     @pytest.mark.parametrize("key,value", [
         pytest.param("opt.m.head.b", lambda a: np.zeros(1), id="moment-(1,)"),
