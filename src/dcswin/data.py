@@ -4,14 +4,15 @@ A dataset on disk is a directory of class-named subdirectories holding
 binary PPM (P6) / PGM (P5) images or raw tensor files. The manifest is a
 JSON file listing classes and records; record ids are class-prefixed
 (`<class>/<stem>`) and ordered lexicographically, and every path is
-relative to the manifest's directory.
+relative to the manifest's directory and stays inside it: `load` rejects
+an absolute path or one with a `..` component.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePath
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -96,7 +97,7 @@ class DatasetManifest:
         except KeyError as e:
             raise FormatError(f"manifest {path} missing field "
                               f"{e.args[0]!r}") from e
-        except TypeError as e:
+        except (TypeError, ValueError) as e:
             raise FormatError(f"manifest {path} is malformed: {e}") from e
         return cls(classes=tuple(classes), records=records, root=path.parent)
 
@@ -108,6 +109,10 @@ def _manifest_record(r, where: str) -> ManifestRecord:
               for name in ("id", "path", "label")}
     if r.get("tag") is not None:
         fields["tag"] = _json_field(r, "tag", _is_str, "a string", where)
+    rel = PurePath(fields["path"])
+    if rel.is_absolute() or ".." in rel.parts:
+        raise ValueError(f"field '{where}.path' must stay inside the "
+                         f"manifest's directory, got {fields['path']!r}")
     return ManifestRecord(**fields)
 
 

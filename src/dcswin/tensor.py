@@ -27,6 +27,12 @@ Conventions:
     broadcasts: the bias of `linear` over the leading axes, and the
     additive constant mask of `multihead_attention` over heads and over
     the batch-major windows;
+  * inside a request scope (`_request_buffers`, entered by
+    `trainer.predict_probs`), the large arrays of `linear`, `gelu`,
+    `layer_norm`, `multihead_attention`, `add` and the `reshape`/`permute`
+    copies may be views of recycled buffers that no live array
+    references any more. Only where results are written changes, so
+    values are the same bits, and still no op writes into its inputs;
   * checked mode (default on) rejects NaN/Inf with a `NumericsError` that
     names the op that produced it. Every op screens its output, except
     inside a model forward: `DCSWin.forward` screens only its logits and,
@@ -41,8 +47,10 @@ reset by `backward`. `no_grad()` suspends recording entirely.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import sys
 from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
@@ -66,6 +74,8 @@ _grad_enabled: bool = True
 _checked: bool = True
 # set inside a model forward, which screens its logits instead of each op
 _deferred: bool = False
+# flat float64 buffers by ascending size, inside a request scope only
+_pool: Optional[list[np.ndarray]] = None
 
 
 def is_checked() -> bool:
@@ -108,6 +118,49 @@ def _deferred_screening():
         yield
     finally:
         _deferred = prev
+
+
+@contextmanager
+def _request_buffers():
+    """Ops draw their large arrays from a pool of flat buffers (see `_empty`)
+    that lives until the scope exits, so a request's chunks reuse the
+    memory of the chunks before them instead of the heap returning it to
+    the system and faulting it back."""
+    global _pool
+    prev = _pool
+    _pool = []
+    try:
+        yield
+    finally:
+        _pool = prev
+
+
+def _empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array of `shape`. Inside a request scope it
+    is a view of the first elements of the smallest pooled buffer that is
+    large enough and that no array references: every NumPy view names
+    the buffer that owns its memory as its base, so the buffer's reference
+    count says exactly whether anything still reads it."""
+    if _pool is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    for buf in _pool:
+        # the pool's slot, `buf` and the call's argument: no view is left
+        if buf.size >= size and sys.getrefcount(buf) == 3:
+            break
+    else:
+        buf = np.empty(size)
+        bisect.insort(_pool, buf, key=len)
+    return buf[:size].reshape(shape)
+
+
+def _contiguous(a: np.ndarray) -> np.ndarray:
+    """`a` if it is C-contiguous, else a copy of it from `_empty`."""
+    if a.flags.c_contiguous:
+        return a
+    out = _empty(a.shape)
+    np.copyto(out, a)
+    return out
 
 
 def _screen(arr: np.ndarray, what: str) -> None:
@@ -310,7 +363,8 @@ def trunc_normal(shape, rng: np.random.Generator, std: float = 0.02,
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
-    return _finish(a.data + b.data, (a, b), lambda g: (g, g), "add")
+    out = np.add(a.data, b.data, out=_empty(a.data.shape))
+    return _finish(out, (a, b), lambda g: (g, g), "add")
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
@@ -389,13 +443,13 @@ def gelu(a: Tensor) -> Tensor:
     halving a product is exact outside the subnormal range.
     """
     x = a.data
-    th = x * x
+    th = np.multiply(x, x, out=_empty(x.shape))
     th *= x
     th *= _GELU_A
     th += x
     th *= _GELU_C
     np.tanh(th, out=th)
-    out = th + 1.0
+    out = np.add(th, 1.0, out=_empty(x.shape))
     out *= x
     out *= 0.5
 
@@ -450,11 +504,10 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     src = a.data.shape
     try:
-        out = np.reshape(a.data, shape)
+        out = _contiguous(a.data).reshape(shape)
     except ValueError as e:
         raise ShapeError(f"reshape: {src} has {a.data.size} elements, "
                          f"target {shape} disagrees") from e
-    out = np.ascontiguousarray(out)
     return _finish(out, (a,), lambda g: (g.reshape(src),), "reshape")
 
 
@@ -464,7 +517,7 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
         raise ShapeError(f"permute: {axes} is not a permutation of axes "
                          f"of shape {a.data.shape}")
     inv = np.argsort(axes)
-    out = np.ascontiguousarray(np.transpose(a.data, axes))
+    out = _contiguous(np.transpose(a.data, axes))
     return _finish(out, (a,), lambda g: (np.ascontiguousarray(np.transpose(g, inv)),),
                    "permute")
 
@@ -665,8 +718,9 @@ def _attention_probs(qd: np.ndarray, kd: np.ndarray, num_heads: int,
     # k^T is the one head-split copy: with it every product below runs
     # on operands oriented as a plain batched matmul would orient them,
     # so results round exactly as that matmul chain does
-    kt = np.ascontiguousarray(_heads(kd, num_heads).transpose(0, 1, 3, 2))
-    probs = np.matmul(_heads(qd, num_heads), kt)
+    kt = _contiguous(_heads(kd, num_heads).transpose(0, 1, 3, 2))
+    probs = np.matmul(_heads(qd, num_heads), kt,
+                      out=_empty((n, num_heads, lq, lk)))
     probs *= 1.0 / math.sqrt(c // num_heads)
     _screen(probs, "attention logits")
     if mask is not None:
@@ -709,7 +763,7 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     probs, kt = _attention_probs(qd, kd, num_heads, mask)
     inv_sqrt_d = 1.0 / math.sqrt(qd.shape[2] // num_heads)
     kshape = kd.shape  # the rule reads k only through kt
-    out = np.empty(qd.shape)
+    out = _empty(qd.shape)
     np.matmul(probs, _heads(vd, num_heads), out=_heads(out, num_heads))
 
     def bw(g):
@@ -818,9 +872,9 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         raise ShapeError(f"linear expects [..., K] and [K, N], got {xd.shape} "
                          f"and {wd.shape}")
     n = wd.shape[1]
-    x2 = xd.reshape(-1, xd.shape[-1])
+    x2 = _contiguous(xd).reshape(-1, xd.shape[-1])
     xshape, need_dx = xd.shape, x.requires_grad
-    out = x2 @ wd
+    out = np.matmul(x2, wd, out=_empty((x2.shape[0], n)))
     inputs: tuple[Tensor, ...] = (x, w)
     if b is not None:
         if b.data.shape != (n,):
@@ -849,13 +903,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         if p.data.shape != (c,):
             raise ShapeError(f"layer_norm: {name} shape {p.data.shape} != ({c},)")
     xd, gd = x.data, gamma.data
-    xn = xd - xd.mean(axis=-1, keepdims=True)  # centred here, scaled below
-    var = (xn * xn).mean(axis=-1, keepdims=True)
+    # centred here, scaled below
+    xn = np.subtract(xd, xd.mean(axis=-1, keepdims=True), out=_empty(xd.shape))
+    var = np.multiply(xn, xn, out=_empty(xd.shape)).mean(axis=-1, keepdims=True)
     # squares that overflow would otherwise normalize x to 0 and return beta
     _screen(var, "layer_norm variance")
     denom = np.sqrt(var + eps)
     xn /= denom
-    out = xn * gd
+    out = np.multiply(xn, gd, out=_empty(xd.shape))
     out += beta.data
     lead = tuple(range(xd.ndim - 1))
 

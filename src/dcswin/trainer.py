@@ -594,9 +594,10 @@ def _chunks(n: int, size: int) -> list[tuple[int, int]]:
 
 def predict_probs(model: DCSWin, dataset: ArrayDataset, ids: Sequence[str],
                   batch_size: int = INFER_CHUNK) -> np.ndarray:
-    """[n, num_classes] softmax probabilities, rows in id order."""
+    """[n, num_classes] softmax probabilities, rows in id order. The chunks
+    share one pool of op buffers (`tensor._request_buffers`)."""
     out = []
-    with no_grad():
+    with no_grad(), T._request_buffers():
         for start, stop in _chunks(len(ids), batch_size):
             logits = model(Tensor(dataset.batch(list(ids[start:stop]))))
             out.append(T.softmax(logits, axis=1).data)

@@ -300,6 +300,27 @@ class TestTrainEval:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_manifest_path_outside_its_directory_is_runtime_error(
+            self, workspace, tmp_path, capsys, command):
+        payload = json.loads((workspace / "data" / "manifest.json").read_text())
+        payload["records"][0]["path"] = "../" + payload["records"][0]["path"]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(payload))
+        if command == "train":
+            argv = ["train", "--config", str(workspace / "run.cfg")]
+        else:
+            argv = ["eval", "--checkpoint",
+                    str(workspace / "run" / "seed0" / "state.dcsm")]
+        rc = main(argv + ["--manifest", str(manifest),
+                          "--split", str(workspace / "split.json"),
+                          "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_RUNTIME
+        assert err.startswith("error:") and "'records[0].path'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key,value", [
         pytest.param("norm.mean", "[0.5, oops", id="mean-not-json"),
         pytest.param("norm.std", "[0.5, 0.5]", id="std-two-values"),

@@ -138,6 +138,18 @@ class TestManifest:
         assert needle in str(info.value)
         assert "missing field" not in str(info.value)
 
+    @pytest.mark.parametrize("bad", ["/abs/x.ppm", "../other/x.ppm",
+                                     "a/../../x.ppm"])
+    def test_load_rejects_paths_outside_its_directory(self, tmp_path, bad):
+        p = tmp_path / "manifest.json"
+        p.write_text(json.dumps({"classes": ["a"], "records": [
+            {"id": "a/x", "path": "a/x.ppm", "label": "a"},
+            {"id": "a/y", "path": bad, "label": "a"}]}))
+        with pytest.raises(FormatError, match="is malformed") as info:
+            DatasetManifest.load(p)
+        assert "'records[1].path'" in str(info.value)
+        assert repr(bad) in str(info.value)
+
 
 class TestScanImageTree:
     def write_tree(self, root, layout):

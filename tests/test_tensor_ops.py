@@ -554,3 +554,30 @@ def test_trunc_normal_within_two_deviations():
     t = T.trunc_normal((1000,), rng, std=0.02)
     assert np.max(np.abs(t.data)) <= 0.04 + 1e-15
     assert 0.01 < t.data.std() < 0.03
+
+
+# ---- request buffers ------------------------------------------------------------
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def test_request_scope_keeps_held_outputs_and_recycles_dead_ones():
+    """Inside a request scope an `add` output that is still held keeps its
+    values while later ops of the same size run, and an output that
+    nothing holds any more lends its memory to the next op that fits."""
+    rng = np.random.default_rng(16)
+    a, b = (Tensor(rng.standard_normal((4, 6, 8))) for _ in range(2))
+    w = Tensor(rng.standard_normal((8, 8)))
+    with no_grad(), T._request_buffers():
+        held = T.add(a, b)
+        for _ in range(3):
+            T.add(b, b)
+            T.gelu(a)
+            T.layer_norm(b, T.ones((8,)), T.zeros((8,)))
+            T.linear(a, w)
+            T.permute(b, (0, 2, 1))
+        assert np.array_equal(held.data, a.data + b.data)
+        dead = _address(T.add(b, b).data)
+        assert _address(T.add(a, a).data) == dead
+    assert T._pool is None

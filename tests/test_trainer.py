@@ -2,6 +2,7 @@
 generation, warmup purity, supervised-arm equivalence, and resume."""
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -684,6 +685,77 @@ class TestEvaluation:
         pair = predict_probs(model, data64, ids[:2], batch_size=2)
         assert np.array_equal(
             predict_probs(model, data64, ids[:2], batch_size=1), pair)
+
+    @staticmethod
+    def _noisy_model(arm):
+        model = DCSWin(ModelConfig.micro(num_classes=2).ablated(arm), seed=0)
+        # a fresh init zeroes the residual branches' output projections
+        rng = np.random.default_rng(3)
+        for p in model.named_params().values():
+            p.data = p.data + rng.standard_normal(p.data.shape) * 0.05
+        return model
+
+    @staticmethod
+    def _unpooled(model, dataset, ids):
+        """`predict_probs`' chunk loop without its request scope."""
+        out = []
+        with T.no_grad():
+            for start, stop in trainer_mod._chunks(len(ids),
+                                                   trainer_mod.INFER_CHUNK):
+                logits = model(Tensor(dataset.batch(list(ids[start:stop]))))
+                out.append(T.softmax(logits, axis=1).data)
+        return np.concatenate(out, axis=0)
+
+    @pytest.mark.parametrize("n_ids", [64, 17])
+    @pytest.mark.parametrize("arm", sorted(ARMS))
+    def test_request_buffers_leave_probs_bit_identical(self, dataset, arm,
+                                                       n_ids):
+        """With 17 ids the last chunk joins the one before it, so the pool
+        serves a second, wider chunk after the first."""
+        model = self._noisy_model(arm)
+        ids = (sorted(dataset.index) * 4)[:n_ids]
+        dataset.fit_normalization(sorted(dataset.index))
+        probs = predict_probs(model, dataset, ids)
+        assert probs.tobytes() == self._unpooled(model, dataset, ids).tobytes()
+
+    def test_request_result_survives_the_next_request(self, dataset):
+        model = self._noisy_model("full")
+        ids = sorted(dataset.index) * 4
+        dataset.fit_normalization(sorted(dataset.index))
+        first = predict_probs(model, dataset, ids)
+        kept = first.copy()
+        second = predict_probs(model, dataset, ids[::-1])
+        assert np.array_equal(first, kept)
+        assert np.array_equal(second, kept[::-1])
+
+    def test_request_buffers_do_not_grow_with_chunks(self, dataset):
+        """The traced peak of a 64-image request (8 chunks) stays near that
+        of a 16-image one (2 chunks), and every NumPy buffer of a request
+        is freed once it returns."""
+        model = self._noisy_model("full")
+        ids = sorted(dataset.index) * 4
+        dataset.fit_normalization(sorted(dataset.index))
+        predict_probs(model, dataset, ids)  # warm any lazily built state
+
+        def numpy_bytes():
+            snap = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+            return sum(trace.size for trace in snap.traces)
+
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for n in (16, 64):
+                before = numpy_bytes()
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                probs = predict_probs(model, dataset, ids[:n])
+                peaks[n] = tracemalloc.get_traced_memory()[1] - base
+                del probs
+                assert numpy_bytes() == before
+        finally:
+            tracemalloc.stop()
+        assert peaks[64] <= 1.25 * peaks[16]
 
     def test_evaluate_model_returns_all_metrics(self, dataset, split):
         model = DCSWin(ModelConfig.micro(num_classes=2), seed=0)
