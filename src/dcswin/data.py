@@ -294,8 +294,10 @@ def _read_header_token(buf: bytes, pos: int, what: str) -> tuple[bytes, int]:
     return buf[start:pos], pos
 
 
-def decode_ppm_bytes(buf: bytes, origin: str = "<bytes>") -> np.ndarray:
-    """Binary PPM (P6) or PGM (P5) -> float64 [3,H,W] in [0,1]; grayscale is
+def decode_ppm_samples(buf: bytes, origin: str = "<bytes>"
+                       ) -> tuple[np.ndarray, int]:
+    """Binary PPM (P6) or PGM (P5) -> its samples as [3,H,W] native-endian
+    uint8 (maxval below 256) or uint16, and its maxval; grayscale is
     replicated across channels. Errors cite byte offsets."""
     magic = buf[:2]
     if magic not in (b"P6", b"P5"):
@@ -329,7 +331,7 @@ def decode_ppm_bytes(buf: bytes, origin: str = "<bytes>") -> np.ndarray:
     if len(buf) > pos + expected:
         raise FormatError(f"{origin}: {len(buf) - pos - expected} trailing "
                           f"bytes after raster at byte {pos + expected}")
-    dtype = np.uint8 if itemsize == 1 else np.dtype(">u2")
+    dtype = np.dtype(np.uint8) if itemsize == 1 else np.dtype(">u2")
     samples = np.frombuffer(raster, dtype=dtype)
     # a sample above maxval would decode above 1; none can be at the
     # dtype's own maximum (255 or 65535), so that common case skips the scan
@@ -337,13 +339,25 @@ def decode_ppm_bytes(buf: bytes, origin: str = "<bytes>") -> np.ndarray:
         over = int(np.argmax(samples > maxval))
         raise FormatError(f"{origin}: sample {samples[over]} exceeds maxval "
                           f"{maxval} at byte {pos + over * itemsize}")
-    data = samples.astype(np.float64) / maxval
     if channels == 3:
-        img = data.reshape(height, width, 3).transpose(2, 0, 1)
+        img = samples.reshape(height, width, 3).transpose(2, 0, 1)
     else:
-        img = np.broadcast_to(data.reshape(1, height, width),
-                              (3, height, width)).copy()
-    return np.ascontiguousarray(img)
+        img = np.broadcast_to(samples.reshape(1, height, width),
+                              (3, height, width))
+    return np.ascontiguousarray(img, dtype=dtype.newbyteorder("=")), maxval
+
+
+def decode_ppm_bytes(buf: bytes, origin: str = "<bytes>") -> np.ndarray:
+    """Binary PPM (P6) or PGM (P5) -> float64 [3,H,W] in [0,1], each sample
+    divided by maxval."""
+    return _unit(*decode_ppm_samples(buf, origin))
+
+
+def _unit(samples: np.ndarray, maxval: int) -> np.ndarray:
+    """Integer samples -> float64 values in [0,1]: `samples / maxval`."""
+    out = samples.astype(np.float64)
+    out /= maxval
+    return out
 
 
 def encode_ppm(path: Union[str, Path], img: np.ndarray) -> None:
@@ -360,10 +374,19 @@ def encode_ppm(path: Union[str, Path], img: np.ndarray) -> None:
 
 def decode_image(path: Union[str, Path]) -> np.ndarray:
     """Decode one dataset file to float64 [3,H,W] in [0,1]."""
+    img, maxval = decode_image_samples(path)
+    return img if maxval is None else _unit(img, maxval)
+
+
+def decode_image_samples(path: Union[str, Path]
+                         ) -> tuple[np.ndarray, Optional[int]]:
+    """Decode one dataset file to the [3,H,W] values it stores: a PPM/PGM's
+    integer samples and maxval (`decode_ppm_samples`), or a `.dcst`
+    tensor's float64 values and None."""
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix in (".ppm", ".pgm"):
-        return decode_ppm_bytes(path.read_bytes(), origin=str(path))
+        return decode_ppm_samples(path.read_bytes(), origin=str(path))
     if suffix == ".dcst":
         arr = np.asarray(load_tensor(path), dtype=np.float64)
         if arr.ndim == 2:
@@ -371,7 +394,7 @@ def decode_image(path: Union[str, Path]) -> np.ndarray:
         if arr.ndim != 3 or arr.shape[0] != 3:
             raise FormatError(f"{path}: tensor image must be [3,H,W] or [H,W], "
                               f"got {arr.shape}")
-        return np.ascontiguousarray(arr)
+        return np.ascontiguousarray(arr), None
     raise FormatError(f"{path}: unknown image extension {suffix!r} "
                       f"(supported: {', '.join(IMAGE_EXTENSIONS)})")
 
@@ -415,16 +438,25 @@ def resize_bilinear(img: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
 # ---- in-memory dataset --------------------------------------------------------
 
 class ArrayDataset:
-    """Decoded dataset held in memory with per-channel normalization.
+    """Dataset held in memory with per-channel normalization.
 
-    Normalization statistics are fit on an explicit id pool (the labeled
-    training pool) and then applied to every sample served.
+    `images` holds the samples the files store, `[N,3,H,W]` uint8 or
+    uint16, and `scale` their shared maxval; any other array is held as
+    float64 values with `scale` 1.0. `pixels` reads the decoded values,
+    `images / scale`. Normalization statistics are fit on an explicit id
+    pool (the labeled training pool) and then applied to every sample
+    served.
     """
 
     def __init__(self, ids: Sequence[str], images: np.ndarray,
-                 labels: np.ndarray, class_names: Sequence[str]):
+                 labels: np.ndarray, class_names: Sequence[str],
+                 scale: float = 1.0):
         self.ids = list(ids)
-        self.images = np.asarray(images, dtype=np.float64)
+        images = np.asarray(images)
+        if images.dtype not in (np.uint8, np.uint16):
+            images = images.astype(np.float64, copy=False)
+        self.images = images
+        self.scale = float(scale)
         self.labels = np.asarray(labels, dtype=np.int64)
         self.class_names = tuple(class_names)
         if self.images.ndim != 4 or self.images.shape[0] != len(self.ids) \
@@ -439,33 +471,46 @@ class ArrayDataset:
     @classmethod
     def from_manifest(cls, manifest: DatasetManifest,
                       image_size: Optional[int] = None) -> "ArrayDataset":
-        """Decode every record, in manifest order, into one `[N,3,H,W]`
-        float64 array. `image_size` resizes each image that is not already
-        `image_size` square; without it every image must have the first
-        one's shape. Each image is copied into its row of the array, which
-        is allocated once from the first image's shape, so loading holds
-        one copy of the pixels and not a list of images next to a stacked
-        copy of them."""
+        """Load every record, in manifest order, into one `[N,3,H,W]` array.
+        `image_size` resizes each image that is not already `image_size`
+        square; without it every image must have the first one's shape.
+
+        When every image is a PPM/PGM with one maxval and none is resized,
+        the array holds the files' samples (one byte each below maxval
+        256) and `scale` is that maxval. A `.dcst` record, a resized image
+        or a second maxval makes it float64 values in [0,1] with `scale`
+        1.0; the rows already loaded are converted once. Either way the
+        array is allocated once, from the first image's shape, and each
+        image is copied into its row, so loading holds one copy of the
+        images and not a list of them next to a stacked copy."""
         records = manifest.records
         if not records:
             raise FormatError(f"manifest in {manifest.root} has no records")
-        images = None
+        images = maxval = None
         for row, rec in enumerate(records):
-            img = decode_image(manifest.root / rec.path)
+            img, img_maxval = decode_image_samples(manifest.root / rec.path)
             if image_size is not None and img.shape[1:] != (image_size, image_size):
+                if img_maxval is not None:
+                    img, img_maxval = _unit(img, img_maxval), None
                 img = resize_bilinear(img, (image_size, image_size))
             if images is None:
-                images = np.empty((len(records),) + img.shape)
+                images = np.empty((len(records),) + img.shape, img.dtype)
+                maxval = img_maxval
             elif img.shape != images.shape[1:]:
                 raise FormatError(
                     f"images disagree on shape: {rec.id!r} is {img.shape} "
                     f"but {records[0].id!r} is {images.shape[1:]}; pass "
                     "image_size to resize")
+            if img_maxval != maxval:  # from here on, hold float64 values
+                if maxval is not None:
+                    images, maxval = _unit(images, maxval), None
+                if img_maxval is not None:
+                    img = _unit(img, img_maxval)
             images[row] = img
         labels = np.fromiter((manifest.label_index(rec.label)
                               for rec in records), np.int64, len(records))
         return cls((rec.id for rec in records), images, labels,
-                   manifest.classes)
+                   manifest.classes, 1.0 if maxval is None else maxval)
 
     def rows(self, ids: Sequence[str]) -> np.ndarray:
         try:
@@ -477,8 +522,7 @@ class ArrayDataset:
     def fit_normalization(self, labeled_ids: Sequence[str]
                           ) -> tuple[np.ndarray, np.ndarray]:
         """Per-channel mean/std over the given pool only (floor std at 1e-6)."""
-        rows = self.rows(sorted(labeled_ids))
-        pool = self.images[rows]
+        pool = self.pixels(sorted(labeled_ids))
         mean = pool.mean(axis=(0, 2, 3))
         std = np.maximum(pool.std(axis=(0, 2, 3)), 1e-6)
         self.set_normalization(mean, std)
@@ -496,13 +540,22 @@ class ArrayDataset:
         digest.update(self.norm_std.tobytes())
         return digest.hexdigest()
 
+    def pixels(self, ids: Sequence[str]) -> np.ndarray:
+        """Decoded float64 [n,3,H,W] values in id order, `images / scale`:
+        the same bits `decode_image` (and `resize_bilinear`) give."""
+        out = self.images[self.rows(ids)].astype(np.float64, copy=False)
+        out /= self.scale
+        return out
+
     def batch(self, ids: Sequence[str]) -> np.ndarray:
-        """Normalized [n,3,H,W] batch in id order."""
+        """Normalized [n,3,H,W] batch in id order, `(pixels - mean) / std`
+        computed in place in one array."""
         if self.norm_mean is None:
             raise ConfigError("normalization has not been fit")
-        raw = self.images[self.rows(ids)]
-        return (raw - self.norm_mean[None, :, None, None]) \
-            / self.norm_std[None, :, None, None]
+        out = self.pixels(ids)
+        out -= self.norm_mean[:, None, None]
+        out /= self.norm_std[:, None, None]
+        return out
 
     def labels_for(self, ids: Sequence[str]) -> np.ndarray:
         return self.labels[self.rows(ids)]

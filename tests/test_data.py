@@ -15,6 +15,7 @@ from dcswin.data import (
     class_frequencies,
     decode_image,
     decode_ppm_bytes,
+    decode_ppm_samples,
     encode_ppm,
     resize_bilinear,
     save_tensor_image,
@@ -347,6 +348,16 @@ class TestDecodePPM:
         assert np.array_equal(img[:, 0, 0],
                               np.array([65535, 0, 32768]) / 65535.0)
 
+    def test_samples_keep_the_files_integers(self):
+        raster = np.array([65535, 0, 32768], dtype=">u2").tobytes()
+        samples, maxval = decode_ppm_samples(b"P6\n1 1\n65535\n" + raster)
+        assert samples.dtype == np.dtype("=u2") and maxval == 65535
+        assert samples[:, 0, 0].tolist() == [65535, 0, 32768]
+        samples, maxval = decode_ppm_samples(b"P5\n2 1\n200\n"
+                                             + bytes([7, 200]))
+        assert samples.dtype == np.uint8 and maxval == 200
+        assert samples.tolist() == [[[7, 200]]] * 3
+
     def test_header_comments_and_whitespace(self):
         buf = b"P6 # magic\n  2\t1 # size\n# maxval next\n255\n" + bytes(6)
         img = decode_ppm_bytes(buf)
@@ -486,13 +497,87 @@ def write_constant_tree(root, values_by_class, size=4):
                        np.full((3, size, size), v / 255.0))
 
 
+def write_raster(path, magic, maxval, samples):
+    """A binary PPM (`samples` [H,W,3]) or PGM ([H,W]) with `maxval`."""
+    h, w = samples.shape[:2]
+    dtype = np.uint8 if maxval < 256 else ">u2"
+    path.write_bytes(f"{magic}\n{w} {h}\n{maxval}\n".encode()
+                     + samples.astype(dtype).tobytes())
+
+
+# Per tree: the source of each of its six files (a/s0..a/s2, then
+# b/s0..b/s2, which is manifest order) as (kind, maxval, [H,W]), the
+# `image_size` it loads with, and the dtype and scale the dataset must hold.
+CODEC_TREES = {
+    "p6_8bit": ([("P6", 255, (6, 6))] * 6, None, np.uint8, 255.0),
+    "p6_16bit": ([("P6", 65535, (6, 6))] * 6, None, np.uint16, 65535.0),
+    "p5_maxval_200": ([("P5", 200, (6, 6))] * 6, None, np.uint8, 200.0),
+    "dcst_negative_zero": ([("dcst", None, (6, 6))] * 6, None, np.float64,
+                           1.0),
+    "resized": ([("P6", 255, (6, 6))] * 5 + [("P6", 255, (9, 7))], 6,
+                np.float64, 1.0),
+    "mixed": ([("P6", 255, (6, 6)), ("P6", 255, (6, 6)),
+               ("P5", 200, (6, 6)), ("P6", 65535, (6, 6)),
+               ("dcst", None, (6, 6)), ("P5", 255, (6, 6))], None,
+              np.float64, 1.0),
+}
+
+
+def write_codec_tree(root, sources, rng):
+    for j, (kind, maxval, (h, w)) in enumerate(sources):
+        folder = root / "ab"[j // 3]
+        folder.mkdir(exist_ok=True)
+        if kind == "dcst":
+            img = rng.standard_normal((3, h, w))
+            img[0, 0, 0] = -0.0
+            save_tensor_image(folder / f"s{j % 3}.dcst", img)
+        else:
+            shape = (h, w, 3) if kind == "P6" else (h, w)
+            suffix = ".ppm" if kind == "P6" else ".pgm"
+            write_raster(folder / f"s{j % 3}{suffix}", kind, maxval,
+                         rng.integers(0, maxval + 1, shape))
+
+
 class TestArrayDataset:
+    @pytest.mark.parametrize("tree", sorted(CODEC_TREES))
+    def test_reads_are_bit_identical_to_the_float_path(self, tmp_path, tree):
+        """`fit_normalization`, `batch` and `pixels` give the bits of
+        decoding every file to floats (`decode_image`, resized where the
+        tree needs it), stacking them and normalising out of place, while
+        the dataset holds integer samples wherever it can."""
+        sources, image_size, dtype, scale = CODEC_TREES[tree]
+        write_codec_tree(tmp_path, sources, np.random.default_rng(5))
+        man = scan_image_tree(tmp_path)
+        ds = ArrayDataset.from_manifest(man, image_size=image_size)
+        assert ds.images.dtype == dtype and ds.scale == scale
+        decoded = [decode_image(tmp_path / rec.path) for rec in man.records]
+        if image_size is not None:
+            decoded = [resize_bilinear(img, (image_size, image_size))
+                       for img in decoded]
+        want = np.stack(decoded)
+        order = [rec.id for rec in man.records]
+        pool_ids = ["b/s0", "a/s2", "a/s0"]
+        pool = want[[order.index(i) for i in sorted(pool_ids)]]
+        want_mean = pool.mean(axis=(0, 2, 3))
+        want_std = np.maximum(pool.std(axis=(0, 2, 3)), 1e-6)
+        mean, std = ds.fit_normalization(pool_ids)
+        assert mean.tobytes() == want_mean.tobytes()
+        assert std.tobytes() == want_std.tobytes()
+        ids = ["b/s2", "a/s1", "a/s0", "b/s1", "a/s1"]
+        want_batch = (want[[order.index(i) for i in ids]]
+                      - want_mean[None, :, None, None]) \
+            / want_std[None, :, None, None]
+        assert ds.batch(ids).tobytes() == want_batch.tobytes()
+        assert ds.pixels(order).tobytes() == want.tobytes()
+        if tree == "dcst_negative_zero":
+            assert np.signbit(ds.pixels(["a/s0"])[0, 0, 0, 0])
+
     def test_from_manifest_decodes_in_manifest_order(self, tmp_path):
         write_constant_tree(tmp_path, {"a": [10, 20], "b": [30]})
         ds = ArrayDataset.from_manifest(scan_image_tree(tmp_path))
         assert ds.ids == ["a/s0", "a/s1", "b/s0"]
         assert np.array_equal(ds.labels, [0, 0, 1])
-        assert np.allclose(ds.images[1], 20 / 255.0)
+        assert np.allclose(ds.pixels(["a/s1"])[0], 20 / 255.0)
 
     def test_normalization_uses_only_given_pool(self, tmp_path):
         write_constant_tree(tmp_path, {"a": [0, 100], "b": [200, 255]})
@@ -517,7 +602,7 @@ class TestArrayDataset:
         other = ArrayDataset(ds.ids, np.where(
             (np.arange(len(ds.ids)) == 0)[:, None, None, None]
             | (np.arange(len(ds.ids)) == 3)[:, None, None, None],
-            ds.images, 0.123), ds.labels, ds.class_names)
+            ds.pixels(ds.ids), 0.123), ds.labels, ds.class_names)
         other.fit_normalization(["a/s0", "b/s1"])
         assert other.stats_hash() == h1
         assert ds.fit_normalization(["a/s1"]) is not None
@@ -546,7 +631,7 @@ class TestArrayDataset:
                 r"\(3, 4, 4\); pass image_size to resize")):
             ArrayDataset.from_manifest(man)
         ds = ArrayDataset.from_manifest(man, image_size=4)
-        assert ds.images.shape == (2, 3, 4, 4)
+        assert ds.pixels(ds.ids).shape == (2, 3, 4, 4)
 
     def test_empty_manifest_rejected(self, tmp_path):
         man = DatasetManifest(classes=("a",), records=(), root=tmp_path)
@@ -589,8 +674,9 @@ class TestArrayDataset:
 
     def test_from_manifest_holds_one_copy_of_the_pixels(self, tmp_path):
         """Loading allocates the dataset array once and fills it image by
-        image: the traced peak stays near one copy of the pixels, where
-        decoding into a list and stacking it holds two."""
+        image with the files' 8-bit samples: one byte per sample, and the
+        traced peak stays near that one copy, where decoding into a list
+        and stacking it holds two."""
         rng = np.random.default_rng(1)
         for cls in ("a", "b"):
             (tmp_path / cls).mkdir()
@@ -605,6 +691,8 @@ class TestArrayDataset:
         finally:
             tracemalloc.stop()
         assert ds.images.shape == (40, 3, 32, 32)
+        assert ds.images.dtype == np.uint8 and ds.scale == 255.0
+        assert ds.images.nbytes == 40 * 3 * 32 * 32
         assert peak < 1.25 * ds.images.nbytes
 
     def test_inconsistent_arrays_rejected(self):

@@ -9,8 +9,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from dcswin.data import (DatasetManifest, DatasetSplit,  # noqa: E402
-                         decode_ppm_bytes)
+from dcswin.data import (ArrayDataset, DatasetManifest,  # noqa: E402
+                         DatasetSplit, decode_image, decode_ppm_bytes,
+                         scan_image_tree)
+from dcswin.errors import DcswinError  # noqa: E402
 from dcswin.serialization import parse_config_text  # noqa: E402
 from test_serialization import load_bounded  # noqa: E402
 
@@ -83,6 +85,30 @@ def test_decode_ppm_bytes_loads_or_raises(blob):
         assert np.all((img >= 0.0) & (img <= 1.0))
 
 
+@st.composite
+def raster_trees(draw):
+    """Two to four P5/P6 files, each with its own maxval in [1, 65535] (so
+    8- or 16-bit samples), mostly of one size and with samples mostly
+    within maxval, as (name, maxval, bytes) triples."""
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    files = []
+    for j in range(draw(st.integers(2, 4))):
+        magic = draw(st.sampled_from(["P5", "P6"]))
+        maxval = draw(st.sampled_from([1, 200, 255, 256, 4095, 65535])
+                      | st.integers(1, 65535))
+        fh, fw = draw(st.sampled_from([(h, w)] * 5 + [(h + 1, w)]))
+        top = maxval + draw(st.sampled_from([0] * 9 + [1]))
+        top = min(top, 255 if maxval < 256 else 65535)
+        count = fh * fw * (3 if magic == "P6" else 1)
+        samples = draw(st.lists(st.integers(0, top), min_size=count,
+                                max_size=count))
+        raster = np.array(samples, np.uint8 if maxval < 256 else ">u2")
+        header = f"{magic}\n{fw} {fh}\n{maxval}\n".encode()
+        files.append((f"s{j}.{'ppm' if magic == 'P6' else 'pgm'}", maxval,
+                      header + raster.tobytes()))
+    return files
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("props")
@@ -126,3 +152,39 @@ def test_parse_config_text_loads_or_raises(text):
     if error is None:
         assert all(key and "=" not in key and "#" not in key
                    for key in out[0])
+
+
+def test_mixed_raster_tree_loads_like_the_float_path_or_raises(workdir):
+    """A manifest mixing 8- and 16-bit rasters and maxvals loads to the
+    bits of decoding each file to floats, through `pixels`,
+    `fit_normalization` and `batch`, or raises a DcswinError."""
+    counter = iter(range(10 ** 6))
+
+    @SETTINGS
+    @given(raster_trees())
+    def check(files):
+        root = workdir / f"tree{next(counter)}"
+        (root / "a").mkdir(parents=True)
+        for name, _, blob in files:
+            (root / "a" / name).write_bytes(blob)
+        man = scan_image_tree(root)
+        try:
+            ds = ArrayDataset.from_manifest(man)
+        except DcswinError:
+            return
+        want = np.stack([decode_image(root / rec.path)
+                         for rec in man.records])
+        maxvals = {maxval for _, maxval, _ in files}
+        assert ds.images.dtype == (np.float64 if len(maxvals) > 1 else
+                                   np.uint8 if max(maxvals) < 256 else
+                                   np.uint16)
+        assert ds.pixels(ds.ids).tobytes() == want.tobytes()
+        mean, std = ds.fit_normalization(ds.ids)
+        assert mean.tobytes() == want.mean(axis=(0, 2, 3)).tobytes()
+        assert std.tobytes() == np.maximum(want.std(axis=(0, 2, 3)),
+                                           1e-6).tobytes()
+        assert ds.batch(ds.ids[::-1]).tobytes() == (
+            (want[::-1] - mean[None, :, None, None])
+            / std[None, :, None, None]).tobytes()
+
+    check()
