@@ -521,10 +521,18 @@ class ArrayDataset:
 
     def fit_normalization(self, labeled_ids: Sequence[str]
                           ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-channel mean/std over the given pool only (floor std at 1e-6)."""
+        """Per-channel mean/std over the given pool only (floor std at 1e-6).
+
+        The variance is taken in place on the pool, in the steps NumPy's
+        `std` takes on its own copy, so the bits are the same and the
+        pool-sized deviation array is never made."""
         pool = self.pixels(sorted(labeled_ids))
-        mean = pool.mean(axis=(0, 2, 3))
-        std = np.maximum(pool.std(axis=(0, 2, 3)), 1e-6)
+        mean = pool.mean(axis=(0, 2, 3), keepdims=True)
+        pool -= mean
+        pool *= pool
+        var = pool.sum(axis=(0, 2, 3)) / (pool.size // 3)
+        mean = mean.reshape(3)
+        std = np.maximum(np.sqrt(var), 1e-6)
         self.set_normalization(mean, std)
         return mean, std
 

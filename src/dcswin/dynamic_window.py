@@ -9,7 +9,7 @@ that mixture.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,20 +71,14 @@ def dynamic_window_attention(x: Tensor, mixture: Tensor,
     if weights.data.shape != (b, len(candidates)):
         raise ShapeError(f"mixture shape {weights.data.shape} != "
                          f"({b}, {len(candidates)})")
-    columns: dict[WindowSpec, Tensor] = {}
+    groups: dict[WindowSpec, list[int]] = {}
     for i, cand in enumerate(candidates):
         s = cand // 2 if (shift and cand < min(h, w_sp)) else 0
-        spec = WindowSpec(cand, s)
-        col = T.slice_nd(weights, (slice(None), slice(i, i + 1)))
-        columns[spec] = T.add(columns[spec], col) if spec in columns else col
-    out: Optional[Tensor] = None
-    for spec, col in columns.items():
-        if np.all(col.data == 0.0):
-            continue
-        branch = windowed_mhsa(x, params, cfg, spec)
-        wmap = T.broadcast_to(T.reshape(col, (b, 1, 1, 1)), branch.shape)
-        term = T.mul(branch, wmap)
-        out = term if out is None else T.add(out, term)
-    if out is None:
+        groups.setdefault(WindowSpec(cand, s), []).append(i)
+    cols = T._mix_columns(weights.data, list(groups.values()))
+    live = [(spec, idx) for (spec, idx), col in zip(groups.items(), cols)
+            if not np.all(col == 0.0)]
+    if not live:
         raise ConfigError("mixture assigns zero weight to every candidate")
-    return out
+    branches = [windowed_mhsa(x, params, cfg, spec) for spec, _ in live]
+    return T.mix_branches(weights, branches, [idx for _, idx in live])

@@ -249,6 +249,14 @@ def _op_cases(seed: int) -> dict[str, tuple[Callable[[], Tensor], dict[str, Tens
     cases["layer_norm"] = (lambda: _probe(T.layer_norm(nx, ng, nb)),
                            {"x": nx, "gamma": ng, "beta": nb})
 
+    # column 1 feeds no branch (a skipped zero-weight window) and the second
+    # branch takes the summed columns 0 and 3 (a duplicated window)
+    mw = _leaf(rng, (2, 4))
+    mb = [_leaf(rng, (2, 2, 3, 2)) for _ in range(2)]
+    cases["mix_branches"] = (
+        lambda: _probe(T.mix_branches(mw, mb, ((2,), (0, 3)))),
+        {"weights": mw, "b0": mb[0], "b1": mb[1]})
+
     return cases
 
 

@@ -23,15 +23,16 @@ Conventions:
     view of its input. No op writes into its inputs;
   * no implicit broadcasting: `add`/`mul`/`div` demand identical shapes,
     expansion is explicit via `broadcast_to`; the exceptions are `matmul`,
-    which broadcasts its leading batch dimensions, and two in-op
-    broadcasts: the bias of `linear` over the leading axes, and the
-    additive constant mask of `multihead_attention` over heads and over
-    the batch-major windows;
+    which broadcasts its leading batch dimensions, and three in-op
+    broadcasts: the bias of `linear` over the leading axes, the additive
+    constant mask of `multihead_attention` over heads and over the
+    batch-major windows, and the per-sample weights of `mix_branches`
+    over each branch;
   * inside a request scope (`_request_buffers`, entered by
     `trainer.predict_probs`), the large arrays of `linear`, `gelu`,
-    `layer_norm`, `multihead_attention`, `add` and the `reshape`/`permute`
-    copies may be views of recycled buffers that no live array
-    references any more. Only where results are written changes, so
+    `layer_norm`, `multihead_attention`, `mix_branches`, `add` and the
+    `reshape`/`permute` copies may be views of recycled buffers that no
+    live array references any more. Only where results are written changes, so
     values are the same bits, and still no op writes into its inputs;
   * checked mode (default on) rejects NaN/Inf with a `NumericsError` that
     names the op that produced it. Every op screens its output, except
@@ -61,7 +62,7 @@ from .errors import NumericsError, ShapeError, TapeError
 __all__ = [
     "Tensor", "Tape", "backward", "no_grad", "checked_mode", "is_checked",
     "zeros", "ones", "trunc_normal",
-    "add", "add_scalar", "sub", "neg", "mul", "div", "scale",
+    "add", "add_scalar", "sub", "neg", "mul", "div", "scale", "mix_branches",
     "exp", "log", "sqrt", "tanh", "relu", "gelu",
     "broadcast_to", "reshape", "permute", "roll", "pad2d", "slice_nd",
     "concat", "reduce_sum", "reduce_mean", "mean_pool", "avg_pool2d",
@@ -164,7 +165,7 @@ def _contiguous(a: np.ndarray) -> np.ndarray:
 
 
 def _screen(arr: np.ndarray, what: str) -> None:
-    if _checked and not np.all(np.isfinite(arr)):
+    if _checked and not np.isfinite(arr).all():
         raise NumericsError(f"non-finite values in {what}")
 
 
@@ -203,16 +204,10 @@ class _Entry:
     `bw`'s closure, which saves only what the rule reads."""
     __slots__ = ("inputs", "key", "bw")
 
-    def __init__(self, inputs: tuple, key: int, bw: Callable):
+    def __init__(self, inputs: list, key: int, bw: Callable):
         self.inputs = inputs
         self.key = key
         self.bw = bw
-
-
-def _route(t: Tensor):
-    if not t.requires_grad:
-        return None
-    return t if t._key is None else (t._key, t.data.shape)
 
 
 class Tape:
@@ -272,36 +267,30 @@ class Tape:
                 self.reset()
 
 
-def _accumulate(routes: tuple, grads: Sequence[Optional[np.ndarray]],
+def _accumulate(routes: list, grads: Sequence[Optional[np.ndarray]],
                 flows: dict[int, np.ndarray]) -> None:
     """Add one rule's input gradients into leaf `.grad`s and into the
     pending flows of recorded outputs."""
     for route, ig in zip(routes, grads):
         if ig is None or route is None:
             continue
-        leaf = isinstance(route, Tensor)
-        shape = route.data.shape if leaf else route[1]
-        if ig.shape != shape:
-            raise ShapeError(f"backward produced grad shape {ig.shape} for "
-                             f"input shape {shape}")
-        if leaf:
-            route.grad = ig.copy() if route.grad is None else route.grad + ig
+        if type(route) is tuple:
+            key, shape = route
+            if ig.shape != shape:
+                raise ShapeError(f"backward produced grad shape {ig.shape} "
+                                 f"for input shape {shape}")
+            prev = flows.get(key)
+            flows[key] = ig if prev is None else prev + ig
         else:
-            prev = flows.get(route[0])
-            flows[route[0]] = ig if prev is None else prev + ig
+            if ig.shape != route.data.shape:
+                raise ShapeError(f"backward produced grad shape {ig.shape} "
+                                 f"for input shape {route.data.shape}")
+            route.grad = ig.copy() if route.grad is None else route.grad + ig
 
 
 _tape_stack: list[Tape] = []
 _default_tape = Tape(autoreset=True)
 _serial = itertools.count()
-
-
-def _active_tape() -> Optional[Tape]:
-    if not _grad_enabled:
-        return None
-    if _tape_stack:
-        return _tape_stack[-1]
-    return _default_tape
 
 
 def backward(loss: Tensor) -> None:
@@ -318,17 +307,24 @@ def _finish(data: np.ndarray, inputs: tuple[Tensor, ...], bw: Callable,
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out.requires_grad = False
     out._key = None
     out._tape = None
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        out._key = next(_serial)
-        out._tape = tape
-        tape._entries.append(_Entry(tuple(_route(t) for t in inputs),
-                                    out._key, bw))
+    if not _grad_enabled:
+        return out
+    for t in inputs:
+        if t.requires_grad:
+            break
     else:
-        out.requires_grad = False
+        return out
+    # per input: the leaf itself, (key, shape) of a recorded output, or None
+    routes = [(t if t._key is None else (t._key, t.data.shape))
+              if t.requires_grad else None for t in inputs]
+    tape = _tape_stack[-1] if _tape_stack else _default_tape
+    out.requires_grad = True
+    out._key = next(_serial)
+    out._tape = tape
+    tape._entries.append(_Entry(routes, out._key, bw))
     return out
 
 
@@ -428,6 +424,79 @@ def tanh(a: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     return _finish(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,), "relu")
+
+
+def _mix_columns(w: np.ndarray, columns: Sequence[Sequence[int]]
+                 ) -> list[np.ndarray]:
+    """Per group of indices, the [B, 1] sum of those columns of the [B, S]
+    weights `w`, added in the group's order."""
+    out = []
+    for idx in columns:
+        col = w[:, idx[0]:idx[0] + 1]
+        for i in idx[1:]:
+            col = col + w[:, i:i + 1]
+        out.append(col)
+    return out
+
+
+def mix_branches(weights: Tensor, branches: Sequence[Tensor],
+                 columns: Sequence[Sequence[int]]) -> Tensor:
+    """Mixture-weighted sum of equally shaped [B, ...] branches.
+
+    Branch j is scaled per sample by the sum of the columns `columns[j]`
+    of the [B, S] `weights`, and the scaled branches are added in order;
+    each weight column belongs to at most one branch. Columns are summed
+    in the order given, products are elementwise and the running sum goes
+    left to right, so this rounds exactly as slicing, adding, broadcasting,
+    multiplying and adding with the ops above would. The weight gradient
+    is built as that chain's slices passed it back, one zero-padded [B, S]
+    array per column added in descending column order, so it has the same
+    bits down to the sign of a zero.
+    """
+    wd = weights.data
+    if wd.ndim != 2 or not branches or len(branches) != len(columns):
+        raise ShapeError(f"mix_branches: [B, S] weights and one column group "
+                         f"per branch, got weights {wd.shape}, "
+                         f"{len(branches)} branches and {len(columns)} groups")
+    b, s = wd.shape
+    shape = branches[0].data.shape
+    for br in branches:
+        if br.data.shape != shape or shape[0] != b:
+            raise ShapeError(f"mix_branches: branch {br.data.shape} against "
+                             f"{shape} and weights {wd.shape}")
+    flat = [i for idx in columns for i in idx]
+    if not all(columns) or len(set(flat)) != len(flat) \
+            or not all(0 <= i < s for i in flat):
+        raise ShapeError(f"mix_branches: column groups {columns} must be "
+                         f"non-empty and disjoint, within [0, {s})")
+    lead = (b,) + (1,) * (len(shape) - 1)
+    cols = [c.reshape(lead) for c in _mix_columns(wd, columns)]
+    datas = [br.data for br in branches]
+    out = np.multiply(datas[0], cols[0], out=_empty(shape))
+    if len(datas) > 1:
+        term = _empty(shape)
+        for d, c in zip(datas[1:], cols[1:]):
+            out += np.multiply(d, c, out=term)
+    need_w = weights.requires_grad
+    needs = [br.requires_grad for br in branches]
+
+    def bw(g):
+        flows = [g * c if need else None for c, need in zip(cols, needs)]
+        if not need_w:
+            return (None, *flows)
+        per_column = {}
+        for d, idx in zip(datas, columns):
+            gcol = _unbroadcast(g * d, lead).reshape(b, 1)
+            for i in idx:
+                per_column[i] = gcol
+        dw = None
+        for i in sorted(per_column, reverse=True):
+            z = np.zeros((b, s))
+            z[:, i:i + 1] = per_column[i]
+            dw = z if dw is None else dw + z
+        return (dw, *flows)
+
+    return _finish(out, (weights, *branches), bw, "mix_branches")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

@@ -172,7 +172,62 @@ def _state_tensor(tensors: Mapping[str, np.ndarray], key: str, param: Tensor,
     return arr
 
 
-class Adam:
+class _FlatState:
+    """The layout both optimizers share: each moment is one flat float64
+    buffer with one slot per parameter, in sorted-name order.
+
+    A step gathers every gradient into one buffer, screens it in one pass,
+    updates the moments in place and gives each parameter a new array made
+    by one subtraction. Writing the parameters in place instead would leave
+    nothing allocated after backward frees the tape, and glibc would trim
+    that memory from the heap only for the next forward to fault it back.
+    """
+
+    def __init__(self, params: Mapping[str, Tensor]):
+        self.params = dict(params)
+        self.step_count = 0
+        self._slots: dict[str, slice] = {}
+        start = 0
+        for name in sorted(self.params):
+            size = self.params[name].data.size
+            self._slots[name] = slice(start, start + size)
+            start += size
+        self._size = start
+        self._sorted = [self.params[name] for name in self._slots]
+
+    def _gradients(self) -> np.ndarray:
+        """Every gradient in slot order, an absent one as zeros. In checked
+        mode a non-finite value raises NumericsError naming the first
+        parameter in `params` order whose gradient holds one."""
+        flat = np.concatenate([p.grad if p.grad is not None
+                               else np.zeros(p.data.size)
+                               for p in self._sorted], axis=None)
+        if T.is_checked() and not np.isfinite(flat).all():
+            for name, p in self.params.items():
+                if p.grad is not None:
+                    T._screen(p.grad, f"gradient of {name}")
+        return flat
+
+    def _subtract(self, update: np.ndarray) -> None:
+        for p, slot in zip(self._sorted, self._slots.values()):
+            p.data = p.data - update[slot].reshape(p.data.shape)
+
+    def _copy(self, buf: np.ndarray, name: str) -> np.ndarray:
+        """A copy of `name`'s slot of `buf`, shaped like the parameter."""
+        return buf[self._slots[name]].reshape(self.params[name].data.shape)\
+            .copy()
+
+    def _read_state(self, tensors: Mapping[str, np.ndarray], prefix: str,
+                    nonnegative: bool = False) -> np.ndarray:
+        """A new flat buffer of the checkpointed `prefix + name` tensors."""
+        buf = np.empty(self._size)
+        for name, p in self.params.items():
+            buf[self._slots[name]] = _state_tensor(
+                tensors, prefix + name, p, nonnegative).reshape(-1)
+        return buf
+
+
+class Adam(_FlatState):
     """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8).
 
     A parameter whose moments are zero and whose gradient is zero (or
@@ -182,66 +237,71 @@ class Adam:
 
     def __init__(self, params: Mapping[str, Tensor], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        self.params = dict(params)
+        super().__init__(params)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.step_count = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.m = np.zeros(self._size)
+        self.v = np.zeros(self._size)
 
     def step(self, lr: float) -> None:
+        """m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+        p -= lr (m / c1) / (sqrt(v / c2) + eps), each product and sum
+        taken in that order."""
+        g = self._gradients()
         self.step_count += 1
         c1 = 1.0 - self.beta1 ** self.step_count
         c2 = 1.0 - self.beta2 ** self.step_count
-        for name in sorted(self.params):
-            p = self.params[name]
-            g = p.grad if p.grad is not None else 0.0
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            update = lr * (self.m[name] / c1) / (np.sqrt(self.v[name] / c2)
-                                                 + self.eps)
-            p.data = p.data - update
+        t = np.multiply(g, 1.0 - self.beta1)
+        self.m *= self.beta1
+        self.m += t
+        np.multiply(g, 1.0 - self.beta2, out=t)
+        t *= g
+        self.v *= self.beta2
+        self.v += t
+        update = np.divide(self.m, c1, out=g)
+        update *= lr
+        np.divide(self.v, c2, out=t)
+        np.sqrt(t, out=t)
+        t += self.eps
+        update /= t
+        self._subtract(update)
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         out = {}
         for name in self.params:
-            out[f"opt.m.{name}"] = self.m[name].copy()
-            out[f"opt.v.{name}"] = self.v[name].copy()
+            out[f"opt.m.{name}"] = self._copy(self.m, name)
+            out[f"opt.v.{name}"] = self._copy(self.v, name)
         return out
 
     def load_state_tensors(self, tensors: Mapping[str, np.ndarray],
                            step_count: int) -> None:
-        for name, p in self.params.items():
-            self.m[name] = _state_tensor(tensors, f"opt.m.{name}", p)
-            self.v[name] = _state_tensor(tensors, f"opt.v.{name}", p,
-                                         nonnegative=True)
-        self.step_count = step_count
+        m = self._read_state(tensors, "opt.m.")
+        self.v = self._read_state(tensors, "opt.v.", nonnegative=True)
+        self.m, self.step_count = m, step_count
 
 
-class SGD:
+class SGD(_FlatState):
     """SGD with classical momentum."""
     kind = "sgd"
 
     def __init__(self, params: Mapping[str, Tensor], momentum: float = 0.9):
-        self.params = dict(params)
+        super().__init__(params)
         self.momentum = momentum
-        self.step_count = 0
-        self.vel = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.vel = np.zeros(self._size)
 
     def step(self, lr: float) -> None:
+        """vel = momentum vel + g, then p -= lr vel."""
+        g = self._gradients()
         self.step_count += 1
-        for name in sorted(self.params):
-            p = self.params[name]
-            g = p.grad if p.grad is not None else 0.0
-            self.vel[name] = self.momentum * self.vel[name] + g
-            p.data = p.data - lr * self.vel[name]
+        self.vel *= self.momentum
+        self.vel += g
+        self._subtract(np.multiply(self.vel, lr, out=g))
 
     def state_tensors(self) -> dict[str, np.ndarray]:
-        return {f"opt.vel.{k}": v.copy() for k, v in self.vel.items()}
+        return {f"opt.vel.{k}": self._copy(self.vel, k) for k in self.params}
 
     def load_state_tensors(self, tensors: Mapping[str, np.ndarray],
                            step_count: int) -> None:
-        for name, p in self.params.items():
-            self.vel[name] = _state_tensor(tensors, f"opt.vel.{name}", p)
+        self.vel = self._read_state(tensors, "opt.vel.")
         self.step_count = step_count
 
 
@@ -481,16 +541,14 @@ def train(model: DCSWin, dataset: ArrayDataset, split: DatasetSplit,
                  loss_of: Callable[[list[str]], Tensor]) -> float:
         """One optimizer step per mini-batch of `order` at the current
         epoch's lr; returns the sample-weighted mean loss. A non-finite
-        parameter gradient raises NumericsError before the step."""
+        parameter gradient raises NumericsError before the step changes
+        anything."""
         total = 0.0
         for start in range(0, len(order), cfg.batch_size):
             chunk = order[start:start + cfg.batch_size]
             model.zero_grad()
             loss = loss_of(chunk)
             backward(loss)
-            for name, p in opt.params.items():
-                if p.grad is not None:
-                    T._screen(p.grad, f"gradient of {name}")
             opt.step(lr)
             value = float(loss.data)
             total += value * len(chunk)
@@ -595,7 +653,10 @@ def _chunks(n: int, size: int) -> list[tuple[int, int]]:
 def predict_probs(model: DCSWin, dataset: ArrayDataset, ids: Sequence[str],
                   batch_size: int = INFER_CHUNK) -> np.ndarray:
     """[n, num_classes] softmax probabilities, rows in id order. The chunks
-    share one pool of op buffers (`tensor._request_buffers`)."""
+    share one pool of op buffers (`tensor._request_buffers`). No ids give
+    a [0, num_classes] array without a forward."""
+    if len(ids) == 0:
+        return np.empty((0, model.cfg.num_classes))
     out = []
     with no_grad(), T._request_buffers():
         for start, stop in _chunks(len(ids), batch_size):

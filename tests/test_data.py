@@ -695,6 +695,36 @@ class TestArrayDataset:
         assert ds.images.nbytes == 40 * 3 * 32 * 32
         assert peak < 1.25 * ds.images.nbytes
 
+    @pytest.mark.parametrize("dtype,scale", [
+        (np.uint8, 255.0), (np.uint16, 65535.0), (np.float64, 1.0)])
+    def test_fit_normalization_keeps_numpys_bits(self, dtype, scale):
+        """The in-place variance gives the bits of `np.mean` and `np.std`
+        on the float pool, the 1e-6 floor included (channel 2 is constant),
+        and traces one float64 pool, not two."""
+        rng = np.random.default_rng(4)
+        n = 37
+        if dtype is np.float64:
+            images = rng.standard_normal((n, 3, 32, 32))
+        else:
+            images = rng.integers(0, int(scale) + 1, (n, 3, 32, 32), dtype)
+        images[:, 2] = images[0, 2, 0, 0]
+        ids = [f"s{i:02d}" for i in range(n)]
+        ds = ArrayDataset(ids, images, np.zeros(n, np.int64), ("a",), scale)
+        pool_ids = ids[3:]
+        pool = images[3:].astype(np.float64) / scale
+        want_mean = pool.mean(axis=(0, 2, 3))
+        want_std = np.maximum(pool.std(axis=(0, 2, 3)), 1e-6)
+        assert want_std[2] == 1e-6
+        tracemalloc.start()
+        try:
+            mean, std = ds.fit_normalization(pool_ids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mean.tobytes() == want_mean.tobytes()
+        assert std.tobytes() == want_std.tobytes()
+        assert peak < 1.5 * pool.nbytes
+
     def test_inconsistent_arrays_rejected(self):
         with pytest.raises(ShapeError, match="inconsistent"):
             ArrayDataset(["x"], np.zeros((2, 3, 4, 4)), np.zeros(2), ("a",))

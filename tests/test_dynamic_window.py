@@ -201,3 +201,99 @@ def test_mixture_shape_mismatch_rejected():
     x = Tensor(channels_last(rng.standard_normal((2, 4, 4, 4))))
     with pytest.raises(ShapeError):
         dynamic_window_attention(x, Tensor([[1.0, 0.0]]), (2, 4), params, cfg)
+
+
+# ---- mix_branches against the op chain it replaced ---------------------------------
+
+def chain_dynamic_window_attention(x, mixture, candidates, params, cfg,
+                                   shift=False, hard=False):
+    """`dynamic_window_attention` as it was written before `mix_branches`:
+    a slice per candidate, an add per duplicate window, and per branch a
+    reshape, a broadcast, a product and a running add."""
+    weights = hard_selection(mixture) if hard else mixture
+    b, h, w_sp, _ = x.data.shape
+    columns = {}
+    for i, cand in enumerate(candidates):
+        s = cand // 2 if (shift and cand < min(h, w_sp)) else 0
+        spec = WindowSpec(cand, s)
+        col = T.slice_nd(weights, (slice(None), slice(i, i + 1)))
+        columns[spec] = T.add(columns[spec], col) if spec in columns else col
+    out = None
+    for spec, col in columns.items():
+        if np.all(col.data == 0.0):
+            continue
+        branch = windowed_mhsa(x, params, cfg, spec)
+        wmap = T.broadcast_to(T.reshape(col, (b, 1, 1, 1)), branch.shape)
+        term = T.mul(branch, wmap)
+        out = term if out is None else T.add(out, term)
+    return out
+
+
+def mixture_leaves(kind, rng, b, s):
+    """The mixture and the leaf its gradient reaches: a softmax output (the
+    gradient arrives as a tape flow), or a leaf with an all-zero column."""
+    if kind == "softmax":
+        logits = Tensor(rng.standard_normal((b, s)), requires_grad=True)
+        return (lambda: T.softmax(logits, axis=1)), logits
+    w = rng.uniform(0.1, 1.0, (b, s))
+    w[:, 1] = 0.0
+    leaf = Tensor(w, requires_grad=True)
+    return (lambda: leaf), leaf
+
+
+def grads_after(fn, leaves):
+    for t in leaves:
+        t.grad = None
+    out = fn()
+    # negative probe weights give zero gradients of both signs
+    probe = Tensor(np.linspace(-1.3, 0.7, out.data.size).reshape(out.shape))
+    T.backward(T.reduce_sum(T.mul(out, probe)))
+    return out.data.tobytes(), [None if t.grad is None else t.grad.tobytes()
+                                for t in leaves]
+
+
+@pytest.mark.parametrize("candidates,shift", [
+    ((2, 4), False), ((2, 4, 4), True), ((4, 2, 4), False),
+    ((4, 2, 4, 2), True)])
+@pytest.mark.parametrize("hard", [False, True])
+@pytest.mark.parametrize("kind", ["softmax", "zero-column"])
+def test_mixture_op_matches_the_op_chain_bit_for_bit(candidates, shift, hard,
+                                                     kind):
+    """Output, every input gradient and the mixture's gradient are the same
+    bytes, signs of zeros included, and the tape is shorter."""
+    params, cfg, rng = attn_setup(key=20)
+    x = Tensor(channels_last(rng.standard_normal((2, 4, 4, 4))),
+               requires_grad=True)
+    mixture, leaf = mixture_leaves(kind, rng, 2, len(candidates))
+    # a zero output projection makes every branch exactly zero
+    zeroed = AttentionParams.init(cfg, rng, zero_out=True)
+    for p in (params, zeroed):
+        leaves = [x, *p.named("p").values()] + ([] if hard else [leaf])
+        got = grads_after(lambda: dynamic_window_attention(
+            x, mixture(), candidates, p, cfg, shift=shift, hard=hard),
+            leaves)
+        want = grads_after(lambda: chain_dynamic_window_attention(
+            x, mixture(), candidates, p, cfg, shift=shift, hard=hard),
+            leaves)
+        assert got == want
+    with T.Tape() as new:
+        dynamic_window_attention(x, mixture(), candidates, params, cfg,
+                                 shift=shift, hard=hard)
+    with T.Tape() as old:
+        chain_dynamic_window_attention(x, mixture(), candidates, params, cfg,
+                                       shift=shift, hard=hard)
+    # a hard selection that picks one branch records one product either way
+    assert len(new) <= len(old) if hard else len(new) < len(old)
+
+
+def test_mixture_op_rejects_bad_column_groups():
+    w = Tensor(np.ones((2, 3)))
+    br = [Tensor(np.ones((2, 1, 1, 4))), Tensor(np.ones((2, 1, 1, 4)))]
+    for columns in [((0,), (0, 1)), ((0,), ()), ((0,), (3,)), ((0,),)]:
+        with pytest.raises(ShapeError):
+            T.mix_branches(w, br, columns)
+    with pytest.raises(ShapeError):
+        T.mix_branches(w, [br[0], Tensor(np.ones((2, 1, 2, 4)))],
+                       ((0,), (1,)))
+    with pytest.raises(ShapeError):
+        T.mix_branches(Tensor(np.ones((3, 3))), br, ((0,), (1,)))

@@ -58,7 +58,7 @@ def test_poisoned_op_is_named(arm, selection, monkeypatch):
     assert {"linear", "layer_norm", "multihead_attention", "gelu", "roll",
             "pad2d", "slice_nd"} <= kinds
     if ARMS[arm][0]:
-        assert {"conv1x1", "softmax", "div", "mul"} <= kinds
+        assert {"conv1x1", "softmax", "div", "mix_branches"} <= kinds
     finish = T._finish
     for kind in sorted(kinds):
         for bad in (np.nan, np.inf):

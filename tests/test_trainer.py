@@ -220,6 +220,125 @@ class TestOptimizers:
         assert sgd.momentum == 0.7
 
 
+class RefAdam:
+    """Adam as it was written before the flat state: per parameter in
+    sorted-name order, one dict entry per moment."""
+
+    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = dict(params)
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.step_count = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+
+    def step(self, lr):
+        self.step_count += 1
+        c1 = 1.0 - self.beta1 ** self.step_count
+        c2 = 1.0 - self.beta2 ** self.step_count
+        for name in sorted(self.params):
+            p = self.params[name]
+            g = p.grad if p.grad is not None else 0.0
+            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            update = lr * (self.m[name] / c1) / (np.sqrt(self.v[name] / c2)
+                                                 + self.eps)
+            p.data = p.data - update
+
+    def state_tensors(self):
+        out = {}
+        for name in self.params:
+            out[f"opt.m.{name}"] = self.m[name].copy()
+            out[f"opt.v.{name}"] = self.v[name].copy()
+        return out
+
+
+class RefSGD:
+    """SGD with momentum as it was written before the flat state."""
+
+    def __init__(self, params, momentum=0.9):
+        self.params = dict(params)
+        self.momentum = momentum
+        self.step_count = 0
+        self.vel = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+
+    def step(self, lr):
+        self.step_count += 1
+        for name in sorted(self.params):
+            p = self.params[name]
+            g = p.grad if p.grad is not None else 0.0
+            self.vel[name] = self.momentum * self.vel[name] + g
+            p.data = p.data - lr * self.vel[name]
+
+    def state_tensors(self):
+        return {f"opt.vel.{k}": v.copy() for k, v in self.vel.items()}
+
+
+# insertion order (a model's `named_params` order) is not sorted order
+SHAPES = {"stages.1.w": (3, 4), "head.b": (2,), "patch.w": (2, 3, 2),
+          "alpha": (1,)}
+
+
+def fresh_params(rng):
+    return {k: Tensor(rng.standard_normal(s)) for k, s in SHAPES.items()}
+
+
+def same_bytes(a, b):
+    return list(a) == list(b) and all(
+        a[k].tobytes() == b[k].tobytes() for k in a)
+
+
+@pytest.mark.parametrize("flat_cls,ref_cls,lrs", [
+    (Adam, RefAdam, (3e-3, 1e-2, 0.5)), (SGD, RefSGD, (0.1, 1e-3, 2.0))],
+    ids=["Adam", "SGD"])
+def test_flat_optimizer_matches_the_per_parameter_one(flat_cls, ref_cls, lrs):
+    """Parameters, moments and state tensors are the same bytes as the
+    per-parameter optimizer's over 9 steps, with absent gradients and a
+    state round trip after the fourth."""
+    rng = np.random.default_rng(11)
+    params = fresh_params(rng)
+    ref_params = {k: Tensor(p.data.copy()) for k, p in params.items()}
+    opt, ref = flat_cls(params), ref_cls(ref_params)
+    for k in range(9):
+        for j, name in enumerate(SHAPES):
+            g = None if (k + j) % 3 == 0 else \
+                rng.standard_normal(SHAPES[name]) * 10.0 ** (j - 2)
+            params[name].grad = None if g is None else g.copy()
+            ref_params[name].grad = None if g is None else g.copy()
+        opt.step(lrs[k % 3])
+        ref.step(lrs[k % 3])
+        assert opt.step_count == ref.step_count == k + 1
+        assert same_bytes({n: p.data for n, p in params.items()},
+                          {n: p.data for n, p in ref_params.items()})
+        assert same_bytes(opt.state_tensors(), ref.state_tensors())
+        if k == 3:
+            params = {n: Tensor(p.data.copy()) for n, p in params.items()}
+            resumed = flat_cls(params)
+            resumed.load_state_tensors(opt.state_tensors(), opt.step_count)
+            opt = resumed
+
+
+@pytest.mark.parametrize("optimizer", [Adam, SGD],
+                         ids=lambda cls: cls.__name__)
+def test_non_finite_gradient_names_the_first_and_changes_nothing(optimizer):
+    rng = np.random.default_rng(12)
+    params = fresh_params(rng)
+    opt = optimizer(params)
+    for _ in range(2):
+        for name, p in params.items():
+            p.grad = rng.standard_normal(SHAPES[name])
+        opt.step(0.01)
+    before = ({n: p.data for n, p in params.items()}, opt.state_tensors())
+    # "head.b" sorts before "stages.1.w"; `named_params` order puts it after
+    params["stages.1.w"].grad[1, 2] = np.inf
+    params["head.b"].grad[0] = np.nan
+    with pytest.raises(NumericsError) as info:
+        opt.step(0.01)
+    assert str(info.value) == "non-finite values in gradient of stages.1.w"
+    assert opt.step_count == 2
+    assert same_bytes({n: p.data for n, p in params.items()}, before[0])
+    assert same_bytes(opt.state_tensors(), before[1])
+
+
 # ---- pseudo-labels ---------------------------------------------------------------
 
 
@@ -616,6 +735,16 @@ class TestEvaluation:
         assert probs.shape == (len(ids), 2)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(probs >= 0)
+
+    @pytest.mark.parametrize("arm", sorted(ARMS))
+    def test_predict_probs_of_no_ids_runs_no_forward(self, dataset, arm,
+                                                     monkeypatch):
+        model = DCSWin(ModelConfig.micro(num_classes=3).ablated(arm), seed=0)
+        dataset.fit_normalization(sorted(dataset.index))
+        monkeypatch.setattr(DCSWin, "forward", None)
+        for ids in ([], ()):
+            probs = predict_probs(model, dataset, ids)
+            assert probs.shape == (0, 3) and probs.dtype == np.float64
 
     @pytest.mark.parametrize("selection", ["soft", "hard"])
     @pytest.mark.parametrize("arm", sorted(ARMS))

@@ -1,7 +1,7 @@
 """Peak memory and page faults of a bare training step, a no-grad request
 or a training run.
 
-    python3 tools/step_memory.py [--request | --train]
+    python3 tools/step_memory.py [--request | --train | --semi]
 
 Run from the repository root. Each of 12 steps is `zero_grad`, the forward,
 the cross-entropy loss and `backward` of the default full-arm `ModelConfig`
@@ -17,9 +17,18 @@ perfbench's `train-full` configuration: three one-epoch `trainer.train`
 runs, each from a fresh default full-arm model, batch 16 with Adam over
 320 labeled 64x64 noise images held as 8-bit samples (20 steps a run);
 each step's peak RSS, minor faults and wall time are printed as it ends.
-Prints the process's peak RSS (`ru_maxrss`) and, over the steps after the
-first two, the median minor page faults and wall time per step. BLAS runs
-on one thread, as in perfbench.
+With `--semi`, the steps are the noise-consistency steps of perfbench's
+`semi-loop` configuration: a 160-image synthetic PPM dataset is written
+to a temporary directory and loaded once, as `dcswin train` loads its
+dataset, and three 3-epoch `trainer.train` runs of the small full-arm
+model (pseudo-labels, consistency loss, diffusion augmentation and a
+checkpoint every epoch) each start from a fresh model. A step is the
+interval between two consecutive steps of one consistency pass, as
+perfbench times them; the median and 90th percentile wall time and the
+median minor faults over all of them are printed.
+Otherwise prints the process's peak RSS (`ru_maxrss`) and, over the steps
+after the first two, the median minor page faults and wall time per step.
+BLAS runs on one thread, as in perfbench.
 """
 from __future__ import annotations
 
@@ -33,13 +42,16 @@ sys.path.insert(0, "src")
 import argparse  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from dcswin import tensor as T  # noqa: E402
 from dcswin import trainer  # noqa: E402
-from dcswin.data import ArrayDataset, DatasetSplit  # noqa: E402
+from dcswin.data import (ArrayDataset, DatasetSplit,  # noqa: E402
+                         stratified_split, synth_generate)
 from dcswin.model import DCSWin, ModelConfig  # noqa: E402
 
 STEPS = 12
@@ -97,6 +109,53 @@ def train_runs():
     return run
 
 
+def semi_runs(work_dir: Path):
+    """`semi-loop`'s runs: `on_step(kind, epoch)` follows every step."""
+    manifest = synth_generate(work_dir / "data", num_classes=4, per_class=40,
+                              image_size=64, seed=0)
+    dataset = ArrayDataset.from_manifest(manifest)
+    split = stratified_split(manifest, train_frac=0.8, labeled_frac=0.05,
+                             seed=0)
+    cfg = ModelConfig(image_size=64, patch_size=8, embed_dims=(16, 32),
+                      depths=(1, 1), num_heads=(2, 4), candidates=(2, 4),
+                      num_classes=4, fixed_window=4)
+    train_cfg = trainer.TrainConfig(
+        epochs=3, initial_lr=3e-3, batch_size=4, warmup_epochs=1, tau=0.3,
+        pseudo_weight=0.8, consistency_weight=0.1, augment_t=5,
+        checkpoint_every=1, num_runs=1, seed=0)
+
+    def run(on_step):
+        for seed in range(TRAIN_RUNS):
+            trainer.train(DCSWin(cfg, seed=seed), dataset, split, train_cfg,
+                          run_dir=work_dir / f"run{seed}",
+                          step_listener=lambda event: on_step(
+                              event["kind"], event["epoch"]))
+    return run
+
+
+def semi_main() -> None:
+    with tempfile.TemporaryDirectory() as work_dir:
+        run = semi_runs(Path(work_dir))
+        faults, times = [], []
+        last = {"pass": None}
+
+        def on_step(kind, epoch):
+            minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            now = time.perf_counter()
+            if kind == "consistency" and last["pass"] == (kind, epoch):
+                faults.append(minflt - last["minflt"])
+                times.append(now - last["t"])
+            last.update({"pass": (kind, epoch), "minflt": minflt, "t": now})
+
+        run(on_step)
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    print(f"peak_rss_mb {usage.ru_maxrss / 1024:.1f}")
+    print(f"consistency_steps {len(times)}")
+    print(f"step_ms_median {1000 * statistics.median(times):.2f}")
+    print(f"step_ms_p90 {1000 * float(np.percentile(times, 90)):.2f}")
+    print(f"minflt_per_step {statistics.median(faults):.0f}")
+
+
 def repeat(step):
     def run(on_step):
         for _ in range(STEPS):
@@ -114,7 +173,12 @@ def main() -> None:
     mode.add_argument("--train", action="store_true",
                       help="run train-full's Adam steps and print the peak "
                            "RSS after each")
+    mode.add_argument("--semi", action="store_true",
+                      help="time semi-loop's noise-consistency steps")
     args = parser.parse_args()
+    if args.semi:
+        semi_main()
+        return
     run = (train_runs() if args.train else
            repeat(request() if args.request else training_step()))
     faults, times = [], []
