@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path, PurePath
 from typing import Optional, Sequence, Union
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
 from .rng import stream
-from .serialization import load_tensor, save_tensor
+from .serialization import load_tensor
 
 IMAGE_EXTENSIONS = (".ppm", ".pgm", ".dcst")
 
@@ -275,23 +277,73 @@ def stratified_split(manifest: DatasetManifest, train_frac: float = 0.8,
 
 # ---- image codecs -----------------------------------------------------------
 
-def _read_header_token(buf: bytes, pos: int, what: str) -> tuple[bytes, int]:
-    n = len(buf)
-    while pos < n:
-        ch = buf[pos:pos + 1]
-        if ch == b"#":
-            while pos < n and buf[pos:pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        raise FormatError(f"truncated header: expected {what} at byte {pos}")
-    start = pos
-    while pos < n and not buf[pos:pos + 1].isspace():
-        pos += 1
-    return buf[start:pos], pos
+# The six bytes `bytes.isspace` accepts.
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+# One PNM header field: whitespace and `#` comments (each running to the
+# next CR or LF), then the field's token, a run of non-whitespace bytes
+# that is empty only where the buffer ends. The magic is followed by three.
+_FIELD = rb"(?:[" + _WHITESPACE + rb"]|#[^\n\r]*)*([^" + _WHITESPACE + rb"]*)"
+_HEADER = re.compile(_FIELD * 3)
+
+
+def _read_header(buf: bytes, origin) -> tuple[int, int, int, int]:
+    """The width, height and maxval that follow the 2-byte magic, and the
+    offset just past maxval's token. Errors cite byte offsets."""
+    m = _HEADER.match(buf, 2)
+    fields = []
+    for i, what in enumerate(("width", "height", "maxval"), 1):
+        token = m[i]
+        if not token:
+            raise FormatError(f"truncated header: expected {what} at byte "
+                              f"{m.start(i)}")
+        try:
+            fields.append(int(token))
+        except ValueError:
+            raise FormatError(f"{origin}: bad {what} {token!r} at byte "
+                              f"{m.start(i)}") from None
+    return (*fields, m.end(3))
+
+
+def _ppm_view(buf: bytes, origin) -> tuple[np.ndarray, int]:
+    """Binary PPM (P6) or PGM (P5) -> a read-only [3,H,W] view of the
+    samples in `buf` (uint8 below maxval 256, else big-endian uint16, as
+    the file stores them), and its maxval; grayscale is broadcast across
+    channels. Errors name `origin` and cite byte offsets."""
+    magic = buf[:2]
+    if magic not in (b"P6", b"P5"):
+        raise FormatError(f"{origin}: unsupported magic {magic!r} at byte 0 "
+                          "(want binary P6 or P5)")
+    channels = 3 if magic == b"P6" else 1
+    width, height, maxval, pos = _read_header(buf, origin)
+    if width < 1 or height < 1:
+        raise FormatError(f"{origin}: non-positive dimensions {width}x{height}")
+    if not (0 < maxval < 65536):
+        raise FormatError(f"{origin}: maxval {maxval} outside [1, 65535]")
+    # a token ends at whitespace or at the end of the buffer
+    if pos == len(buf):
+        raise FormatError(f"{origin}: missing whitespace after maxval at byte {pos}")
+    pos += 1
+    dtype = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")
+    count = width * height * channels
+    expected = count * dtype.itemsize
+    got = len(buf) - pos
+    if got < expected:
+        raise FormatError(f"{origin}: raster truncated at byte {pos + got}: "
+                          f"wanted {expected} bytes from byte {pos}, got {got}")
+    if got > expected:
+        raise FormatError(f"{origin}: {got - expected} trailing bytes after "
+                          f"raster at byte {pos + expected}")
+    samples = np.frombuffer(buf, dtype, count, pos)
+    # a sample above maxval would decode above 1; none can be at the
+    # dtype's own maximum (255 or 65535), so that common case skips the scan
+    if maxval < 256 ** dtype.itemsize - 1 and samples.max() > maxval:
+        over = int(np.argmax(samples > maxval))
+        raise FormatError(f"{origin}: sample {samples[over]} exceeds maxval "
+                          f"{maxval} at byte {pos + over * dtype.itemsize}")
+    if channels == 3:
+        return samples.reshape(height, width, 3).transpose(2, 0, 1), maxval
+    return np.broadcast_to(samples.reshape(1, height, width),
+                           (3, height, width)), maxval
 
 
 def decode_ppm_samples(buf: bytes, origin: str = "<bytes>"
@@ -299,58 +351,8 @@ def decode_ppm_samples(buf: bytes, origin: str = "<bytes>"
     """Binary PPM (P6) or PGM (P5) -> its samples as [3,H,W] native-endian
     uint8 (maxval below 256) or uint16, and its maxval; grayscale is
     replicated across channels. Errors cite byte offsets."""
-    magic = buf[:2]
-    if magic not in (b"P6", b"P5"):
-        raise FormatError(f"{origin}: unsupported magic {magic!r} at byte 0 "
-                          "(want binary P6 or P5)")
-    channels = 3 if magic == b"P6" else 1
-    pos = 2
-    fields = []
-    for what in ("width", "height", "maxval"):
-        token, pos = _read_header_token(buf, pos, what)
-        try:
-            fields.append(int(token))
-        except ValueError:
-            raise FormatError(f"{origin}: bad {what} {token!r} at byte "
-                              f"{pos - len(token)}") from None
-    width, height, maxval = fields
-    if width < 1 or height < 1:
-        raise FormatError(f"{origin}: non-positive dimensions {width}x{height}")
-    if not (0 < maxval < 65536):
-        raise FormatError(f"{origin}: maxval {maxval} outside [1, 65535]")
-    if pos >= len(buf) or not buf[pos:pos + 1].isspace():
-        raise FormatError(f"{origin}: missing whitespace after maxval at byte {pos}")
-    pos += 1
-    itemsize = 1 if maxval < 256 else 2
-    expected = width * height * channels * itemsize
-    raster = buf[pos:pos + expected]
-    if len(raster) != expected:
-        raise FormatError(f"{origin}: raster truncated at byte "
-                          f"{pos + len(raster)}: wanted {expected} bytes from "
-                          f"byte {pos}, got {len(raster)}")
-    if len(buf) > pos + expected:
-        raise FormatError(f"{origin}: {len(buf) - pos - expected} trailing "
-                          f"bytes after raster at byte {pos + expected}")
-    dtype = np.dtype(np.uint8) if itemsize == 1 else np.dtype(">u2")
-    samples = np.frombuffer(raster, dtype=dtype)
-    # a sample above maxval would decode above 1; none can be at the
-    # dtype's own maximum (255 or 65535), so that common case skips the scan
-    if maxval < 256 ** itemsize - 1 and samples.max() > maxval:
-        over = int(np.argmax(samples > maxval))
-        raise FormatError(f"{origin}: sample {samples[over]} exceeds maxval "
-                          f"{maxval} at byte {pos + over * itemsize}")
-    if channels == 3:
-        img = samples.reshape(height, width, 3).transpose(2, 0, 1)
-    else:
-        img = np.broadcast_to(samples.reshape(1, height, width),
-                              (3, height, width))
-    return np.ascontiguousarray(img, dtype=dtype.newbyteorder("=")), maxval
-
-
-def decode_ppm_bytes(buf: bytes, origin: str = "<bytes>") -> np.ndarray:
-    """Binary PPM (P6) or PGM (P5) -> float64 [3,H,W] in [0,1], each sample
-    divided by maxval."""
-    return _unit(*decode_ppm_samples(buf, origin))
+    view, maxval = _ppm_view(buf, origin)
+    return np.array(view, view.dtype.newbyteorder("="), order="C"), maxval
 
 
 def _unit(samples: np.ndarray, maxval: int) -> np.ndarray:
@@ -386,7 +388,7 @@ def decode_image_samples(path: Union[str, Path]
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix in (".ppm", ".pgm"):
-        return decode_ppm_samples(path.read_bytes(), origin=str(path))
+        return decode_ppm_samples(_read_file(path), origin=str(path))
     if suffix == ".dcst":
         arr = np.asarray(load_tensor(path), dtype=np.float64)
         if arr.ndim == 2:
@@ -399,8 +401,29 @@ def decode_image_samples(path: Union[str, Path]
                       f"(supported: {', '.join(IMAGE_EXTENSIONS)})")
 
 
-def save_tensor_image(path: Union[str, Path], img: np.ndarray) -> None:
-    save_tensor(path, np.asarray(img, dtype=np.float64))
+def _read_file(path: Union[str, Path]) -> bytes:
+    """The whole file in one read, sized from its `stat`."""
+    with open(path, "rb", buffering=0) as f:
+        return f.readall()
+
+
+def _is_pnm_path(path: str) -> bool:
+    """`PurePath(path).suffix.lower() in (".ppm", ".pgm")` for a manifest
+    path, without building the `PurePath`: a name that is only the
+    suffix, such as `.ppm`, has none."""
+    return path[-4:].lower() in (".ppm", ".pgm") and \
+        path[-5:-4] not in ("", "/")
+
+
+class _JoinedPath:
+    """`str(root / rel)`, built only when an error message formats it."""
+    __slots__ = ("root", "rel")
+
+    def __init__(self, root: Path, rel: str):
+        self.root, self.rel = root, rel
+
+    def __str__(self) -> str:
+        return str(self.root / self.rel)
 
 
 # ---- bilinear resize ---------------------------------------------------------
@@ -480,21 +503,40 @@ class ArrayDataset:
         256) and `scale` is that maxval. A `.dcst` record, a resized image
         or a second maxval makes it float64 values in [0,1] with `scale`
         1.0; the rows already loaded are converted once. Either way the
-        array is allocated once, from the first image's shape, and each
-        image is copied into its row, so loading holds one copy of the
-        images and not a list of them next to a stacked copy."""
+        array is allocated once, from the first image's shape, so loading
+        holds one copy of the images and not a list of them next to a
+        stacked copy.
+
+        A PPM/PGM file is read in one call and its header scanned once;
+        its raster is viewed in place, so the row assignment is the one
+        copy of its samples, and it swaps 16-bit samples into native
+        order. A record whose file cannot be read raises `FormatError`
+        naming the record."""
         records = manifest.records
         if not records:
             raise FormatError(f"manifest in {manifest.root} has no records")
+        root = str(manifest.root)
         images = maxval = None
         for row, rec in enumerate(records):
-            img, img_maxval = decode_image_samples(manifest.root / rec.path)
+            try:
+                if _is_pnm_path(rec.path):
+                    img, img_maxval = _ppm_view(
+                        _read_file(os.path.join(root, rec.path)),
+                        _JoinedPath(manifest.root, rec.path))
+                else:
+                    img, img_maxval = decode_image_samples(
+                        manifest.root / rec.path)
+            except OSError as e:
+                raise FormatError(f"record {rec.id!r}: cannot read "
+                                  f"{manifest.root / rec.path}: "
+                                  f"{e.strerror or e}") from e
             if image_size is not None and img.shape[1:] != (image_size, image_size):
                 if img_maxval is not None:
                     img, img_maxval = _unit(img, img_maxval), None
                 img = resize_bilinear(img, (image_size, image_size))
             if images is None:
-                images = np.empty((len(records),) + img.shape, img.dtype)
+                images = np.empty((len(records),) + img.shape,
+                                  img.dtype.newbyteorder("="))
                 maxval = img_maxval
             elif img.shape != images.shape[1:]:
                 raise FormatError(

@@ -321,6 +321,29 @@ class TestTrainEval:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_missing_record_file_is_runtime_error(self, workspace, tmp_path,
+                                                  capsys, command):
+        """The manifest's directory holds none of its records' files."""
+        payload = json.loads((workspace / "data" / "manifest.json").read_text())
+        record = payload["records"][0]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(payload))
+        if command == "train":
+            argv = ["train", "--config", str(workspace / "run.cfg")]
+        else:
+            argv = ["eval", "--checkpoint",
+                    str(workspace / "run" / "seed0" / "state.dcsm")]
+        rc = main(argv + ["--manifest", str(manifest),
+                          "--split", str(workspace / "split.json"),
+                          "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_RUNTIME
+        assert err.startswith(f"error: record {record['id']!r}: cannot read "
+                              f"{tmp_path / record['path']}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key,value", [
         pytest.param("norm.mean", "[0.5, oops", id="mean-not-json"),
         pytest.param("norm.std", "[0.5, 0.5]", id="std-two-values"),

@@ -14,16 +14,26 @@ from dcswin.data import (
     ManifestRecord,
     class_frequencies,
     decode_image,
-    decode_ppm_bytes,
     decode_ppm_samples,
     encode_ppm,
     resize_bilinear,
-    save_tensor_image,
     scan_image_tree,
     stratified_split,
     synth_generate,
 )
 from dcswin.errors import ConfigError, FormatError, ShapeError
+from dcswin.serialization import save_tensor
+
+
+def decode_ppm_bytes(buf, origin="<bytes>"):
+    """Binary PPM (P6) or PGM (P5) -> float64 [3,H,W] in [0,1], each
+    sample divided by maxval, as `decode_image` gives a file's values."""
+    samples, maxval = decode_ppm_samples(buf, origin)
+    return samples / maxval
+
+
+def save_tensor_image(path, img):
+    save_tensor(path, np.asarray(img, dtype=np.float64))
 
 
 def make_manifest(class_sizes, root="/nowhere"):
@@ -637,6 +647,41 @@ class TestArrayDataset:
         man = DatasetManifest(classes=("a",), records=(), root=tmp_path)
         with pytest.raises(FormatError, match="no records"):
             ArrayDataset.from_manifest(man)
+
+    @pytest.mark.parametrize("suffix", [".ppm", ".pgm", ".dcst"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_record_file_names_the_record(self, tmp_path, suffix,
+                                                     kind):
+        write_constant_tree(tmp_path, {"a": [10]}, size=4)
+        rel = f"a/gone{suffix}"
+        if kind == "directory":
+            (tmp_path / rel).mkdir()
+        man = DatasetManifest(classes=("a",), root=tmp_path, records=(
+            ManifestRecord(id="a/s0", path="a/s0.ppm", label="a"),
+            ManifestRecord(id="a/gone", path=rel, label="a")))
+        with pytest.raises(FormatError) as info:
+            ArrayDataset.from_manifest(man)
+        assert str(info.value).startswith(
+            f"record 'a/gone': cannot read {tmp_path / rel}: ")
+        assert isinstance(info.value.__cause__, OSError)
+
+    def test_raster_errors_name_the_joined_path(self, tmp_path, monkeypatch):
+        """A file's decode errors name it as `root / path` would, also for
+        a manifest in the working directory and a path with `.` and `//`
+        components."""
+        write_constant_tree(tmp_path, {"a": [10, 20]}, size=2)
+        (tmp_path / "a" / "s1.ppm").write_bytes(HEADER_2X2 + bytes(5))
+        monkeypatch.chdir(tmp_path)
+        for root, rel in [(tmp_path, "a/s1.ppm"), (".", "a/s1.ppm"),
+                          (".", "./a//s1.ppm")]:
+            man = DatasetManifest(classes=("a",), root=root, records=(
+                ManifestRecord(id="a/s0", path="a/s0.ppm", label="a"),
+                ManifestRecord(id="a/s1", path=rel, label="a")))
+            with pytest.raises(FormatError) as info:
+                ArrayDataset.from_manifest(man)
+            assert str(info.value) == (
+                f"{man.root / rel}: raster truncated at byte 16: wanted 12 "
+                "bytes from byte 11, got 5")
 
     @pytest.mark.parametrize("image_size", [None, 6])
     def test_from_manifest_matches_stacked_decodes(self, tmp_path,

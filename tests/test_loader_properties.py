@@ -9,11 +9,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from dcswin import data  # noqa: E402
 from dcswin.data import (ArrayDataset, DatasetManifest,  # noqa: E402
-                         DatasetSplit, decode_image, decode_ppm_bytes,
-                         scan_image_tree)
-from dcswin.errors import DcswinError  # noqa: E402
+                         DatasetSplit, decode_image, scan_image_tree)
+from dcswin.errors import DcswinError, FormatError  # noqa: E402
 from dcswin.serialization import parse_config_text  # noqa: E402
+from test_data import decode_ppm_bytes  # noqa: E402
 from test_serialization import load_bounded  # noqa: E402
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None,
@@ -188,3 +189,76 @@ def test_mixed_raster_tree_loads_like_the_float_path_or_raises(workdir):
             / std[None, :, None, None]).tobytes()
 
     check()
+
+
+def _read_header_token(buf: bytes, pos: int, what: str) -> tuple[bytes, int]:
+    """The byte-at-a-time PNM header tokenizer `data._HEADER` replaced,
+    kept as its oracle: skip whitespace and `#` comments, then take the
+    run of non-whitespace bytes, returning it and the offset past it."""
+    n = len(buf)
+    while pos < n:
+        ch = buf[pos:pos + 1]
+        if ch == b"#":
+            while pos < n and buf[pos:pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+        elif ch.isspace():
+            pos += 1
+        else:
+            break
+    if pos >= n:
+        raise FormatError(f"truncated header: expected {what} at byte {pos}")
+    start = pos
+    while pos < n and not buf[pos:pos + 1].isspace():
+        pos += 1
+    return buf[start:pos], pos
+
+
+def oracle_header(buf: bytes):
+    """The tokens `_read_header_token` reads after the magic, each with the
+    offset past it, and the width, height and maxval they parse to with
+    the offset past maxval; or the `FormatError` message it stops at."""
+    tokens, fields, pos = [], [], 2
+    try:
+        for what in ("width", "height", "maxval"):
+            token, pos = _read_header_token(buf, pos, what)
+            tokens.append((token, pos))
+            try:
+                fields.append(int(token))
+            except ValueError:
+                raise FormatError(f"<bytes>: bad {what} {token!r} at byte "
+                                  f"{pos - len(token)}") from None
+    except FormatError as e:
+        return tokens, str(e)
+    return tokens, (*fields, pos)
+
+
+header_pieces = st.one_of(
+    st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]),
+             min_size=1, max_size=3).map(b"".join),
+    st.tuples(st.just(b"#"), st.binary(max_size=4),
+              st.sampled_from([b"\n", b"\r", b""])).map(b"".join),
+    st.integers(0, 70000).map(lambda v: str(v).encode()),
+    st.sampled_from([b"0", b"+7", b"-1", b"1_0", b"x", b"2#", b"0x10",
+                     b"\x85", b"\xa0", b"\x00", b"\xff", b"9\x1c"]),
+)
+
+
+@SETTINGS
+@given(st.sampled_from([b"P6", b"P5"]),
+       st.lists(header_pieces, max_size=10).map(b"".join))
+def test_header_scan_matches_the_byte_loop(magic, rest):
+    """`_HEADER` finds the byte loop's tokens at its offsets, and
+    `_read_header` returns its fields or raises its message, for every
+    prefix of a header mixing the six whitespace bytes, comments ended by
+    LF, CR or the end of input, and digit and non-digit tokens."""
+    buf = magic + rest
+    for end in range(2, len(buf) + 1):
+        head = buf[:end]
+        tokens, want = oracle_header(head)
+        m = data._HEADER.match(head, 2)
+        assert [(m[i], m.end(i)) for i in range(1, len(tokens) + 1)] == tokens
+        try:
+            got = data._read_header(head, "<bytes>")
+        except FormatError as e:
+            got = str(e)
+        assert got == want

@@ -1,7 +1,7 @@
 """Peak memory and page faults of a bare training step, a no-grad request
-or a training run.
+or a training run, or the wall time of loading a dataset.
 
-    python3 tools/step_memory.py [--request | --train | --semi]
+    python3 tools/step_memory.py [--request | --train | --semi | --load]
 
 Run from the repository root. Each of 12 steps is `zero_grad`, the forward,
 the cross-entropy loss and `backward` of the default full-arm `ModelConfig`
@@ -26,6 +26,11 @@ checkpoint every epoch) each start from a fresh model. A step is the
 interval between two consecutive steps of one consistency pass, as
 perfbench times them; the median and 90th percentile wall time and the
 median minor faults over all of them are printed.
+With `--load`, nothing trains: synthetic 64x64 PPM datasets of 160 and
+400 images (the sizes `semi-loop` and `train-full`/`infer-baseline` load)
+are written to a temporary directory once, and 25
+`ArrayDataset.from_manifest` calls on each are timed; the median wall time
+and microseconds per image of each, then the peak RSS, are printed.
 Otherwise prints the process's peak RSS (`ru_maxrss`) and, over the steps
 after the first two, the median minor page faults and wall time per step.
 BLAS runs on one thread, as in perfbench.
@@ -60,6 +65,8 @@ REQUEST = 64
 LABELED = 4
 TRAIN_IMAGES = 320
 TRAIN_RUNS = 3
+LOAD_IMAGES = (160, 400)
+LOAD_CALLS = 25
 
 
 def training_step():
@@ -156,6 +163,24 @@ def semi_main() -> None:
     print(f"minflt_per_step {statistics.median(faults):.0f}")
 
 
+def load_main() -> None:
+    with tempfile.TemporaryDirectory() as work_dir:
+        for images in LOAD_IMAGES:
+            manifest = synth_generate(Path(work_dir) / f"data{images}",
+                                      num_classes=4, per_class=images // 4,
+                                      image_size=64, seed=0)
+            times = []
+            for _ in range(LOAD_CALLS):
+                t0 = time.perf_counter()
+                ArrayDataset.from_manifest(manifest)
+                times.append(time.perf_counter() - t0)
+            ms = 1000 * statistics.median(times)
+            print(f"images {images} load_ms_median {ms:.2f} "
+                  f"us_per_image {1000 * ms / images:.1f}")
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    print(f"peak_rss_mb {usage.ru_maxrss / 1024:.1f}")
+
+
 def repeat(step):
     def run(on_step):
         for _ in range(STEPS):
@@ -175,9 +200,15 @@ def main() -> None:
                            "RSS after each")
     mode.add_argument("--semi", action="store_true",
                       help="time semi-loop's noise-consistency steps")
+    mode.add_argument("--load", action="store_true",
+                      help="time ArrayDataset.from_manifest on PPM trees "
+                           "of 160 and 400 images")
     args = parser.parse_args()
     if args.semi:
         semi_main()
+        return
+    if args.load:
+        load_main()
         return
     run = (train_runs() if args.train else
            repeat(request() if args.request else training_step()))
