@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path, PurePath
@@ -286,7 +285,7 @@ _FIELD = rb"(?:[" + _WHITESPACE + rb"]|#[^\n\r]*)*([^" + _WHITESPACE + rb"]*)"
 _HEADER = re.compile(_FIELD * 3)
 
 
-def _read_header(buf: bytes, origin) -> tuple[int, int, int, int]:
+def _read_header(buf: bytes, origin: str) -> tuple[int, int, int, int]:
     """The width, height and maxval that follow the 2-byte magic, and the
     offset just past maxval's token. Errors cite byte offsets."""
     m = _HEADER.match(buf, 2)
@@ -304,7 +303,7 @@ def _read_header(buf: bytes, origin) -> tuple[int, int, int, int]:
     return (*fields, m.end(3))
 
 
-def _ppm_view(buf: bytes, origin) -> tuple[np.ndarray, int]:
+def _ppm_view(buf: bytes, origin: str) -> tuple[np.ndarray, int]:
     """Binary PPM (P6) or PGM (P5) -> a read-only [3,H,W] view of the
     samples in `buf` (uint8 below maxval 256, else big-endian uint16, as
     the file stores them), and its maxval; grayscale is broadcast across
@@ -356,8 +355,10 @@ def decode_ppm_samples(buf: bytes, origin: str = "<bytes>"
 
 
 def _unit(samples: np.ndarray, maxval: int) -> np.ndarray:
-    """Integer samples -> float64 values in [0,1]: `samples / maxval`."""
-    out = samples.astype(np.float64)
+    """Integer samples -> C-contiguous float64 values in [0,1]:
+    `samples / maxval`. The layout matters: reductions over it sum in
+    memory order."""
+    out = samples.astype(np.float64, order="C")
     out /= maxval
     return out
 
@@ -383,12 +384,14 @@ def decode_image(path: Union[str, Path]) -> np.ndarray:
 def decode_image_samples(path: Union[str, Path]
                          ) -> tuple[np.ndarray, Optional[int]]:
     """Decode one dataset file to the [3,H,W] values it stores: a PPM/PGM's
-    integer samples and maxval (`decode_ppm_samples`), or a `.dcst`
-    tensor's float64 values and None."""
-    path = Path(path)
+    integer samples and maxval, as a read-only view of the file's bytes
+    (uint8 below maxval 256, else big-endian uint16), or a `.dcst`
+    tensor's float64 values and None. The file is read in one call."""
+    if not isinstance(path, Path):  # `Path(path)` re-parses a Path
+        path = Path(path)
     suffix = path.suffix.lower()
     if suffix in (".ppm", ".pgm"):
-        return decode_ppm_samples(_read_file(path), origin=str(path))
+        return _ppm_view(_read_file(path), str(path))
     if suffix == ".dcst":
         arr = np.asarray(load_tensor(path), dtype=np.float64)
         if arr.ndim == 2:
@@ -401,29 +404,10 @@ def decode_image_samples(path: Union[str, Path]
                       f"(supported: {', '.join(IMAGE_EXTENSIONS)})")
 
 
-def _read_file(path: Union[str, Path]) -> bytes:
+def _read_file(path: Path) -> bytes:
     """The whole file in one read, sized from its `stat`."""
     with open(path, "rb", buffering=0) as f:
         return f.readall()
-
-
-def _is_pnm_path(path: str) -> bool:
-    """`PurePath(path).suffix.lower() in (".ppm", ".pgm")` for a manifest
-    path, without building the `PurePath`: a name that is only the
-    suffix, such as `.ppm`, has none."""
-    return path[-4:].lower() in (".ppm", ".pgm") and \
-        path[-5:-4] not in ("", "/")
-
-
-class _JoinedPath:
-    """`str(root / rel)`, built only when an error message formats it."""
-    __slots__ = ("root", "rel")
-
-    def __init__(self, root: Path, rel: str):
-        self.root, self.rel = root, rel
-
-    def __str__(self) -> str:
-        return str(self.root / self.rel)
 
 
 # ---- bilinear resize ---------------------------------------------------------
@@ -515,20 +499,13 @@ class ArrayDataset:
         records = manifest.records
         if not records:
             raise FormatError(f"manifest in {manifest.root} has no records")
-        root = str(manifest.root)
         images = maxval = None
         for row, rec in enumerate(records):
+            path = manifest.root / rec.path
             try:
-                if _is_pnm_path(rec.path):
-                    img, img_maxval = _ppm_view(
-                        _read_file(os.path.join(root, rec.path)),
-                        _JoinedPath(manifest.root, rec.path))
-                else:
-                    img, img_maxval = decode_image_samples(
-                        manifest.root / rec.path)
+                img, img_maxval = decode_image_samples(path)
             except OSError as e:
-                raise FormatError(f"record {rec.id!r}: cannot read "
-                                  f"{manifest.root / rec.path}: "
+                raise FormatError(f"record {rec.id!r}: cannot read {path}: "
                                   f"{e.strerror or e}") from e
             if image_size is not None and img.shape[1:] != (image_size, image_size):
                 if img_maxval is not None:
