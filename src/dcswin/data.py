@@ -9,7 +9,6 @@ an absolute path or one with a `..` component.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -293,8 +292,8 @@ def _read_header(buf: bytes, origin: str) -> tuple[int, int, int, int]:
     for i, what in enumerate(("width", "height", "maxval"), 1):
         token = m[i]
         if not token:
-            raise FormatError(f"truncated header: expected {what} at byte "
-                              f"{m.start(i)}")
+            raise FormatError(f"{origin}: truncated header: expected {what} "
+                              f"at byte {m.start(i)}")
         try:
             fields.append(int(token))
         except ValueError:
@@ -558,14 +557,6 @@ class ArrayDataset:
     def set_normalization(self, mean, std) -> None:
         self.norm_mean = np.asarray(mean, dtype=np.float64).reshape(3)
         self.norm_std = np.asarray(std, dtype=np.float64).reshape(3)
-
-    def stats_hash(self) -> str:
-        if self.norm_mean is None:
-            raise ConfigError("normalization has not been fit")
-        digest = hashlib.sha256()
-        digest.update(self.norm_mean.tobytes())
-        digest.update(self.norm_std.tobytes())
-        return digest.hexdigest()
 
     def pixels(self, ids: Sequence[str]) -> np.ndarray:
         """Decoded float64 [n,3,H,W] values in id order, `images / scale`:

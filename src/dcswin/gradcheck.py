@@ -257,6 +257,15 @@ def _op_cases(seed: int) -> dict[str, tuple[Callable[[], Tensor], dict[str, Tens
         lambda: _probe(T.mix_branches(mw, mb, ((2,), (0, 3)))),
         {"weights": mw, "b0": mb[0], "b1": mb[1]})
 
+    fx = _leaf(rng, (2, 3, 4), -2.0, 2.0)
+    fgamma = Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True)
+    fbeta, fw1, fb1, fw2, fb2 = (_leaf(rng, s)
+                                 for s in ((4,), (4, 6), (6,), (6, 4), (4,)))
+    cases["mlp_branch"] = (
+        lambda: _probe(T.mlp_branch(fx, fgamma, fbeta, fw1, fb1, fw2, fb2)),
+        {"x": fx, "gamma": fgamma, "beta": fbeta, "w1": fw1, "b1": fb1,
+         "w2": fw2, "b2": fb2})
+
     return cases
 
 

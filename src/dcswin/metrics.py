@@ -215,13 +215,6 @@ class MetricsReport:
     def save(self, path: Union[str, Path]) -> None:
         Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        payload = json.loads(text)
-        return cls(seeds=tuple(payload["seeds"]),
-                   runs=tuple(payload["runs"]),
-                   aggregate=payload["aggregate"])
-
     def render(self) -> str:
         lines = []
         for name in METRIC_NAMES:
@@ -267,18 +260,3 @@ def write_predictions_jsonl(path: Union[str, Path], ids: Sequence[str],
             rec = {"id": str(sample_id), "truth": int(truth[i]),
                    "probs": [float(p) for p in probs[i]]}
             f.write(json.dumps(rec) + "\n")
-
-
-def read_predictions_jsonl(path: Union[str, Path]
-                           ) -> tuple[list[str], np.ndarray, np.ndarray]:
-    ids: list[str] = []
-    truth: list[int] = []
-    probs: list[list[float]] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        ids.append(rec["id"])
-        truth.append(int(rec["truth"]))
-        probs.append([float(p) for p in rec["probs"]])
-    return ids, np.asarray(truth, dtype=np.int64), np.asarray(probs)

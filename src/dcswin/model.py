@@ -261,8 +261,10 @@ class Mlp:
         self.fc1 = Linear(dim, hidden, rng)
         self.fc2 = Linear(hidden, dim, rng, zero=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(T.gelu(self.fc1(x)))
+    def __call__(self, x: Tensor, norm: LayerNorm) -> Tensor:
+        """The residual branch fc2(gelu(fc1(norm(x)))), as one op."""
+        return T.mlp_branch(x, norm.gamma, norm.beta, self.fc1.w, self.fc1.b,
+                            self.fc2.w, self.fc2.b)
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {**self.fc1.named(f"{prefix}.fc1"),
@@ -338,7 +340,7 @@ class Block:
         else:
             att = windowed_mhsa(n1, self.attn, self.attn_cfg, self.fixed_spec)
         x = T.add(x, att)
-        return T.add(x, self.mlp(self.ln2(x)))
+        return T.add(x, self.mlp(x, self.ln2))
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {**self.ln1.named(f"{prefix}.ln1"),
@@ -473,9 +475,6 @@ class DCSWin:
                 out.update(self.merges[i].named(f"stages.{i}.merge"))
         out.update(self.head.named("head"))
         return out
-
-    def num_params(self) -> int:
-        return sum(t.data.size for t in self.named_params().values())
 
     def zero_grad(self) -> None:
         for t in self.named_params().values():

@@ -12,7 +12,11 @@ per input, the leaf `Tensor` (a leaf that needs a gradient), the key and
 shape (a recorded output) or nothing (no gradient). So an intermediate
 array lives only while its caller or some backward rule holds it, and
 the sweep drops each entry before it runs the rule, which frees the
-arrays that rule saved as soon as it is done with them.
+arrays that rule saved as soon as it is done with them. `mlp_branch`,
+the pre-norm MLP branch of a block as one entry, keeps less than its four
+ops would: the norm's xn and denom, and the hidden pre-activation with
+its tanh. Its rule rebuilds the norm output and the activation by the
+forward's own elementwise calls, so no product is recomputed.
 
 Conventions:
   * ops are the module functions below and take `Tensor`s, never raw
@@ -30,10 +34,11 @@ Conventions:
     over each branch;
   * inside a request scope (`_request_buffers`, entered by
     `trainer.predict_probs`), the large arrays of `linear`, `gelu`,
-    `layer_norm`, `multihead_attention`, `mix_branches`, `add` and the
-    `reshape`/`permute` copies may be views of recycled buffers that no
-    live array references any more. Only where results are written changes, so
-    values are the same bits, and still no op writes into its inputs;
+    `layer_norm`, `mlp_branch`, `multihead_attention`, `mix_branches`,
+    `add` and the `reshape`/`permute` copies may be views of recycled
+    buffers that no live array references any more. Only where results
+    are written changes, so values are the same bits, and still no op
+    writes into its inputs;
   * checked mode (default on) rejects NaN/Inf with a `NumericsError` that
     names the op that produced it. Every op screens its output, except
     inside a model forward: `DCSWin.forward` screens only its logits and,
@@ -68,7 +73,7 @@ __all__ = [
     "concat", "reduce_sum", "reduce_mean", "mean_pool", "avg_pool2d",
     "matmul", "softmax", "multihead_attention", "attention_weights",
     "log_softmax", "cross_entropy",
-    "conv1x1", "linear", "layer_norm", "detach",
+    "conv1x1", "linear", "layer_norm", "mlp_branch", "detach",
 ]
 
 _grad_enabled: bool = True
@@ -288,6 +293,32 @@ def _accumulate(routes: list, grads: Sequence[Optional[np.ndarray]],
             route.grad = ig.copy() if route.grad is None else route.grad + ig
 
 
+def _saved_arrays(tape: Tape):
+    """(op, closure variable, base array) for every array the rules on
+    `tape` hold, in tape order, each base array (the one that owns the
+    memory) once: the bytes backward still has to read."""
+    seen = set()
+    for entry in tape._entries:
+        op = entry.bw.__qualname__.split(".")[0]
+        cells = entry.bw.__closure__ or ()
+        for var, cell in zip(entry.bw.__code__.co_freevars, cells):
+            try:
+                value = cell.cell_contents
+            except ValueError:  # an empty cell
+                continue
+            stack = [value]
+            while stack:
+                v = stack.pop()
+                if isinstance(v, (list, tuple)):
+                    stack.extend(v)
+                elif isinstance(v, np.ndarray):
+                    while isinstance(v.base, np.ndarray):
+                        v = v.base
+                    if id(v) not in seen:
+                        seen.add(id(v))
+                        yield op, var, v
+
+
 _tape_stack: list[Tape] = []
 _default_tape = Tape(autoreset=True)
 _serial = itertools.count()
@@ -503,6 +534,51 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(c * (x + a * x * x * x)), the one array gelu's rule needs
+    besides `x`."""
+    th = np.multiply(x, x, out=_empty(x.shape))
+    th *= x
+    th *= _GELU_A
+    th += x
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    return th
+
+
+def _gelu_out(x: np.ndarray, th: np.ndarray,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """gelu(x) = (th + 1) * x * 0.5 from `x` and `_gelu_tanh(x)`, into
+    `out` (which may be `th`) or a new array."""
+    out = np.add(th, 1.0, out=_empty(x.shape) if out is None else out)
+    out *= x
+    out *= 0.5
+    return out
+
+
+def _gelu_grad(g: np.ndarray, x: np.ndarray, th: np.ndarray,
+               d: np.ndarray) -> np.ndarray:
+    """The input gradient of gelu for the output gradient `g`, written
+    into `th`, which no caller reads again; `d` is a scratch array shaped
+    like `x`."""
+    # 0.5 * x * (1 - th^2) * c * (1 + 3a * x^2) + 0.5 * (1 + th)
+    np.multiply(x, 0.5, out=d)
+    t = th * th
+    np.subtract(1.0, t, out=t)
+    d *= t
+    d *= _GELU_C
+    np.multiply(x, 3.0 * _GELU_A, out=t)
+    t *= x
+    t += 1.0
+    d *= t
+    del t
+    th += 1.0
+    th *= 0.5
+    th += d
+    th *= g
+    return th
+
+
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh form.
 
@@ -512,32 +588,11 @@ def gelu(a: Tensor) -> Tensor:
     halving a product is exact outside the subnormal range.
     """
     x = a.data
-    th = np.multiply(x, x, out=_empty(x.shape))
-    th *= x
-    th *= _GELU_A
-    th += x
-    th *= _GELU_C
-    np.tanh(th, out=th)
-    out = np.add(th, 1.0, out=_empty(x.shape))
-    out *= x
-    out *= 0.5
+    th = _gelu_tanh(x)
+    out = _gelu_out(x, th)
 
     def bw(g):
-        # 0.5 * x * (1 - th^2) * c * (1 + 3a * x^2) + 0.5 * (1 + th)
-        d = x * 0.5
-        t = th * th
-        np.subtract(1.0, t, out=t)
-        d *= t
-        d *= _GELU_C
-        np.multiply(x, 3.0 * _GELU_A, out=t)
-        t *= x
-        t += 1.0
-        d *= t
-        np.add(th, 1.0, out=t)
-        t *= 0.5
-        t += d
-        t *= g
-        return (t,)
+        return (_gelu_grad(g, x, th, np.empty(x.shape)),)
 
     return _finish(out, (a,), bw, "gelu")
 
@@ -930,6 +985,24 @@ def conv1x1(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return _finish(out, inputs, bw, "conv1x1")
 
 
+def _affine(x2: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray]
+            ) -> np.ndarray:
+    """[M, K] @ [K, N] (+ [N]) of a contiguous [M, K] input."""
+    out = np.matmul(x2, wd, out=_empty((x2.shape[0], wd.shape[1])))
+    if bd is not None:
+        out += bd
+    return out
+
+
+def _affine_grads(g2: np.ndarray, x2: np.ndarray, wd: np.ndarray,
+                  need_dx: bool, has_b: bool) -> tuple:
+    """The [M, K] input, [K, N] weight and, if `has_b`, [N] bias gradients
+    of `_affine` for the [M, N] output gradient `g2`; the input's is None
+    unless `need_dx`."""
+    grads = (g2 @ wd.T if need_dx else None, x2.T @ g2)
+    return grads + (g2.sum(axis=0),) if has_b else grads
+
+
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """Affine map over the last axis: [..., K] @ [K, N] + [N].
 
@@ -941,23 +1014,58 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         raise ShapeError(f"linear expects [..., K] and [K, N], got {xd.shape} "
                          f"and {wd.shape}")
     n = wd.shape[1]
+    if b is not None and b.data.shape != (n,):
+        raise ShapeError(f"linear: bias shape {b.data.shape} != ({n},)")
     x2 = _contiguous(xd).reshape(-1, xd.shape[-1])
     xshape, need_dx = xd.shape, x.requires_grad
-    out = np.matmul(x2, wd, out=_empty((x2.shape[0], n)))
-    inputs: tuple[Tensor, ...] = (x, w)
-    if b is not None:
-        if b.data.shape != (n,):
-            raise ShapeError(f"linear: bias shape {b.data.shape} != ({n},)")
-        out += b.data
-        inputs = (x, w, b)
+    out = _affine(x2, wd, None if b is None else b.data)
+    inputs = (x, w) if b is None else (x, w, b)
 
     def bw(g):
-        g2 = g.reshape(-1, n)
-        dx = (g2 @ wd.T).reshape(xshape) if need_dx else None
-        grads = (dx, x2.T @ g2)
-        return grads + (g2.sum(axis=0),) if b is not None else grads
+        dx, *grads = _affine_grads(g.reshape(-1, n), x2, wd, need_dx,
+                                   b is not None)
+        return (None if dx is None else dx.reshape(xshape), *grads)
 
     return _finish(out.reshape(xshape[:-1] + (n,)), inputs, bw, "linear")
+
+
+def _norm_stats(xd: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """xn = (x - mean) / denom over the last axis, and denom =
+    sqrt(var + eps)."""
+    # centred here, scaled below
+    xn = np.subtract(xd, xd.mean(axis=-1, keepdims=True), out=_empty(xd.shape))
+    var = np.multiply(xn, xn, out=_empty(xd.shape)).mean(axis=-1, keepdims=True)
+    # squares that overflow would otherwise normalize x to 0 and return beta
+    _screen(var, "layer_norm variance")
+    denom = np.sqrt(var + eps)
+    xn /= denom
+    return xn, denom
+
+
+def _norm_out(xn: np.ndarray, gd: np.ndarray, bd: np.ndarray,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The layer norm output xn * gamma + beta, into `out` (which may be
+    `xn`) or a new array."""
+    out = np.multiply(xn, gd, out=_empty(xn.shape) if out is None else out)
+    out += bd
+    return out
+
+
+def _norm_grads(g: np.ndarray, xn: np.ndarray, denom: np.ndarray,
+                gd: np.ndarray) -> tuple:
+    """The input, gamma and beta gradients of a layer norm."""
+    lead = tuple(range(xn.ndim - 1))
+    dxn = g * gd
+    dx = dxn - dxn.mean(axis=-1, keepdims=True)
+    dx -= xn * (dxn * xn).mean(axis=-1, keepdims=True)
+    dx /= denom
+    return dx, (g * xn).sum(axis=lead), g.sum(axis=lead)
+
+
+def _check_norm_params(c: int, gamma: Tensor, beta: Tensor, op: str) -> None:
+    for name, p in (("gamma", gamma), ("beta", beta)):
+        if p.data.shape != (c,):
+            raise ShapeError(f"{op}: {name} shape {p.data.shape} != ({c},)")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -967,30 +1075,76 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     dxn = g * gamma, the input gradient is
     (dxn - mean(dxn) - xn * mean(dxn * xn)) / denom.
     """
-    c = x.data.shape[-1]
-    for name, p in (("gamma", gamma), ("beta", beta)):
-        if p.data.shape != (c,):
-            raise ShapeError(f"layer_norm: {name} shape {p.data.shape} != ({c},)")
-    xd, gd = x.data, gamma.data
-    # centred here, scaled below
-    xn = np.subtract(xd, xd.mean(axis=-1, keepdims=True), out=_empty(xd.shape))
-    var = np.multiply(xn, xn, out=_empty(xd.shape)).mean(axis=-1, keepdims=True)
-    # squares that overflow would otherwise normalize x to 0 and return beta
-    _screen(var, "layer_norm variance")
-    denom = np.sqrt(var + eps)
-    xn /= denom
-    out = np.multiply(xn, gd, out=_empty(xd.shape))
-    out += beta.data
-    lead = tuple(range(xd.ndim - 1))
+    _check_norm_params(x.data.shape[-1], gamma, beta, "layer_norm")
+    gd = gamma.data
+    xn, denom = _norm_stats(x.data, eps)
+    out = _norm_out(xn, gd, beta.data)
+    return _finish(out, (x, gamma, beta),
+                   lambda g: _norm_grads(g, xn, denom, gd), "layer_norm")
+
+
+def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
+               w2: Tensor, b2: Tensor, eps: float = 1e-5) -> Tensor:
+    """The pre-norm MLP residual branch
+    `linear(gelu(linear(layer_norm(x, gamma, beta), w1, b1)), w2, b2)`
+    as one tape entry: [..., C] -> [..., C] through a hidden width H, with
+    [C, H] `w1` and [H, C] `w2`.
+
+    The rule keeps only what it cannot rebuild by elementwise work: the
+    norm's xn and denom, and the hidden pre-activation h with its tanh.
+    It rebuilds the activation and then the norm output with the calls
+    the forward made, each just before the product that reads it, and
+    runs the four ops' rules in the order a sweep of them would, so
+    values and gradients are the same bits as that chain's.
+    """
+    xd = x.data
+    c = xd.shape[-1]
+    _check_norm_params(c, gamma, beta, "mlp_branch")
+    if xd.ndim < 2 or w1.data.ndim != 2 or w1.data.shape[0] != c \
+            or w2.data.shape != w1.data.shape[::-1] \
+            or b1.data.shape != w1.data.shape[1:] or b2.data.shape != (c,):
+        raise ShapeError(f"mlp_branch: input {xd.shape} needs [C, H] w1, [H] "
+                         f"b1, [H, C] w2 and [C] b2, got {w1.data.shape}, "
+                         f"{b1.data.shape}, {w2.data.shape} and "
+                         f"{b2.data.shape}")
+    xshape = xd.shape
+    gd, bd, w1d, w2d = gamma.data, beta.data, w1.data, w2.data
+    inputs = (x, gamma, beta, w1, b1, w2, b2)
+    need_n = x.requires_grad or gamma.requires_grad or beta.requires_grad
+    need_h = need_n or w1.requires_grad or b1.requires_grad
+    # without a graph nothing outlives its last reader, and the norm output
+    # and the activation overwrite the arrays they are computed from
+    keep = _grad_enabled and (need_h or w2.requires_grad or b2.requires_grad)
+    xn, denom = _norm_stats(xd, eps)
+    n = _norm_out(xn, gd, bd, None if keep else xn).reshape(-1, c)
+    if not keep:
+        xn = None
+    h = _affine(n, w1d, b1.data)
+    del n
+    th = _gelu_tanh(h)
+    act = _gelu_out(h, th, None if keep else th)
+    if not keep:
+        h = th = None
+    out = _affine(act, w2d, b2.data)
+    del act
 
     def bw(g):
-        dxn = g * gd
-        dx = dxn - dxn.mean(axis=-1, keepdims=True)
-        dx -= xn * (dxn * xn).mean(axis=-1, keepdims=True)
-        dx /= denom
-        return dx, (g * xn).sum(axis=lead), g.sum(axis=lead)
+        g2 = g.reshape(-1, c)
+        act = _gelu_out(h, th)
+        da, dw2, db2 = _affine_grads(g2, act, w2d, need_h, True)
+        if not need_h:
+            return None, None, None, None, None, dw2, db2
+        dh = _gelu_grad(da, h, th, act)
+        del act, da
+        n = _norm_out(xn, gd, bd).reshape(-1, c)
+        dn, dw1, db1 = _affine_grads(dh, n, w1d, need_n, True)
+        del n, dh
+        if not need_n:
+            return None, None, None, dw1, db1, dw2, db2
+        return (*_norm_grads(dn.reshape(xshape), xn, denom, gd),
+                dw1, db1, dw2, db2)
 
-    return _finish(out, (x, gamma, beta), bw, "layer_norm")
+    return _finish(out.reshape(xshape), inputs, bw, "mlp_branch")
 
 
 def detach(a: Tensor) -> Tensor:

@@ -206,7 +206,8 @@ def _read_header_token(buf: bytes, pos: int, what: str) -> tuple[bytes, int]:
         else:
             break
     if pos >= n:
-        raise FormatError(f"truncated header: expected {what} at byte {pos}")
+        raise FormatError(f"<bytes>: truncated header: expected {what} at "
+                          f"byte {pos}")
     start = pos
     while pos < n and not buf[pos:pos + 1].isspace():
         pos += 1

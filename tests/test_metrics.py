@@ -9,8 +9,7 @@ from dcswin.errors import MetricUndefinedError, ShapeError
 from dcswin.metrics import (ConfusionMatrix, MetricsReport, aggregate_runs,
                             auc_roc, balanced_accuracy, binary_auc,
                             cohens_kappa, evaluate_predictions, f1,
-                            format_aggregate, read_predictions_jsonl,
-                            write_predictions_jsonl)
+                            format_aggregate, write_predictions_jsonl)
 
 
 # ---- brute-force references (deliberately written the slow, obvious way) ------
@@ -253,11 +252,26 @@ def test_aggregate_validation():
         aggregate_runs(runs_of([0.5]), seeds=(0, 1))
 
 
+def report_from_json(text):
+    """The `MetricsReport` that `to_json` wrote as `text`."""
+    payload = json.loads(text)
+    return MetricsReport(seeds=tuple(payload["seeds"]),
+                         runs=tuple(payload["runs"]),
+                         aggregate=payload["aggregate"])
+
+
+def read_predictions_jsonl(path):
+    """The ids, integer truths and probability rows of a predictions file."""
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    return ([r["id"] for r in recs], np.array([r["truth"] for r in recs]),
+            np.array([r["probs"] for r in recs]))
+
+
 def test_report_json_roundtrip(tmp_path):
     report = aggregate_runs(runs_of([0.90, 0.92]), seeds=(0, 1))
     path = tmp_path / "report.json"
     report.save(path)
-    loaded = MetricsReport.from_json(path.read_text())
+    loaded = report_from_json(path.read_text())
     assert loaded.seeds == report.seeds
     assert loaded.runs == report.runs
     assert loaded.aggregate == report.aggregate

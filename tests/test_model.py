@@ -34,7 +34,8 @@ CONFIGS = [
 @pytest.mark.parametrize("cfg", CONFIGS)
 def test_param_count_matches_built_model(cfg):
     model = DCSWin(cfg, seed=0)
-    assert cfg.param_count() == model.num_params()
+    assert cfg.param_count() == sum(
+        t.data.size for t in model.named_params().values())
 
 
 @pytest.mark.parametrize("cfg", CONFIGS)

@@ -55,8 +55,8 @@ def test_poisoned_op_is_named(arm, selection, monkeypatch):
     model = noisy_model(fault_cfg(arm, selection))
     x = Tensor(np.random.default_rng(1).standard_normal((2, 3, 16, 16)))
     kinds = op_kinds(model, x)
-    assert {"linear", "layer_norm", "multihead_attention", "gelu", "roll",
-            "pad2d", "slice_nd"} <= kinds
+    assert {"linear", "layer_norm", "multihead_attention", "mlp_branch",
+            "roll", "pad2d", "slice_nd"} <= kinds
     if ARMS[arm][0]:
         assert {"conv1x1", "softmax", "div", "mix_branches"} <= kinds
     finish = T._finish

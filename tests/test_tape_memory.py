@@ -7,6 +7,7 @@ import pytest
 
 import dcswin.tensor as T
 from dcswin.errors import ShapeError
+from dcswin.model import DCSWin, ModelConfig
 from dcswin.tensor import Tensor, backward
 
 
@@ -106,3 +107,47 @@ def test_input_gradient_is_skipped_when_the_input_needs_none(op, x_shape,
         dx, dw, db = entry.bw(np.ones(out.shape))
         assert (dx is not None) == needs
         assert dw.shape == w.shape and db.shape == b.shape
+
+
+def test_mlp_branch_keeps_neither_its_norm_output_nor_its_activation():
+    """The rule holds the norm's xn and denom and the hidden
+    pre-activation with its tanh, and rebuilds the rest in backward."""
+    rng = np.random.default_rng(5)
+    c, h = 6, 13
+    x = leaf(rng.standard_normal((2, 3, 4, c)))
+    params = [leaf(rng.uniform(0.5, 1.5, c)), leaf(rng.standard_normal(c)),
+              leaf(rng.standard_normal((c, h))), leaf(rng.standard_normal(h)),
+              leaf(rng.standard_normal((h, c))), leaf(rng.standard_normal(c))]
+    with T.no_grad():
+        norm = T.layer_norm(x, *params[:2])
+        act = T.gelu(T.linear(norm, *params[2:4]))
+    with T.Tape() as tape:
+        T.mlp_branch(x, *params)
+    held = {id(p.data) for p in params}
+    saved = [(var, arr) for op, var, arr in T._saved_arrays(tape)
+             if id(arr) not in held]
+    assert sorted(var for var, _ in saved) == ["denom", "h", "th", "xn"]
+    for _, arr in saved:
+        for dropped in (norm.data, act.data):
+            assert not (arr.size == dropped.size
+                        and np.array_equal(arr.reshape(dropped.shape),
+                                           dropped))
+    rows = x.data.size // c
+    assert sum(arr.nbytes for _, arr in saved) == 8 * (rows * c + rows
+                                                       + 2 * rows * h)
+
+
+# measured with `tools/step_memory.py --saved`: 114.35 MB
+FULL_ARM_SAVED_BYTES = 119_903_528
+
+
+def test_full_arm_forward_saves_no_more_than_measured():
+    """What a default full-arm batch-16 forward leaves on the tape for
+    backward, each array that owns memory counted once: a change that
+    saves more fails here before it shows in peak RSS."""
+    model = DCSWin(ModelConfig(), seed=0)
+    x = Tensor(np.random.default_rng(0).standard_normal((16, 3, 64, 64)))
+    with T.Tape() as tape:
+        model(x)
+    saved = sum(arr.nbytes for _, _, arr in T._saved_arrays(tape))
+    assert saved <= FULL_ARM_SAVED_BYTES, saved

@@ -356,6 +356,80 @@ def test_layer_norm_param_shape_mismatch():
         T.layer_norm(Tensor(np.zeros((2, 4))), T.ones((3,)), T.zeros((4,)))
 
 
+def four_op_mlp(x, gamma, beta, w1, b1, w2, b2):
+    """The chain `mlp_branch` replaced."""
+    n = T.layer_norm(x, gamma, beta)
+    return T.linear(T.gelu(T.linear(n, w1, b1)), w2, b2)
+
+
+def _mlp_leaves(xshape, seed, needs=(True,) * 7):
+    rng = np.random.default_rng(seed)
+    c, h = xshape[-1], 2 * xshape[-1] + 1
+    draws = (rng.standard_normal(xshape) * 2.0 + 0.5,
+             rng.uniform(0.5, 1.5, size=c), rng.standard_normal(c),
+             rng.standard_normal((c, h)), rng.standard_normal(h),
+             rng.standard_normal((h, c)), rng.standard_normal(c))
+    return [Tensor(d, requires_grad=need) for d, need in zip(draws, needs)]
+
+
+def _bits(arrays):
+    return [None if a is None else (a.shape, a.tobytes()) for a in arrays]
+
+
+# x, gamma, beta, w1, b1, w2, b2: all, the weights alone, fc2 alone
+MLP_NEEDS = [(True,) * 7, (False,) * 3 + (True,) * 4,
+             (False,) * 5 + (True,) * 2]
+
+
+@pytest.mark.parametrize("needs", MLP_NEEDS)
+@pytest.mark.parametrize("xshape", [(5, 4), (2, 3, 5, 6)])
+def test_mlp_branch_is_the_four_op_chain_bit_for_bit(xshape, needs):
+    """Output and input gradients, alone and beside the residual `add` a
+    block puts around it (whose flow into x it adds to), are the same
+    bytes as the chain's."""
+    leaves = _mlp_leaves(xshape, 50 + len(xshape), needs)
+    probe = Tensor(np.random.default_rng(51).standard_normal(xshape))
+
+    def run(branch, residual, grad=True):
+        for t in leaves:
+            t.grad = None
+        out = branch(*leaves)
+        if residual:
+            out = T.add(leaves[0], out)
+        if grad:
+            backward(T.reduce_sum(T.mul(out, probe)))
+        return _bits([out.data] + [t.grad for t in leaves])
+
+    for residual in (False, True):
+        assert run(T.mlp_branch, residual) == run(four_op_mlp, residual)
+    with no_grad():
+        assert run(T.mlp_branch, False, False) == run(four_op_mlp, False,
+                                                      False)
+
+
+def test_mlp_branch_in_a_request_scope_matches_the_chain():
+    """Inside a request scope the op draws recycled buffers, and a held
+    output keeps its bytes while later calls reuse the dead ones."""
+    leaves = _mlp_leaves((2, 3, 5, 6), 52)
+    with no_grad():
+        want = four_op_mlp(*leaves).data.tobytes()
+        with T._request_buffers():
+            held = T.mlp_branch(*leaves)
+            for _ in range(3):
+                assert T.mlp_branch(*leaves).data.tobytes() == want
+            assert held.data.tobytes() == want
+
+
+def test_mlp_branch_rejects_mismatched_shapes():
+    leaves = _mlp_leaves((3, 4), 53)
+    for i, bad in ((1, (5,)), (3, (5, 9)), (4, (8,)), (5, (9, 5)),
+                   (6, (5,))):
+        args = list(leaves)
+        args[i] = Tensor(np.zeros(bad))
+        with pytest.raises(ShapeError):
+            T.mlp_branch(*args)
+
+
 def _window_mask(side, spec):
     """The model's additive mask for a side x side map under `spec`."""
     _, info = window_partition(Tensor(np.zeros((1, side, side, 1))), spec)

@@ -1,7 +1,7 @@
 """Peak memory and page faults of a bare training step, a no-grad request
 or a training run, or the wall time of loading a dataset.
 
-    python3 tools/step_memory.py [--request | --train | --semi | --load]
+    python3 tools/step_memory.py [--request | --train | --semi | --load | --saved]
 
 Run from the repository root. Each of 12 steps is `zero_grad`, the forward,
 the cross-entropy loss and `backward` of the default full-arm `ModelConfig`
@@ -31,6 +31,11 @@ With `--load`, nothing trains: synthetic 64x64 PPM datasets of 160 and
 are written to a temporary directory once, and 25
 `ArrayDataset.from_manifest` calls on each are timed; the median wall time
 and microseconds per image of each, then the peak RSS, are printed.
+With `--saved`, nothing steps: one forward of the training step's model
+and batch is recorded, and the bytes its backward rules hold (parameters
+included) are printed, in MB of 2^20 bytes as peak RSS is, by op and by
+the rule's closure variable, counting each array that owns its memory
+once: what the tape keeps alive between forward and backward.
 Otherwise prints the process's peak RSS (`ru_maxrss`) and, over the steps
 after the first two, the median minor page faults and wall time per step.
 BLAS runs on one thread, as in perfbench.
@@ -45,6 +50,7 @@ os.environ["OMP_NUM_THREADS"] = "1"
 sys.path.insert(0, "src")
 
 import argparse  # noqa: E402
+import collections  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import tempfile  # noqa: E402
@@ -181,6 +187,25 @@ def load_main() -> None:
     print(f"peak_rss_mb {usage.ru_maxrss / 1024:.1f}")
 
 
+def saved_main() -> None:
+    model = DCSWin(ModelConfig(), seed=0)
+    x = T.Tensor(np.random.default_rng(0).standard_normal((BATCH, 3, 64, 64)))
+    with T.Tape() as tape:
+        model(x)
+    by_op, by_var = collections.Counter(), collections.Counter()
+    for op, var, arr in T._saved_arrays(tape):
+        by_op[op] += arr.nbytes
+        by_var[op, var] += arr.nbytes
+    mb = 1 << 20
+    print(f"tape_entries {len(tape)}")
+    print(f"saved_mb {sum(by_op.values()) / mb:.2f}")
+    for op, nbytes in by_op.most_common():
+        print(f"{op} {nbytes / mb:.2f}")
+        for (vop, var), vbytes in by_var.most_common():
+            if vop == op:
+                print(f"  {var} {vbytes / mb:.2f}")
+
+
 def repeat(step):
     def run(on_step):
         for _ in range(STEPS):
@@ -203,7 +228,13 @@ def main() -> None:
     mode.add_argument("--load", action="store_true",
                       help="time ArrayDataset.from_manifest on PPM trees "
                            "of 160 and 400 images")
+    mode.add_argument("--saved", action="store_true",
+                      help="print the bytes one training forward leaves "
+                           "on the tape, by op and closure variable")
     args = parser.parse_args()
+    if args.saved:
+        saved_main()
+        return
     if args.semi:
         semi_main()
         return
