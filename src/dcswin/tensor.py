@@ -1029,6 +1029,10 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return _finish(out.reshape(xshape[:-1] + (n,)), inputs, bw, "linear")
 
 
+# the epsilon of every layer norm: `layer_norm`'s default and `mlp_branch`'s
+_LN_EPS = 1e-5
+
+
 def _norm_stats(xd: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """xn = (x - mean) / denom over the last axis, and denom =
     sqrt(var + eps)."""
@@ -1068,7 +1072,8 @@ def _check_norm_params(c: int, gamma: Tensor, beta: Tensor, op: str) -> None:
             raise ShapeError(f"{op}: {name} shape {p.data.shape} != ({c},)")
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
+               eps: float = _LN_EPS) -> Tensor:
     """Normalize over the last axis, then scale and shift.
 
     With xn = (x - mean) / denom, denom = sqrt(var + eps) and
@@ -1084,7 +1089,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
-               w2: Tensor, b2: Tensor, eps: float = 1e-5) -> Tensor:
+               w2: Tensor, b2: Tensor) -> Tensor:
     """The pre-norm MLP residual branch
     `linear(gelu(linear(layer_norm(x, gamma, beta), w1, b1)), w2, b2)`
     as one tape entry: [..., C] -> [..., C] through a hidden width H, with
@@ -1115,7 +1120,7 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
     # without a graph nothing outlives its last reader, and the norm output
     # and the activation overwrite the arrays they are computed from
     keep = _grad_enabled and (need_h or w2.requires_grad or b2.requires_grad)
-    xn, denom = _norm_stats(xd, eps)
+    xn, denom = _norm_stats(xd, _LN_EPS)
     n = _norm_out(xn, gd, bd, None if keep else xn).reshape(-1, c)
     if not keep:
         xn = None
