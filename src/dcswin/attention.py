@@ -6,12 +6,19 @@ w x w windows over axes 1-2 and returns tokens [B*nW, w*w, C];
 `window_reverse` is its exact inverse.
 Disallowed token pairs (across the wrap-around seam created by the shift,
 or involving padding) are suppressed with an additive -1e9 before softmax.
+
+A block's window attention, at one window or mixed over several, is one
+op, `window_attention`: it projects q, k and v once on the map and cuts
+each window's rows out of them by a cached index instead of partitioning
+the map with `pad2d`, `roll`, `reshape` and `permute`. `mhsa`,
+`window_partition` and `window_reverse` remain as that op's reference
+chain.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -118,25 +125,31 @@ def window_partition(x: Tensor, spec: WindowSpec) -> tuple[Tensor, PartitionInfo
     Windows are laid out batch-major, then row-major over the window grid;
     tokens inside a window are row-major.
     """
-    if x.data.ndim != 4:
-        raise ShapeError(f"window_partition expects [B,H,W,C], got {x.shape}")
-    b, h, w_in, c = x.data.shape
+    info = _partition_info(x.data.shape, spec)
+    b, c, w = info.batch, info.channels, spec.window
+    t = x
+    if info.pad_h or info.pad_w:
+        t = T.pad2d(t, info.pad_h, info.pad_w)
+    if spec.shift:
+        t = T.roll(t, (-spec.shift, -spec.shift), (1, 2))
+    t = T.reshape(t, (b, info.grid_h, w, info.grid_w, w, c))
+    t = T.permute(t, (0, 1, 3, 2, 4, 5))
+    t = T.reshape(t, (b * info.num_windows, w * w, c))
+    return t, info
+
+
+def _partition_info(shape: tuple[int, ...], spec: WindowSpec) -> PartitionInfo:
+    """The geometry of the windows `spec` cuts from a [B,H,W,C] map."""
+    if len(shape) != 4:
+        raise ShapeError(f"window partition expects [B,H,W,C], got {shape}")
+    b, h, w_in, c = shape
     w = spec.window
     if w > h or w > w_in:
         raise ConfigError(f"window {w} exceeds feature map side ({h},{w_in}); "
                           "clip candidates to the stage side")
-    pad_h = (-h) % w
-    pad_w = (-w_in) % w
-    t = x
-    if pad_h or pad_w:
-        t = T.pad2d(t, pad_h, pad_w)
-    if spec.shift:
-        t = T.roll(t, (-spec.shift, -spec.shift), (1, 2))
-    gh, gw = (h + pad_h) // w, (w_in + pad_w) // w
-    t = T.reshape(t, (b, gh, w, gw, w, c))
-    t = T.permute(t, (0, 1, 3, 2, 4, 5))
-    t = T.reshape(t, (b * gh * gw, w * w, c))
-    return t, PartitionInfo(b, c, h, w_in, pad_h, pad_w, gh, gw, spec)
+    pad_h, pad_w = (-h) % w, (-w_in) % w
+    return PartitionInfo(b, c, h, w_in, pad_h, pad_w, (h + pad_h) // w,
+                         (w_in + pad_w) // w, spec)
 
 
 def window_reverse(windows: Tensor, info: PartitionInfo) -> Tensor:
@@ -234,13 +247,237 @@ def mhsa(tokens: Tensor, params: AttentionParams, cfg: AttentionConfig,
 
 def windowed_mhsa(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
                   spec: WindowSpec, return_weights: bool = False):
-    """Partition -> masked self-attention per window -> reverse."""
-    tokens, info = window_partition(x, spec)
-    out = mhsa(tokens, params, cfg, attention_mask(info), return_weights)
-    if return_weights:
-        out, weights = out
-        return window_reverse(out, info), weights, info
-    return window_reverse(out, info)
+    """Partition -> masked self-attention per window -> reverse, as one
+    `window_attention` op. With `return_weights`, also the [B*nW, heads,
+    L, L] attention weights and the partition's `PartitionInfo`."""
+    if not return_weights:
+        return window_attention(x, params, cfg, (spec,))
+    probs: list[np.ndarray] = []
+    out = window_attention(x, params, cfg, (spec,), probs_out=probs)
+    return out, Tensor(probs[0]), _partition_info(x.data.shape, spec)
+
+
+@lru_cache(maxsize=64)
+def _window_rows(batch: int, height: int, width: int, spec: WindowSpec
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row indices between a [B,H,W,C] map flattened to [B*H*W, C] and the
+    [B*nW*L, C] rows of the tokens `window_partition` cuts from it: per
+    token row the map row it copies (0 for padding), the token rows that
+    are padding, and per map row the token row that holds it. Read-only
+    and shared, like the masks."""
+    w, s = spec.window, spec.shift
+    hp, wp = height + (-height) % w, width + (-width) % w
+    # the padded map is rolled back by the shift before it is cut
+    ys = ((np.arange(hp) + s) % hp).reshape(hp // w, 1, w, 1)
+    xs = ((np.arange(wp) + s) % wp).reshape(1, wp // w, 1, w)
+    valid = (ys < height) & (xs < width)
+    src = np.where(valid, ys * width + xs, 0).reshape(-1)
+    valid = valid.reshape(-1)
+    rows = (np.arange(batch)[:, None] * (height * width) + src).reshape(-1)
+    keep = np.tile(valid, batch)
+    pad = np.flatnonzero(~keep)
+    back = np.empty(batch * height * width, dtype=np.intp)
+    back[rows[keep]] = np.flatnonzero(keep)
+    for a in (rows, pad, back):
+        a.flags.writeable = False
+    return rows, pad, back
+
+
+def _gather(src: np.ndarray, rows: np.ndarray,
+            pad: Optional[np.ndarray] = None, fill=0.0) -> np.ndarray:
+    """`src[rows]` into an `_empty` array, with the rows `pad` set to
+    `fill`."""
+    # the rows are in range; "clip" only spares take a buffered copy
+    out = np.take(src, rows, axis=0, out=T._empty((rows.size, src.shape[1])),
+                  mode="clip")
+    if pad is not None and pad.size:
+        out[pad] = fill
+    return out
+
+
+def _cut(info: PartitionInfo, maps: Sequence[np.ndarray],
+         biases: Sequence[np.ndarray]) -> tuple:
+    """The row indices of `info`'s windows (`_window_rows`), their token
+    shape [B*nW, L, C], and their rows of each [B*H*W, C] map, with each
+    map's bias for padding."""
+    rows, pad, back = _window_rows(info.batch, info.height, info.width,
+                                   info.spec)
+    shape = (info.batch * info.num_windows, info.spec.window ** 2,
+             info.channels)
+    return rows, pad, back, shape, [_gather(m, rows, pad, bd).reshape(shape)
+                                    for m, bd in zip(maps, biases)]
+
+
+def _mix_columns(w: np.ndarray, columns: Sequence[Sequence[int]]
+                 ) -> list[np.ndarray]:
+    """Per group of indices, the [B, 1] sum of those columns of the [B, S]
+    weights `w`, added in the group's order."""
+    out = []
+    for idx in columns:
+        col = w[:, idx[0]:idx[0] + 1]
+        for i in idx[1:]:
+            col = col + w[:, i:i + 1]
+        out.append(col)
+    return out
+
+
+def _mix_weight_grad(g: np.ndarray, outs: Sequence[np.ndarray],
+                     columns: Sequence[Sequence[int]], s: int) -> np.ndarray:
+    """The [B, S] gradient of the mixture weights for the output gradient
+    `g` and each window's map-order output, built as slicing, summing,
+    broadcasting and multiplying columns would pass it back: one
+    zero-padded [B, S] array per column, added in descending column order,
+    so it has their bits down to the sign of a zero."""
+    b = g.shape[0]
+    per_column = {}
+    for d, idx in zip(outs, columns):
+        gcol = T._unbroadcast(g * d, (b, 1, 1, 1)).reshape(b, 1)
+        for i in idx:
+            per_column[i] = gcol
+    dw = None
+    for i in sorted(per_column, reverse=True):
+        z = np.zeros((b, s))
+        z[:, i:i + 1] = per_column[i]
+        dw = z if dw is None else dw + z
+    return dw
+
+
+def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
+                     specs: Sequence[WindowSpec],
+                     mixture: Optional[Tensor] = None,
+                     columns: Optional[Sequence[Sequence[int]]] = None,
+                     probs_out: Optional[list] = None) -> Tensor:
+    """Self-attention of the [B,H,W,C] map `x` within the windows of each
+    spec, as one tape entry.
+
+    Without `mixture` there is one spec, and the result is
+    `window_reverse` of `mhsa` over `window_partition(x, spec)` with the
+    spec's `attention_mask`. With a [B, S] `mixture`, window i's output is
+    scaled per sample by the sum of the mixture columns `columns[i]` and
+    the scaled outputs are added in order; each column belongs to at most
+    one window. `probs_out`, if given, receives each window's attention
+    weights.
+
+    q, k and v are projected once, on the map. Each window gathers its
+    tokens' rows of them by a cached index (a padding row gets the bias,
+    which is what a zero row's product gives), and its output projection
+    goes back to map order by one more gather. The rule keeps `x`, the
+    three projected maps and, per window, the weights, the context and,
+    with a mixture, the map-order output. It rebuilds every window-order
+    copy by the same gathers and, window by window in reverse, runs the
+    rules the op chain would: the mixture's, the output projection's, the
+    attention's, then v's, k's and q's projections. So values and
+    gradients are the same bits as that chain's, per window
+    `window_partition`, three `linear`, `multihead_attention`, `linear`
+    and `window_reverse`, then the mixture's slices, adds, broadcasts and
+    products; each weight's gradient is summed over windows in the
+    sweep's order.
+    """
+    xd = x.data
+    infos = [_partition_info(xd.shape, spec) for spec in specs]
+    b, h, w_in, c = xd.shape
+    if c != cfg.dim:
+        raise ShapeError(f"window_attention: map width {c} != configured "
+                         f"{cfg.dim}")
+    if mixture is None:
+        if len(specs) != 1 or columns is not None:
+            raise ShapeError(f"window_attention: {len(specs)} windows without "
+                             f"a mixture; only one window may go unmixed")
+    else:
+        md = mixture.data
+        flat = [i for idx in columns or () for i in idx]
+        if md.ndim != 2 or md.shape[0] != b or columns is None \
+                or not specs or len(specs) != len(columns) \
+                or not all(columns) or len(set(flat)) != len(flat) \
+                or not all(0 <= i < md.shape[1] for i in flat):
+            raise ShapeError(f"window_attention: a [{b}, S] mixture and one "
+                             f"non-empty column group per window, disjoint "
+                             f"and within [0, S), got mixture {md.shape} and "
+                             f"groups {columns} for {len(specs)} windows")
+        cols = [col.reshape(b, 1, 1, 1) for col in _mix_columns(md, columns)]
+    plist = (params.wq, params.bq, params.wk, params.bk, params.wv,
+             params.bv, params.wo, params.bo)
+    for p in plist:
+        if p.data.shape != ((c, c) if p.data.ndim == 2 else (c,)):
+            raise ShapeError(f"window_attention: projection {p.data.shape} "
+                             f"for width {c}")
+    wq, bq, wk, bk, wv, bv, wo, bo = (p.data for p in plist)
+    heads = cfg.num_heads
+    inputs = (x, *plist) + (() if mixture is None else (mixture,))
+    keep = T._grad_enabled and any(t.requires_grad for t in inputs)
+    x2 = T._contiguous(xd).reshape(-1, c)
+    biases = (bq, bk, bv)
+    maps = [T._affine(x2, wd, bd) for wd, bd in zip((wq, wk, wv), biases)]
+    saved: list[tuple] = []
+    out = term = None
+    for i, info in enumerate(infos):
+        _, _, back, _, (qd, kd, vd) = _cut(info, maps, biases)
+        probs, _ = T._attention_probs(qd, kd, heads, attention_mask(info))
+        ctx = T._attention_context(probs, vd, heads).reshape(-1, c)
+        del qd, kd, vd
+        o = _gather(T._affine(ctx, wo, bo), back).reshape(xd.shape)
+        if probs_out is not None:
+            probs_out.append(probs)
+        if keep:
+            saved.append((probs, ctx, None if mixture is None else o))
+        if mixture is None:
+            out = o
+        elif out is None:
+            out = np.multiply(o, cols[0], out=T._empty(xd.shape))
+        else:
+            term = T._empty(xd.shape) if term is None else term
+            out += np.multiply(o, cols[i], out=term)
+    need_x = x.requires_grad
+    need_branch = need_x or any(p.requires_grad for p in plist)
+
+    def bw(g):
+        dmix = None
+        if mixture is not None and mixture.requires_grad:
+            dmix = _mix_weight_grad(g, [o for _, _, o in saved], columns,
+                                    md.shape[1])
+        tail = () if mixture is None else (dmix,)
+        if not need_branch:
+            return (None,) * 9 + tail
+        dx = None
+        dparams = [None] * 8
+        for i in reversed(range(len(infos))):
+            probs, ctx, _ = saved[i]
+            gi = g if mixture is None else g * cols[i]
+            rows, pad, back, shape, (qd, kd, vd) = _cut(infos[i], maps,
+                                                        biases)
+            dctx, dwo, dbo = T._affine_grads(
+                _gather(gi.reshape(-1, c), rows, pad), ctx, wo, True, True)
+            del gi
+            kt = T._contiguous(T._heads(kd, heads).transpose(0, 1, 3, 2))
+            del kd
+            dq, dk, dv = T._attention_grads(dctx.reshape(shape), probs, qd,
+                                            kt, vd, heads)
+            del dctx, qd, kt, vd
+            tok = _gather(x2, rows, pad)
+            dxv, dwv, dbv = T._affine_grads(dv.reshape(-1, c), tok, wv, need_x,
+                                            True)
+            dxk, dwk, dbk = T._affine_grads(dk.reshape(-1, c), tok, wk, need_x,
+                                            True)
+            dxq, dwq, dbq = T._affine_grads(dq.reshape(-1, c), tok, wq, need_x,
+                                            True)
+            del tok, dq, dk, dv
+            for j, d in enumerate((dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo)):
+                if dparams[j] is None:
+                    dparams[j] = d
+                else:
+                    dparams[j] += d
+            if need_x:
+                # the tokens' flows arrive as v's, then k's, then q's
+                dxv += dxk
+                dxv += dxq
+                dxm = _gather(dxv, back).reshape(xd.shape)
+                if dx is None:
+                    dx = dxm
+                else:
+                    dx += dxm
+        return (dx, *dparams) + tail
+
+    return T._finish(out, inputs, bw, "window_attention")
 
 
 # Channels-first helpers. The model keeps its maps channels-last and never

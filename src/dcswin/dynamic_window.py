@@ -14,7 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionConfig, AttentionParams, WindowSpec, windowed_mhsa
+from .attention import (AttentionConfig, AttentionParams, WindowSpec,
+                        _mix_columns, window_attention)
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
@@ -56,8 +57,9 @@ def dynamic_window_attention(x: Tensor, mixture: Tensor,
                              hard: bool = False) -> Tensor:
     """Mixture-weighted sum of windowed attention at every candidate size.
 
-    x is [B,H,W,C]. Q/K/V/output projections are shared across candidates;
-    only the window geometry differs. Candidates with the same window and
+    x is [B,H,W,C]. Q/K/V/output projections are shared across candidates,
+    and q, k and v are projected once (`window_attention`); only the window
+    geometry differs. Candidates with the same window and
     shift (e.g. several clipped to the stage side) are attended once, with
     their weight columns summed; hard selection takes its argmax over the
     original candidate list first. Windows whose weight is exactly zero for
@@ -75,10 +77,10 @@ def dynamic_window_attention(x: Tensor, mixture: Tensor,
     for i, cand in enumerate(candidates):
         s = cand // 2 if (shift and cand < min(h, w_sp)) else 0
         groups.setdefault(WindowSpec(cand, s), []).append(i)
-    cols = T._mix_columns(weights.data, list(groups.values()))
+    cols = _mix_columns(weights.data, list(groups.values()))
     live = [(spec, idx) for (spec, idx), col in zip(groups.items(), cols)
             if not np.all(col == 0.0)]
     if not live:
         raise ConfigError("mixture assigns zero weight to every candidate")
-    branches = [windowed_mhsa(x, params, cfg, spec) for spec, _ in live]
-    return T.mix_branches(weights, branches, [idx for _, idx in live])
+    return window_attention(x, params, cfg, [spec for spec, _ in live],
+                            weights, [idx for _, idx in live])

@@ -249,14 +249,6 @@ def _op_cases(seed: int) -> dict[str, tuple[Callable[[], Tensor], dict[str, Tens
     cases["layer_norm"] = (lambda: _probe(T.layer_norm(nx, ng, nb)),
                            {"x": nx, "gamma": ng, "beta": nb})
 
-    # column 1 feeds no branch (a skipped zero-weight window) and the second
-    # branch takes the summed columns 0 and 3 (a duplicated window)
-    mw = _leaf(rng, (2, 4))
-    mb = [_leaf(rng, (2, 2, 3, 2)) for _ in range(2)]
-    cases["mix_branches"] = (
-        lambda: _probe(T.mix_branches(mw, mb, ((2,), (0, 3)))),
-        {"weights": mw, "b0": mb[0], "b1": mb[1]})
-
     fx = _leaf(rng, (2, 3, 4), -2.0, 2.0)
     fgamma = Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True)
     fbeta, fw1, fb1, fw2, fb2 = (_leaf(rng, s)
@@ -271,7 +263,8 @@ def _op_cases(seed: int) -> dict[str, tuple[Callable[[], Tensor], dict[str, Tens
 
 def _attention_cases(seed: int):
     from .attention import AttentionConfig, AttentionParams, WindowSpec
-    from .attention import cross_attention, mhsa, windowed_mhsa
+    from .attention import (cross_attention, mhsa, window_attention,
+                            windowed_mhsa)
 
     rng = np.random.default_rng(seed)
     cases: dict[str, tuple[Callable[[], Tensor], dict[str, Tensor]]] = {}
@@ -308,6 +301,16 @@ def _attention_cases(seed: int):
     cases["windowed_mhsa_padded"] = (
         lambda: _probe(windowed_mhsa(pmap, pparams, cfg, pspec)),
         {"x": pmap, **pparams.named("p")})
+
+    # column 1 feeds no window (a skipped zero-weight candidate) and the
+    # second window takes the summed columns 0 and 3 (a duplicated one)
+    mmap = _leaf(rng, (2, 5, 5, 4))
+    mix = _leaf(rng, (2, 4))
+    mspecs = (WindowSpec(window=2, shift=1), WindowSpec(window=4))
+    cases["window_attention"] = (
+        lambda: _probe(window_attention(mmap, pparams, cfg, mspecs, mix,
+                                        ((2,), (0, 3)))),
+        {"x": mmap, "mixture": mix, **pparams.named("p")})
 
     return cases
 

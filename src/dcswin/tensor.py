@@ -27,15 +27,15 @@ Conventions:
     view of its input. No op writes into its inputs;
   * no implicit broadcasting: `add`/`mul`/`div` demand identical shapes,
     expansion is explicit via `broadcast_to`; the exceptions are `matmul`,
-    which broadcasts its leading batch dimensions, and three in-op
-    broadcasts: the bias of `linear` over the leading axes, the additive
-    constant mask of `multihead_attention` over heads and over the
-    batch-major windows, and the per-sample weights of `mix_branches`
-    over each branch;
+    which broadcasts its leading batch dimensions, and two in-op
+    broadcasts: the bias of `linear` over the leading axes, and the
+    additive constant mask of `multihead_attention` over heads and over
+    the batch-major windows;
   * inside a request scope (`_request_buffers`, entered by
     `trainer.predict_probs`), the large arrays of `linear`, `gelu`,
-    `layer_norm`, `mlp_branch`, `multihead_attention`, `mix_branches`,
-    `add` and the `reshape`/`permute` copies may be views of recycled
+    `layer_norm`, `mlp_branch`, `multihead_attention`,
+    `attention.window_attention`, `add` and the `reshape`/`permute`
+    copies may be views of recycled
     buffers that no live array references any more. Only where results
     are written changes, so values are the same bits, and still no op
     writes into its inputs;
@@ -67,7 +67,7 @@ from .errors import NumericsError, ShapeError, TapeError
 __all__ = [
     "Tensor", "Tape", "backward", "no_grad", "checked_mode", "is_checked",
     "zeros", "ones", "trunc_normal",
-    "add", "add_scalar", "sub", "neg", "mul", "div", "scale", "mix_branches",
+    "add", "add_scalar", "sub", "neg", "mul", "div", "scale",
     "exp", "log", "sqrt", "tanh", "relu", "gelu",
     "broadcast_to", "reshape", "permute", "roll", "pad2d", "slice_nd",
     "concat", "reduce_sum", "reduce_mean", "mean_pool", "avg_pool2d",
@@ -457,79 +457,6 @@ def relu(a: Tensor) -> Tensor:
     return _finish(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,), "relu")
 
 
-def _mix_columns(w: np.ndarray, columns: Sequence[Sequence[int]]
-                 ) -> list[np.ndarray]:
-    """Per group of indices, the [B, 1] sum of those columns of the [B, S]
-    weights `w`, added in the group's order."""
-    out = []
-    for idx in columns:
-        col = w[:, idx[0]:idx[0] + 1]
-        for i in idx[1:]:
-            col = col + w[:, i:i + 1]
-        out.append(col)
-    return out
-
-
-def mix_branches(weights: Tensor, branches: Sequence[Tensor],
-                 columns: Sequence[Sequence[int]]) -> Tensor:
-    """Mixture-weighted sum of equally shaped [B, ...] branches.
-
-    Branch j is scaled per sample by the sum of the columns `columns[j]`
-    of the [B, S] `weights`, and the scaled branches are added in order;
-    each weight column belongs to at most one branch. Columns are summed
-    in the order given, products are elementwise and the running sum goes
-    left to right, so this rounds exactly as slicing, adding, broadcasting,
-    multiplying and adding with the ops above would. The weight gradient
-    is built as that chain's slices passed it back, one zero-padded [B, S]
-    array per column added in descending column order, so it has the same
-    bits down to the sign of a zero.
-    """
-    wd = weights.data
-    if wd.ndim != 2 or not branches or len(branches) != len(columns):
-        raise ShapeError(f"mix_branches: [B, S] weights and one column group "
-                         f"per branch, got weights {wd.shape}, "
-                         f"{len(branches)} branches and {len(columns)} groups")
-    b, s = wd.shape
-    shape = branches[0].data.shape
-    for br in branches:
-        if br.data.shape != shape or shape[0] != b:
-            raise ShapeError(f"mix_branches: branch {br.data.shape} against "
-                             f"{shape} and weights {wd.shape}")
-    flat = [i for idx in columns for i in idx]
-    if not all(columns) or len(set(flat)) != len(flat) \
-            or not all(0 <= i < s for i in flat):
-        raise ShapeError(f"mix_branches: column groups {columns} must be "
-                         f"non-empty and disjoint, within [0, {s})")
-    lead = (b,) + (1,) * (len(shape) - 1)
-    cols = [c.reshape(lead) for c in _mix_columns(wd, columns)]
-    datas = [br.data for br in branches]
-    out = np.multiply(datas[0], cols[0], out=_empty(shape))
-    if len(datas) > 1:
-        term = _empty(shape)
-        for d, c in zip(datas[1:], cols[1:]):
-            out += np.multiply(d, c, out=term)
-    need_w = weights.requires_grad
-    needs = [br.requires_grad for br in branches]
-
-    def bw(g):
-        flows = [g * c if need else None for c, need in zip(cols, needs)]
-        if not need_w:
-            return (None, *flows)
-        per_column = {}
-        for d, idx in zip(datas, columns):
-            gcol = _unbroadcast(g * d, lead).reshape(b, 1)
-            for i in idx:
-                per_column[i] = gcol
-        dw = None
-        for i in sorted(per_column, reverse=True):
-            z = np.zeros((b, s))
-            z[:, i:i + 1] = per_column[i]
-            dw = z if dw is None else dw + z
-        return (dw, *flows)
-
-    return _finish(out, (weights, *branches), bw, "mix_branches")
-
-
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
@@ -884,28 +811,40 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     if vd.shape != kd.shape:
         raise ShapeError(f"multihead_attention: values {vd.shape} and keys "
                          f"{kd.shape} differ")
+    # the rule reads k only through kt
     probs, kt = _attention_probs(qd, kd, num_heads, mask)
-    inv_sqrt_d = 1.0 / math.sqrt(qd.shape[2] // num_heads)
-    kshape = kd.shape  # the rule reads k only through kt
-    out = _empty(qd.shape)
+    out = _attention_context(probs, vd, num_heads)
+    return _finish(out, (q, k, v),
+                   lambda g: _attention_grads(g, probs, qd, kt, vd, num_heads),
+                   "multihead_attention")
+
+
+def _attention_context(probs: np.ndarray, vd: np.ndarray,
+                       num_heads: int) -> np.ndarray:
+    """The [N, Lq, C] weighted values `probs` v_h of every head."""
+    n, _, lq, _ = probs.shape
+    out = _empty((n, lq, vd.shape[2]))
     np.matmul(probs, _heads(vd, num_heads), out=_heads(out, num_heads))
+    return out
 
-    def bw(g):
-        gh = _heads(g, num_heads)
-        dv = np.empty(vd.shape)
-        np.matmul(probs.swapaxes(-1, -2), gh, out=_heads(dv, num_heads))
-        ds = np.matmul(gh, _heads(vd, num_heads).swapaxes(-1, -2))
-        ds -= (ds * probs).sum(axis=-1, keepdims=True)
-        ds *= probs
-        ds *= inv_sqrt_d
-        dq = np.empty(qd.shape)
-        np.matmul(ds, kt.swapaxes(-1, -2), out=_heads(dq, num_heads))
-        dk = np.empty(kshape)
-        _heads(dk, num_heads)[...] = np.matmul(
-            _heads(qd, num_heads).swapaxes(-1, -2), ds).swapaxes(-1, -2)
-        return dq, dk, dv
 
-    return _finish(out, (q, k, v), bw, "multihead_attention")
+def _attention_grads(g: np.ndarray, probs: np.ndarray, qd: np.ndarray,
+                     kt: np.ndarray, vd: np.ndarray, num_heads: int) -> tuple:
+    """The q, k and v gradients of `multihead_attention` for the output
+    gradient `g`, from its weights, q, the k^T of `_attention_probs` and v."""
+    gh = _heads(g, num_heads)
+    dv = np.empty(vd.shape)
+    np.matmul(probs.swapaxes(-1, -2), gh, out=_heads(dv, num_heads))
+    ds = np.matmul(gh, _heads(vd, num_heads).swapaxes(-1, -2))
+    ds -= (ds * probs).sum(axis=-1, keepdims=True)
+    ds *= probs
+    ds *= 1.0 / math.sqrt(qd.shape[2] // num_heads)
+    dq = np.empty(qd.shape)
+    np.matmul(ds, kt.swapaxes(-1, -2), out=_heads(dq, num_heads))
+    dk = np.empty(vd.shape)
+    _heads(dk, num_heads)[...] = np.matmul(
+        _heads(qd, num_heads).swapaxes(-1, -2), ds).swapaxes(-1, -2)
+    return dq, dk, dv
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:

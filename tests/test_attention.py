@@ -284,6 +284,75 @@ def test_windowed_mhsa_gradients_flow():
     assert p.wq.grad is not None and np.any(p.wq.grad != 0.0)
 
 
+# ---- the window op against the op chain it replaced ------------------------------
+
+def chain_windowed_mhsa(x, params, cfg, spec):
+    """`windowed_mhsa` as a chain of ops: partition, the three projections,
+    attention, the output projection and reverse."""
+    tokens, info = window_partition(x, spec)
+    q = T.linear(tokens, params.wq, params.bq)
+    k = T.linear(tokens, params.wk, params.bk)
+    v = T.linear(tokens, params.wv, params.bv)
+    ctx = T.multihead_attention(q, k, v, cfg.num_heads, attention_mask(info))
+    return window_reverse(T.linear(ctx, params.wo, params.bo), info)
+
+
+def grads_after(fn, leaves):
+    """The output's bytes and every leaf gradient's bytes (None if it got
+    none) after one backward of a probe-weighted sum of the output."""
+    for t in leaves:
+        t.grad = None
+    out = fn()
+    # negative probe weights give zero gradients of both signs
+    probe = Tensor(np.linspace(-1.3, 0.7, out.data.size).reshape(out.shape))
+    T.backward(T.reduce_sum(T.mul(out, probe)))
+    return out.data.tobytes(), [None if t.grad is None else t.grad.tobytes()
+                                for t in leaves]
+
+
+# (map side, window, shift): aligned, shifted, a window covering the map,
+# and padding with and without a shift (5x5 under 2, and 4x4 under 3 as
+# in the micro model)
+GEOMETRIES = [(8, 4, 0), (8, 4, 2), (4, 4, 0), (5, 2, 1), (5, 4, 0), (4, 3, 1)]
+
+
+@pytest.mark.parametrize("side,window,shift", GEOMETRIES)
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_windowed_mhsa_is_the_op_chain_bit_for_bit(side, window, shift,
+                                                   x_grad):
+    """Output and every gradient are the same bytes, signs of zeros
+    included, and the op is one tape entry."""
+    rng = stream(13, "t-attn")
+    cfg = AttentionConfig(4, 2)
+    p = AttentionParams.init(cfg, rng, zero_out=False)
+    x = Tensor(channels_last(rng.standard_normal((2, 4, side, side))),
+               requires_grad=x_grad)
+    spec = WindowSpec(window, shift)
+    leaves = [x, *p.named("p").values()]
+    assert grads_after(lambda: windowed_mhsa(x, p, cfg, spec), leaves) == \
+        grads_after(lambda: chain_windowed_mhsa(x, p, cfg, spec), leaves)
+    with T.Tape() as tape:
+        windowed_mhsa(x, p, cfg, spec)
+    assert len(tape) == 1
+
+
+@pytest.mark.parametrize("side,window,shift", GEOMETRIES)
+def test_windowed_mhsa_without_a_graph_is_the_op_chain(side, window, shift):
+    """Under no_grad, and inside a request scope whose second call reuses
+    the first call's buffers, the output is the chain's bytes."""
+    rng = stream(14, "t-attn")
+    cfg = AttentionConfig(4, 2)
+    p = AttentionParams.init(cfg, rng, zero_out=False)
+    x = Tensor(channels_last(rng.standard_normal((3, 4, side, side))))
+    spec = WindowSpec(window, shift)
+    want = chain_windowed_mhsa(x, p, cfg, spec).data.tobytes()
+    with T.no_grad():
+        assert windowed_mhsa(x, p, cfg, spec).data.tobytes() == want
+        with T._request_buffers():
+            for _ in range(2):
+                assert windowed_mhsa(x, p, cfg, spec).data.tobytes() == want
+
+
 # ---- token/map helpers -----------------------------------------------------------
 
 def test_map_tokens_roundtrip():

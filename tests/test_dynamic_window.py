@@ -5,12 +5,13 @@ import pytest
 
 import dcswin.tensor as T
 from dcswin.attention import (AttentionConfig, AttentionParams, WindowSpec,
-                              windowed_mhsa)
+                              window_attention, windowed_mhsa)
 from dcswin.dynamic_window import (dynamic_window_attention, hard_selection,
                                    pool_to_stage, predict_scales)
 from dcswin.errors import ConfigError, ShapeError
 from dcswin.rng import stream
 from dcswin.tensor import Tensor
+from test_attention import chain_windowed_mhsa, grads_after
 
 
 def channels_last(a):
@@ -163,15 +164,15 @@ def test_duplicate_windows_attended_once(monkeypatch):
     params, cfg, rng = attn_setup(key=19)
     x = Tensor(channels_last(rng.standard_normal((2, 4, 4, 4))))
     mix = Tensor([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
-    specs = []
+    calls = []
 
-    def counting(x, params, cfg, spec):
-        specs.append(spec)
-        return windowed_mhsa(x, params, cfg, spec)
+    def counting(x, params, cfg, specs, mixture, columns):
+        calls.append((list(specs), [tuple(c) for c in columns]))
+        return window_attention(x, params, cfg, specs, mixture, columns)
 
-    monkeypatch.setattr(dw, "windowed_mhsa", counting)
+    monkeypatch.setattr(dw, "window_attention", counting)
     out = dynamic_window_attention(x, mix, (2, 4, 4), params, cfg, shift=True)
-    assert specs == [WindowSpec(2, 1), WindowSpec(4, 0)]
+    assert calls == [([WindowSpec(2, 1), WindowSpec(4, 0)], [(0,), (1, 2)])]
     b2 = windowed_mhsa(x, params, cfg, WindowSpec(2, 1)).data
     b4 = windowed_mhsa(x, params, cfg, WindowSpec(4, 0)).data
     w2 = mix.data[:, 0].reshape(2, 1, 1, 1)
@@ -203,13 +204,14 @@ def test_mixture_shape_mismatch_rejected():
         dynamic_window_attention(x, Tensor([[1.0, 0.0]]), (2, 4), params, cfg)
 
 
-# ---- mix_branches against the op chain it replaced ---------------------------------
+# ---- the window op against the op chain it replaced -------------------------------
 
 def chain_dynamic_window_attention(x, mixture, candidates, params, cfg,
                                    shift=False, hard=False):
-    """`dynamic_window_attention` as it was written before `mix_branches`:
-    a slice per candidate, an add per duplicate window, and per branch a
-    reshape, a broadcast, a product and a running add."""
+    """`dynamic_window_attention` as a chain of ops: a slice per candidate,
+    an add per duplicate window, and per live window the partition,
+    projection, attention and reverse ops, then a reshape, a broadcast, a
+    product and a running add."""
     weights = hard_selection(mixture) if hard else mixture
     b, h, w_sp, _ = x.data.shape
     columns = {}
@@ -222,7 +224,7 @@ def chain_dynamic_window_attention(x, mixture, candidates, params, cfg,
     for spec, col in columns.items():
         if np.all(col.data == 0.0):
             continue
-        branch = windowed_mhsa(x, params, cfg, spec)
+        branch = chain_windowed_mhsa(x, params, cfg, spec)
         wmap = T.broadcast_to(T.reshape(col, (b, 1, 1, 1)), branch.shape)
         term = T.mul(branch, wmap)
         out = term if out is None else T.add(out, term)
@@ -241,31 +243,26 @@ def mixture_leaves(kind, rng, b, s):
     return (lambda: leaf), leaf
 
 
-def grads_after(fn, leaves):
-    for t in leaves:
-        t.grad = None
-    out = fn()
-    # negative probe weights give zero gradients of both signs
-    probe = Tensor(np.linspace(-1.3, 0.7, out.data.size).reshape(out.shape))
-    T.backward(T.reduce_sum(T.mul(out, probe)))
-    return out.data.tobytes(), [None if t.grad is None else t.grad.tobytes()
-                                for t in leaves]
+# (map side, candidates, shift): duplicates, a candidate listed twice, two
+# duplicated pairs, and padding (5x5 under 2 and 4; 4x4 under 3 as in the
+# micro model)
+CASES = [(4, (2, 4), False), (4, (2, 4, 4), True), (4, (4, 2, 4), False),
+         (4, (4, 2, 4, 2), True), (5, (2, 4), True), (5, (4, 2, 4), False),
+         (4, (3, 2), True)]
 
 
-@pytest.mark.parametrize("candidates,shift", [
-    ((2, 4), False), ((2, 4, 4), True), ((4, 2, 4), False),
-    ((4, 2, 4, 2), True)])
+@pytest.mark.parametrize("side,candidates,shift", CASES)
 @pytest.mark.parametrize("hard", [False, True])
 @pytest.mark.parametrize("kind", ["softmax", "zero-column"])
-def test_mixture_op_matches_the_op_chain_bit_for_bit(candidates, shift, hard,
-                                                     kind):
+def test_window_op_matches_the_op_chain_bit_for_bit(side, candidates, shift,
+                                                    hard, kind):
     """Output, every input gradient and the mixture's gradient are the same
-    bytes, signs of zeros included, and the tape is shorter."""
+    bytes, signs of zeros included, and the op is one tape entry."""
     params, cfg, rng = attn_setup(key=20)
-    x = Tensor(channels_last(rng.standard_normal((2, 4, 4, 4))),
+    x = Tensor(channels_last(rng.standard_normal((2, 4, side, side))),
                requires_grad=True)
     mixture, leaf = mixture_leaves(kind, rng, 2, len(candidates))
-    # a zero output projection makes every branch exactly zero
+    # a zero output projection makes every window's output exactly zero
     zeroed = AttentionParams.init(cfg, rng, zero_out=True)
     for p in (params, zeroed):
         leaves = [x, *p.named("p").values()] + ([] if hard else [leaf])
@@ -276,24 +273,50 @@ def test_mixture_op_matches_the_op_chain_bit_for_bit(candidates, shift, hard,
             x, mixture(), candidates, p, cfg, shift=shift, hard=hard),
             leaves)
         assert got == want
-    with T.Tape() as new:
-        dynamic_window_attention(x, mixture(), candidates, params, cfg,
+    mix = mixture()
+    with T.Tape() as tape:
+        dynamic_window_attention(x, mix, candidates, params, cfg,
                                  shift=shift, hard=hard)
-    with T.Tape() as old:
-        chain_dynamic_window_attention(x, mixture(), candidates, params, cfg,
-                                       shift=shift, hard=hard)
-    # a hard selection that picks one branch records one product either way
-    assert len(new) <= len(old) if hard else len(new) < len(old)
+    assert len(tape) == 1
 
 
-def test_mixture_op_rejects_bad_column_groups():
+@pytest.mark.parametrize("side,candidates,shift", CASES)
+@pytest.mark.parametrize("hard", [False, True])
+def test_window_op_without_a_graph_is_the_op_chain(side, candidates, shift,
+                                                   hard):
+    """Under no_grad, and inside a request scope whose second call reuses
+    the first call's buffers, the output is the chain's bytes."""
+    params, cfg, rng = attn_setup(key=21)
+    x = Tensor(channels_last(rng.standard_normal((3, 4, side, side))))
+    mix = Tensor(rng.uniform(0.1, 1.0, (3, len(candidates))))
+    want = chain_dynamic_window_attention(x, mix, candidates, params, cfg,
+                                          shift=shift, hard=hard)
+    with T.no_grad():
+        got = [dynamic_window_attention(x, mix, candidates, params, cfg,
+                                        shift=shift, hard=hard)]
+        with T._request_buffers():
+            for _ in range(2):
+                got.append(dynamic_window_attention(
+                    x, mix, candidates, params, cfg, shift=shift, hard=hard))
+                assert got[-1].data.tobytes() == want.data.tobytes()
+    assert got[0].data.tobytes() == want.data.tobytes()
+
+
+def test_window_op_rejects_bad_column_groups():
+    params, cfg, rng = attn_setup(key=22)
+    x = Tensor(channels_last(rng.standard_normal((2, 4, 4, 4))))
     w = Tensor(np.ones((2, 3)))
-    br = [Tensor(np.ones((2, 1, 1, 4))), Tensor(np.ones((2, 1, 1, 4)))]
-    for columns in [((0,), (0, 1)), ((0,), ()), ((0,), (3,)), ((0,),)]:
+    specs = (WindowSpec(2), WindowSpec(4))
+    for columns in [((0,), (0, 1)), ((0,), ()), ((0,), (3,)), ((0,),),
+                    ((0,), (-1,))]:
         with pytest.raises(ShapeError):
-            T.mix_branches(w, br, columns)
+            window_attention(x, params, cfg, specs, w, columns)
     with pytest.raises(ShapeError):
-        T.mix_branches(w, [br[0], Tensor(np.ones((2, 1, 2, 4)))],
-                       ((0,), (1,)))
+        window_attention(x, params, cfg, specs, Tensor(np.ones((3, 3))),
+                         ((0,), (1,)))
     with pytest.raises(ShapeError):
-        T.mix_branches(Tensor(np.ones((3, 3))), br, ((0,), (1,)))
+        window_attention(x, params, cfg, specs)
+    with pytest.raises(ShapeError):
+        window_attention(x, params, cfg, specs[:1], columns=((0,),))
+    with pytest.raises(ShapeError):
+        window_attention(x, params, AttentionConfig(8, 2), specs[:1])

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import dcswin.tensor as T
-from dcswin.gradcheck import (check_elementwise, op_names, run_model_check,
+from dcswin.gradcheck import (_attention_cases, _dynamic_window_case,
+                              check_elementwise, op_names, run_model_check,
                               run_op_check)
 from dcswin.tensor import Tensor
 
@@ -35,6 +36,20 @@ def test_every_differentiable_op_has_a_case():
     missing = sorted(op for op in ops
                      if _CASE_NAMES.get(op, op) not in op_names())
     assert not missing, f"ops without a gradcheck case: {missing}"
+
+
+@pytest.mark.parametrize("name", [
+    "windowed_mhsa", "windowed_mhsa_padded", "window_attention",
+    "dynamic_window_attention", "dynamic_window_attention_duplicates"])
+def test_window_cases_check_the_window_op(name):
+    """The windowed cases gradcheck `attention.window_attention`, not a
+    chain of smaller ops."""
+    cases = {**_attention_cases(0), **_dynamic_window_case(0)}
+    f, _ = cases[name]
+    with T.Tape() as tape:
+        f()
+    ops = [entry.bw.__qualname__.split(".")[0] for entry in tape._entries]
+    assert "window_attention" in ops and "multihead_attention" not in ops
 
 
 def test_micro_model_directional_gradcheck():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import dcswin.tensor as T
+from dcswin.attention import (AttentionConfig, AttentionParams, WindowSpec,
+                              window_attention, window_partition)
 from dcswin.errors import ShapeError
 from dcswin.model import DCSWin, ModelConfig
 from dcswin.tensor import Tensor, backward
@@ -137,8 +139,50 @@ def test_mlp_branch_keeps_neither_its_norm_output_nor_its_activation():
                                                        + 2 * rows * h)
 
 
-# measured with `tools/step_memory.py --saved`: 114.35 MB
-FULL_ARM_SAVED_BYTES = 119_903_528
+def test_window_attention_keeps_no_partitioned_copy():
+    """The rule holds the input map, its three projections and, per
+    window, the attention weights, the context and the map-order output;
+    the window-order tokens, q, k^T and v are rebuilt in backward."""
+    rng = np.random.default_rng(6)
+    cfg = AttentionConfig(4, 2)
+    params = AttentionParams.init(cfg, rng, zero_out=False)
+    x = leaf(rng.standard_normal((2, 5, 5, 4)))
+    mix = leaf(rng.uniform(0.1, 1.0, (2, 2)))
+    specs = (WindowSpec(2, 1), WindowSpec(4))
+    with T.Tape() as tape:
+        window_attention(x, params, cfg, specs, mix, ((0,), (1,)))
+    held = {id(t.data) for t in (mix, *params.named("p").values())}
+    saved = [(op, var, arr) for op, var, arr in T._saved_arrays(tape)
+             if id(arr) not in held]
+    assert {op for op, _, _ in saved} == {"window_attention"}
+    assert sorted(var for _, var, _ in saved) == \
+        ["maps"] * 3 + ["saved"] * 6 + ["x2"]
+    assert any(arr is x.data for _, _, arr in saved)
+    copies = []
+    with T.no_grad():
+        for spec in specs:
+            tokens, info = window_partition(x, spec)
+            q, k, v = (T.linear(tokens, w, b) for w, b in (
+                (params.wq, params.bq), (params.wk, params.bk),
+                (params.wv, params.bv)))
+            kt = np.ascontiguousarray(
+                k.data.reshape(k.shape[:2] + (2, 2)).transpose(0, 2, 3, 1))
+            copies += [tokens.data, q.data, kt, v.data]
+    for _, _, arr in saved:
+        for copy in copies:
+            assert not (arr.size == copy.size
+                        and np.array_equal(arr.reshape(copy.shape), copy))
+    # per window: [B*nW, heads, L, L] weights, [B*nW*L, C] context and a
+    # map; 5x5 pads to 6x6 (9 windows of 4) under 2, to 8x8 (4 of 16) under 4
+    windows = [(9, 4), (4, 16)]
+    expect = 4 * x.data.nbytes + sum(
+        8 * (2 * nw * 2 * length * length + 2 * nw * length * 4)
+        + x.data.nbytes for nw, length in windows)
+    assert sum(arr.nbytes for _, _, arr in saved) == expect
+
+
+# measured with `tools/step_memory.py --saved`: 88.36 MB
+FULL_ARM_SAVED_BYTES = 92_649_768
 
 
 def test_full_arm_forward_saves_no_more_than_measured():
