@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -258,26 +258,25 @@ def windowed_mhsa(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
 
 
 @lru_cache(maxsize=64)
-def _window_rows(batch: int, height: int, width: int, spec: WindowSpec
+def _window_rows(height: int, width: int, spec: WindowSpec
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row indices between a [B,H,W,C] map flattened to [B*H*W, C] and the
-    [B*nW*L, C] rows of the tokens `window_partition` cuts from it: per
+    """Row indices between one image's [H*W, C] rows of a map and the
+    [nW*L, C] rows of the tokens `window_partition` cuts from it: per
     token row the map row it copies (0 for padding), the token rows that
-    are padding, and per map row the token row that holds it. Read-only
-    and shared, like the masks."""
+    are padding, and per map row the token row that holds it. Every image
+    of a batch uses the same, so they are read-only and shared, like the
+    masks."""
     w, s = spec.window, spec.shift
     hp, wp = height + (-height) % w, width + (-width) % w
     # the padded map is rolled back by the shift before it is cut
     ys = ((np.arange(hp) + s) % hp).reshape(hp // w, 1, w, 1)
     xs = ((np.arange(wp) + s) % wp).reshape(1, wp // w, 1, w)
     valid = (ys < height) & (xs < width)
-    src = np.where(valid, ys * width + xs, 0).reshape(-1)
+    rows = np.where(valid, ys * width + xs, 0).reshape(-1)
     valid = valid.reshape(-1)
-    rows = (np.arange(batch)[:, None] * (height * width) + src).reshape(-1)
-    keep = np.tile(valid, batch)
-    pad = np.flatnonzero(~keep)
-    back = np.empty(batch * height * width, dtype=np.intp)
-    back[rows[keep]] = np.flatnonzero(keep)
+    pad = np.flatnonzero(~valid)
+    back = np.empty(height * width, dtype=np.intp)
+    back[rows[valid]] = np.flatnonzero(valid)
     for a in (rows, pad, back):
         a.flags.writeable = False
     return rows, pad, back
@@ -285,27 +284,29 @@ def _window_rows(batch: int, height: int, width: int, spec: WindowSpec
 
 def _gather(src: np.ndarray, rows: np.ndarray,
             pad: Optional[np.ndarray] = None, fill=0.0) -> np.ndarray:
-    """`src[rows]` into an `_empty` array, with the rows `pad` set to
-    `fill`."""
+    """`src[:, rows]` of a [B, R, C] array into an `_empty` array, with
+    the rows `pad` of every image set to `fill`."""
+    b, _, c = src.shape
     # the rows are in range; "clip" only spares take a buffered copy
-    out = np.take(src, rows, axis=0, out=T._empty((rows.size, src.shape[1])),
+    out = np.take(src, rows, axis=1, out=T._empty((b, rows.size, c)),
                   mode="clip")
     if pad is not None and pad.size:
-        out[pad] = fill
+        out[:, pad] = fill
     return out
 
 
-def _cut(info: PartitionInfo, maps: Sequence[np.ndarray],
+def _cut(info: PartitionInfo, project: Callable[[int], np.ndarray],
          biases: Sequence[np.ndarray]) -> tuple:
     """The row indices of `info`'s windows (`_window_rows`), their token
-    shape [B*nW, L, C], and their rows of each [B*H*W, C] map, with each
-    map's bias for padding."""
-    rows, pad, back = _window_rows(info.batch, info.height, info.width,
-                                   info.spec)
-    shape = (info.batch * info.num_windows, info.spec.window ** 2,
-             info.channels)
-    return rows, pad, back, shape, [_gather(m, rows, pad, bd).reshape(shape)
-                                    for m, bd in zip(maps, biases)]
+    shape [B*nW, L, C], and their rows of the [B*H*W, C] maps
+    `project(0)`, `project(1)` and `project(2)`, with each map's bias for
+    padding."""
+    rows, pad, back = _window_rows(info.height, info.width, info.spec)
+    b, c = info.batch, info.channels
+    shape = (b * info.num_windows, info.spec.window ** 2, c)
+    return rows, pad, back, shape, [
+        _gather(project(j).reshape(b, -1, c), rows, pad, bd).reshape(shape)
+        for j, bd in enumerate(biases)]
 
 
 def _mix_columns(w: np.ndarray, columns: Sequence[Sequence[int]]
@@ -406,16 +407,26 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
     inputs = (x, *plist) + (() if mixture is None else (mixture,))
     keep = T._grad_enabled and any(t.requires_grad for t in inputs)
     x2 = T._contiguous(xd).reshape(-1, c)
-    biases = (bq, bk, bv)
-    maps = [T._affine(x2, wd, bd) for wd, bd in zip((wq, wk, wv), biases)]
+    weights, biases = (wq, wk, wv), (bq, bk, bv)
+    # the rule and every window read the projected maps; a lone window
+    # without a rule lets each go once its rows are gathered
+    maps = [T._affine(x2, wd, bd) for wd, bd in zip(weights, biases)] \
+        if keep or len(infos) > 1 else None
+
+    def project(j: int) -> np.ndarray:
+        if maps is None:
+            return T._affine(x2, weights[j], biases[j])
+        return maps[j]
+
     saved: list[tuple] = []
     out = term = None
     for i, info in enumerate(infos):
-        _, _, back, _, (qd, kd, vd) = _cut(info, maps, biases)
+        _, _, back, _, (qd, kd, vd) = _cut(info, project, biases)
         probs, _ = T._attention_probs(qd, kd, heads, attention_mask(info))
         ctx = T._attention_context(probs, vd, heads).reshape(-1, c)
         del qd, kd, vd
-        o = _gather(T._affine(ctx, wo, bo), back).reshape(xd.shape)
+        o = _gather(T._affine(ctx, wo, bo).reshape(b, -1, c),
+                    back).reshape(xd.shape)
         if probs_out is not None:
             probs_out.append(probs)
         if keep:
@@ -443,17 +454,18 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
         for i in reversed(range(len(infos))):
             probs, ctx, _ = saved[i]
             gi = g if mixture is None else g * cols[i]
-            rows, pad, back, shape, (qd, kd, vd) = _cut(infos[i], maps,
-                                                        biases)
+            rows, pad, back, shape, (qd, kd, vd) = _cut(
+                infos[i], maps.__getitem__, biases)
             dctx, dwo, dbo = T._affine_grads(
-                _gather(gi.reshape(-1, c), rows, pad), ctx, wo, True, True)
+                _gather(gi.reshape(b, -1, c), rows, pad).reshape(-1, c), ctx,
+                wo, True, True)
             del gi
             kt = T._contiguous(T._heads(kd, heads).transpose(0, 1, 3, 2))
             del kd
             dq, dk, dv = T._attention_grads(dctx.reshape(shape), probs, qd,
                                             kt, vd, heads)
             del dctx, qd, kt, vd
-            tok = _gather(x2, rows, pad)
+            tok = _gather(x2.reshape(b, -1, c), rows, pad).reshape(-1, c)
             dxv, dwv, dbv = T._affine_grads(dv.reshape(-1, c), tok, wv, need_x,
                                             True)
             dxk, dwk, dbk = T._affine_grads(dk.reshape(-1, c), tok, wk, need_x,
@@ -470,7 +482,7 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
                 # the tokens' flows arrive as v's, then k's, then q's
                 dxv += dxk
                 dxv += dxq
-                dxm = _gather(dxv, back).reshape(xd.shape)
+                dxm = _gather(dxv.reshape(b, -1, c), back).reshape(xd.shape)
                 if dx is None:
                     dx = dxm
                 else:

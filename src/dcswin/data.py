@@ -22,6 +22,8 @@ from .rng import stream
 from .serialization import load_tensor
 
 IMAGE_EXTENSIONS = (".ppm", ".pgm", ".dcst")
+# images per float64 chunk that `ArrayDataset.fit_normalization` reads
+_FIT_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -541,15 +543,29 @@ class ArrayDataset:
                           ) -> tuple[np.ndarray, np.ndarray]:
         """Per-channel mean/std over the given pool only (floor std at 1e-6).
 
-        The variance is taken in place on the pool, in the steps NumPy's
-        `std` takes on its own copy, so the bits are the same and the
-        pool-sized deviation array is never made."""
-        pool = self.pixels(sorted(labeled_ids))
-        mean = pool.mean(axis=(0, 2, 3), keepdims=True)
-        pool -= mean
-        pool *= pool
-        var = pool.sum(axis=(0, 2, 3)) / (pool.size // 3)
-        mean = mean.reshape(3)
+        The pool is read `_FIT_CHUNK` images at a time, so no pool-sized
+        float64 array is made. NumPy sums an [N,3,H,W] array over axes
+        (0, 2, 3) by adding each image's per-channel pairwise sums to zero
+        in image order; adding them in that order, for the values and then
+        for their squared deviations from the mean, gives the bits of
+        `np.mean` and `np.std` over the whole pool."""
+        ids = sorted(labeled_ids)
+        count = len(ids) * self.images.shape[2] * self.images.shape[3]
+
+        def channel_sums(mean=None):
+            acc = np.zeros(3)
+            for start in range(0, len(ids), _FIT_CHUNK):
+                x = self.pixels(ids[start:start + _FIT_CHUNK])
+                if mean is not None:
+                    x -= mean
+                    x *= x
+                for image_sums in x.reshape(len(x), 3, -1).sum(axis=2):
+                    acc += image_sums
+                del x
+            return acc
+
+        mean = channel_sums() / count
+        var = channel_sums(mean.reshape(1, 3, 1, 1)) / count
         std = np.maximum(np.sqrt(var), 1e-6)
         self.set_normalization(mean, std)
         return mean, std

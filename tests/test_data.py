@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dcswin.data import (
+    _FIT_CHUNK,
     ArrayDataset,
     DatasetManifest,
     DatasetSplit,
@@ -748,9 +749,9 @@ class TestArrayDataset:
     @pytest.mark.parametrize("dtype,scale", [
         (np.uint8, 255.0), (np.uint16, 65535.0), (np.float64, 1.0)])
     def test_fit_normalization_keeps_numpys_bits(self, dtype, scale):
-        """The in-place variance gives the bits of `np.mean` and `np.std`
-        on the float pool, the 1e-6 floor included (channel 2 is constant),
-        and traces one float64 pool, not two."""
+        """The chunked sums give the bits of `np.mean` and `np.std` on the
+        float pool, the 1e-6 floor included (channel 2 is constant), and
+        trace about one chunk of floats, never the pool."""
         rng = np.random.default_rng(4)
         n = 37
         if dtype is np.float64:
@@ -773,7 +774,7 @@ class TestArrayDataset:
             tracemalloc.stop()
         assert mean.tobytes() == want_mean.tobytes()
         assert std.tobytes() == want_std.tobytes()
-        assert peak < 1.5 * pool.nbytes
+        assert peak < 1.5 * _FIT_CHUNK * pool[0].nbytes < 0.5 * pool.nbytes
 
     def test_inconsistent_arrays_rejected(self):
         with pytest.raises(ShapeError, match="inconsistent"):
