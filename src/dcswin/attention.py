@@ -438,6 +438,8 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
         else:
             term = T._empty(xd.shape) if term is None else term
             out += np.multiply(o, cols[i], out=term)
+        # the next window's arrays may reuse these buffers
+        del probs, ctx, o
     need_x = x.requires_grad
     need_branch = need_x or any(p.requires_grad for p in plist)
 
@@ -454,6 +456,7 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
         for i in reversed(range(len(infos))):
             probs, ctx, _ = saved[i]
             gi = g if mixture is None else g * cols[i]
+            # `maps` by name, so that `tensor._saved_arrays` counts them
             rows, pad, back, shape, (qd, kd, vd) = _cut(
                 infos[i], maps.__getitem__, biases)
             dctx, dwo, dbo = T._affine_grads(

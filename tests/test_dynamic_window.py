@@ -243,21 +243,10 @@ def mixture_leaves(kind, rng, b, s):
     return (lambda: leaf), leaf
 
 
-# (map side, candidates, shift): duplicates, a candidate listed twice, two
-# duplicated pairs, and padding (5x5 under 2 and 4; 4x4 under 3 as in the
-# micro model)
-CASES = [(4, (2, 4), False), (4, (2, 4, 4), True), (4, (4, 2, 4), False),
-         (4, (4, 2, 4, 2), True), (5, (2, 4), True), (5, (4, 2, 4), False),
-         (4, (3, 2), True)]
-
-
-@pytest.mark.parametrize("side,candidates,shift", CASES)
-@pytest.mark.parametrize("hard", [False, True])
-@pytest.mark.parametrize("kind", ["softmax", "zero-column"])
-def test_window_op_matches_the_op_chain_bit_for_bit(side, candidates, shift,
-                                                    hard, kind):
+def assert_op_is_the_chain(side, candidates, shift, hard, kind):
     """Output, every input gradient and the mixture's gradient are the same
-    bytes, signs of zeros included, and the op is one tape entry."""
+    bytes as the chain's, signs of zeros included, and the op is one tape
+    entry."""
     params, cfg, rng = attn_setup(key=20)
     x = Tensor(channels_last(rng.standard_normal((2, 4, side, side))),
                requires_grad=True)
@@ -280,9 +269,35 @@ def test_window_op_matches_the_op_chain_bit_for_bit(side, candidates, shift,
     assert len(tape) == 1
 
 
-@pytest.mark.parametrize("side,candidates,shift", CASES)
+@pytest.mark.parametrize("candidates,shift", [
+    ((2, 4), False), ((2, 4, 4), True), ((4, 2, 4), False),
+    ((4, 2, 4, 2), True)])
 @pytest.mark.parametrize("hard", [False, True])
-def test_window_op_without_a_graph_is_the_op_chain(side, candidates, shift,
+@pytest.mark.parametrize("kind", ["softmax", "zero-column"])
+def test_mixture_op_matches_the_op_chain_bit_for_bit(candidates, shift, hard,
+                                                     kind):
+    """Duplicates, a candidate listed twice and two duplicated pairs."""
+    assert_op_is_the_chain(4, candidates, shift, hard, kind)
+
+
+# (map side, candidates, shift): 5x5 pads under 2 and 4, and 4x4 under 3
+# as in the micro model
+PADDED = [(5, (2, 4), True), (5, (4, 2, 4), False), (4, (3, 2), True)]
+
+
+@pytest.mark.parametrize("side,candidates,shift", PADDED)
+@pytest.mark.parametrize("hard", [False, True])
+@pytest.mark.parametrize("kind", ["softmax", "zero-column"])
+def test_mixture_op_matches_the_op_chain_on_padded_maps(side, candidates,
+                                                        shift, hard, kind):
+    assert_op_is_the_chain(side, candidates, shift, hard, kind)
+
+
+@pytest.mark.parametrize("side,candidates,shift",
+                         [(4, (2, 4, 4), True), (4, (4, 2, 4, 2), True)]
+                         + PADDED)
+@pytest.mark.parametrize("hard", [False, True])
+def test_mixture_op_without_a_graph_is_the_op_chain(side, candidates, shift,
                                                    hard):
     """Under no_grad, and inside a request scope whose second call reuses
     the first call's buffers, the output is the chain's bytes."""
@@ -302,7 +317,7 @@ def test_window_op_without_a_graph_is_the_op_chain(side, candidates, shift,
     assert got[0].data.tobytes() == want.data.tobytes()
 
 
-def test_window_op_rejects_bad_column_groups():
+def test_mixture_op_rejects_bad_column_groups():
     params, cfg, rng = attn_setup(key=22)
     x = Tensor(channels_last(rng.standard_normal((2, 4, 4, 4))))
     w = Tensor(np.ones((2, 3)))
