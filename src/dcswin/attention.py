@@ -10,7 +10,9 @@ or involving padding) are suppressed with an additive -1e9 before softmax.
 A block's window attention, at one window or mixed over several, is one
 op, `window_attention`: it projects q, k and v once on the map and cuts
 each window's rows out of them by a cached index instead of partitioning
-the map with `pad2d`, `roll`, `reshape` and `permute`. `mhsa`,
+the map with `pad2d`, `roll`, `reshape` and `permute`. The mask comes from
+the same index: `_window_rows` works out a window's pad, shift and
+partition once and derives both from those coordinates. `mhsa`,
 `window_partition` and `window_reverse` remain as that op's reference
 chain.
 """
@@ -171,58 +173,20 @@ def window_reverse(windows: Tensor, info: PartitionInfo) -> Tensor:
     return t
 
 
-def _axis_regions(size: int, window: int, shift: int) -> np.ndarray:
-    """Post-shift region ids along one axis: content that wrapped across the
-    edge gets a different id from content that merely slid."""
-    ids = np.zeros(size, dtype=np.int64)
-    ids[size - window:size - shift] = 1
-    ids[size - shift:] = 2
-    return ids
-
-
 def attention_mask(info: PartitionInfo) -> Optional[np.ndarray]:
     """Additive mask [nW, L, L] (0 allowed, -1e9 blocked), or None if every
     pair is allowed. Blocks pairs across the cyclic wrap seam and pairs
     involving zero-padding.
 
     The mask depends only on the geometry, not on batch or channels, so it
-    is built once per geometry and shared: the array is read-only.
+    is built once per geometry, by `_window_rows`, and shared: the array is
+    read-only.
     """
-    return _geometry_mask(info.height, info.width, info.pad_h, info.pad_w,
-                          info.grid_h, info.grid_w, info.spec)
-
-
-@lru_cache(maxsize=64)
-def _geometry_mask(height: int, width: int, pad_h: int, pad_w: int,
-                   gh: int, gw: int, spec: WindowSpec) -> Optional[np.ndarray]:
-    if spec.shift == 0 and pad_h == 0 and pad_w == 0:
-        return None
-    hp, wp = height + pad_h, width + pad_w
-    if spec.shift:
-        ry = _axis_regions(hp, spec.window, spec.shift)
-        rx = _axis_regions(wp, spec.window, spec.shift)
-        region = ry[:, None] * 3 + rx[None, :]
-    else:
-        region = np.zeros((hp, wp), dtype=np.int64)
-    valid = np.zeros((hp, wp), dtype=bool)
-    valid[:height, :width] = True
-    if spec.shift:
-        # padding is appended pre-shift, so the validity map shifts with x
-        valid = np.roll(valid, (-spec.shift, -spec.shift), axis=(0, 1))
-
-    w = spec.window
-    region_w = region.reshape(gh, w, gw, w).transpose(0, 2, 1, 3).reshape(-1, w * w)
-    valid_w = valid.reshape(gh, w, gw, w).transpose(0, 2, 1, 3).reshape(-1, w * w)
-    same = region_w[:, :, None] == region_w[:, None, :]
-    ok = same & valid_w[:, :, None] & valid_w[:, None, :]
-    mask = np.where(ok, 0.0, MASK_VALUE)
-    mask.flags.writeable = False
-    return mask
+    return _window_rows(info.height, info.width, info.spec)[3]
 
 
 def _attend(q_src: Tensor, kv_src: Tensor, params: AttentionParams,
-            cfg: AttentionConfig, mask: Optional[np.ndarray] = None,
-            return_weights: bool = False):
+            cfg: AttentionConfig, mask: Optional[np.ndarray] = None) -> Tensor:
     c = q_src.data.shape[2]
     if c != cfg.dim or kv_src.data.shape[2] != cfg.dim:
         raise ShapeError(f"attention: token dim {c}/{kv_src.data.shape[2]} "
@@ -231,55 +195,62 @@ def _attend(q_src: Tensor, kv_src: Tensor, params: AttentionParams,
     k = T.linear(kv_src, params.wk, params.bk)
     v = T.linear(kv_src, params.wv, params.bv)
     ctx = T.multihead_attention(q, k, v, cfg.num_heads, mask)
-    out = T.linear(ctx, params.wo, params.bo)
-    if return_weights:
-        return out, Tensor(T.attention_weights(q, k, cfg.num_heads, mask))
-    return out
+    return T.linear(ctx, params.wo, params.bo)
 
 
 def mhsa(tokens: Tensor, params: AttentionParams, cfg: AttentionConfig,
-         mask: Optional[np.ndarray] = None, return_weights: bool = False):
+         mask: Optional[np.ndarray] = None) -> Tensor:
     """Multi-head self-attention over [N, L, C] token batches."""
     if tokens.data.ndim != 3:
         raise ShapeError(f"mhsa expects [N,L,C] tokens, got {tokens.shape}")
-    return _attend(tokens, tokens, params, cfg, mask, return_weights)
+    return _attend(tokens, tokens, params, cfg, mask)
 
 
 def windowed_mhsa(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
-                  spec: WindowSpec, return_weights: bool = False):
+                  spec: WindowSpec) -> Tensor:
     """Partition -> masked self-attention per window -> reverse, as one
-    `window_attention` op. With `return_weights`, also the [B*nW, heads,
-    L, L] attention weights and the partition's `PartitionInfo`."""
-    if not return_weights:
-        return window_attention(x, params, cfg, (spec,))
-    probs: list[np.ndarray] = []
-    out = window_attention(x, params, cfg, (spec,), probs_out=probs)
-    return out, Tensor(probs[0]), _partition_info(x.data.shape, spec)
+    `window_attention` op."""
+    return window_attention(x, params, cfg, (spec,))
 
 
 @lru_cache(maxsize=64)
 def _window_rows(height: int, width: int, spec: WindowSpec
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row indices between one image's [H*W, C] rows of a map and the
-    [nW*L, C] rows of the tokens `window_partition` cuts from it: per
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                            Optional[np.ndarray]]:
+    """One window geometry: the row indices between one image's [H*W, C]
+    rows of a map and the [nW*L, C] rows of the tokens `window_partition`
+    cuts from it, and the mask those tokens attend under. That is, per
     token row the map row it copies (0 for padding), the token rows that
-    are padding, and per map row the token row that holds it. Every image
-    of a batch uses the same, so they are read-only and shared, like the
-    masks."""
+    are padding, per map row the token row that holds it, and the additive
+    [nW, L, L] `attention_mask` (None without shift or padding). Every
+    image of a batch uses the same, so they are read-only and shared."""
     w, s = spec.window, spec.shift
     hp, wp = height + (-height) % w, width + (-width) % w
+    py = np.arange(hp).reshape(hp // w, 1, w, 1)
+    px = np.arange(wp).reshape(1, wp // w, 1, w)
     # the padded map is rolled back by the shift before it is cut
-    ys = ((np.arange(hp) + s) % hp).reshape(hp // w, 1, w, 1)
-    xs = ((np.arange(wp) + s) % wp).reshape(1, wp // w, 1, w)
+    ys, xs = (py + s) % hp, (px + s) % wp
     valid = (ys < height) & (xs < width)
     rows = np.where(valid, ys * width + xs, 0).reshape(-1)
-    valid = valid.reshape(-1)
+    valid = valid.reshape(-1, w * w)
+    mask = None
+    if s or hp != height or wp != width:
+        # after the roll each axis holds the content that slid (0), the
+        # last window's content that did not wrap (1) and the content that
+        # wrapped round (2); a pair attends within one region, both real
+        ry = (py >= hp - w) * 1 + (py >= hp - s) if s else 0 * py
+        rx = (px >= wp - w) * 1 + (px >= wp - s) if s else 0 * px
+        region = (ry * 3 + rx).reshape(-1, w * w)
+        ok = (region[:, :, None] == region[:, None, :]) \
+            & valid[:, :, None] & valid[:, None, :]
+        mask = np.where(ok, 0.0, MASK_VALUE)
     pad = np.flatnonzero(~valid)
     back = np.empty(height * width, dtype=np.intp)
-    back[rows[valid]] = np.flatnonzero(valid)
-    for a in (rows, pad, back):
-        a.flags.writeable = False
-    return rows, pad, back
+    back[rows[valid.reshape(-1)]] = np.flatnonzero(valid)
+    for a in (rows, pad, back, mask):
+        if a is not None:
+            a.flags.writeable = False
+    return rows, pad, back, mask
 
 
 def _gather(src: np.ndarray, rows: np.ndarray,
@@ -301,7 +272,7 @@ def _cut(info: PartitionInfo, project: Callable[[int], np.ndarray],
     shape [B*nW, L, C], and their rows of the [B*H*W, C] maps
     `project(0)`, `project(1)` and `project(2)`, with each map's bias for
     padding."""
-    rows, pad, back = _window_rows(info.height, info.width, info.spec)
+    rows, pad, back, _ = _window_rows(info.height, info.width, info.spec)
     b, c = info.batch, info.channels
     shape = (b * info.num_windows, info.spec.window ** 2, c)
     return rows, pad, back, shape, [
@@ -513,7 +484,7 @@ def tokens_to_map(t: Tensor, h: int, w: int) -> Tensor:
 
 
 def cross_attention(current: Tensor, prev: Tensor, params: AttentionParams,
-                    cfg: AttentionConfig, return_weights: bool = False):
+                    cfg: AttentionConfig) -> Tensor:
     """Attend from `current` (queries) into `prev` (keys/values).
 
     Both are [B,H,W,C] with equal B and C; spatial sizes may differ. The
@@ -532,9 +503,5 @@ def cross_attention(current: Tensor, prev: Tensor, params: AttentionParams,
     b, h, w, c = current.data.shape
     _, hp, wp, _ = prev.data.shape
     att = _attend(T.reshape(current, (b, h * w, c)),
-                  T.reshape(prev, (b, hp * wp, c)), params, cfg,
-                  return_weights=return_weights)
-    if return_weights:
-        att, weights = att
-    out = T.add(current, T.reshape(att, current.data.shape))
-    return (out, weights) if return_weights else out
+                  T.reshape(prev, (b, hp * wp, c)), params, cfg)
+    return T.add(current, T.reshape(att, current.data.shape))

@@ -171,9 +171,9 @@ class DatasetSplit:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "DatasetSplit":
         """Read a split written by `save`. The pools must be lists of
-        strings, the seed an integer and the fractions numbers; nothing is
-        coerced, and a field of the wrong type raises `FormatError` naming
-        it."""
+        strings, the seed an integer, the fractions numbers and the
+        manifest, if there is one, a string; nothing is coerced, and a
+        field of the wrong type raises `FormatError` naming it."""
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
             pools = {name: tuple(_json_field(payload, name, _is_id_list,
@@ -186,7 +186,9 @@ class DatasetSplit:
                        seed=_json_field(payload, "seed", _is_integer,
                                         "an integer"),
                        audit=payload.get("audit", {}),
-                       manifest=payload.get("manifest"))
+                       manifest=_json_field(payload, "manifest", _is_str,
+                                            "a string")
+                       if "manifest" in payload else None)
         except (KeyError, TypeError, ValueError, OverflowError,
                 RecursionError) as e:
             raise FormatError(f"split file {path} is malformed: {e}") from e

@@ -32,7 +32,7 @@ from .dynamic_window import (dynamic_window_attention, pool_to_stage,
 from .errors import ConfigError, FormatError, NumericsError, ShapeError
 from .rng import stream
 from .serialization import (config_from_mapping, config_to_mapping,
-                            load_checkpoint, save_checkpoint)
+                            load_checkpoint)
 from .tensor import Tensor
 
 INIT_STD = 0.02
@@ -501,16 +501,6 @@ class DCSWin:
             arrays[name] = arr
         for name, t in params.items():
             t.data = arrays[name]
-
-    def save(self, path: Union[str, Path],
-             extra_config: Optional[Mapping[str, str]] = None) -> None:
-        config = self.cfg.to_mapping()
-        for key, value in (extra_config or {}).items():
-            if key in config:
-                raise ConfigError(f"extra config key {key!r} collides with the "
-                                  "architecture mapping")
-            config[key] = str(value)
-        save_checkpoint(path, config, self.state_dict())
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> tuple["DCSWin", dict[str, str]]:

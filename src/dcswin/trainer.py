@@ -434,9 +434,15 @@ def _classes_field(config: Mapping[str, str], key: str) -> list[str]:
 def eval_metadata(config: Mapping[str, str]
                   ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The class names and normalization mean and std that a `_save_state`
-    checkpoint records; a missing or malformed field raises FormatError."""
-    return (_classes_field(config, "data.classes"),
-            _norm_field(config, "norm.mean"), _norm_field(config, "norm.std"))
+    checkpoint records; a missing or malformed field, or a std that is not
+    positive (`fit_normalization` floors it at 1e-6), raises FormatError."""
+    classes = _classes_field(config, "data.classes")
+    mean = _norm_field(config, "norm.mean")
+    std = _norm_field(config, "norm.std")
+    if not np.all(std > 0.0):
+        raise FormatError(f"checkpoint norm.std must be positive, got "
+                          f"{config['norm.std'][:80]!r}")
+    return classes, mean, std
 
 
 def _stream_field(config: Mapping[str, str], name: str) -> np.random.Generator:

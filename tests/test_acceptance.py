@@ -16,7 +16,8 @@ import dcswin.trainer as trainer_mod
 from dcswin import tensor as T
 from dcswin.attention import (AttentionConfig, AttentionParams, WindowSpec,
                               attention_mask, map_to_tokens, tokens_to_map,
-                              window_partition, window_reverse, windowed_mhsa)
+                              window_attention, window_partition,
+                              window_reverse, windowed_mhsa)
 from dcswin.data import (ArrayDataset, DatasetSplit, stratified_split,
                          synth_generate)
 from dcswin.diffusion import (NoiseSchedule, consistency_loss, forward_diffuse,
@@ -372,14 +373,15 @@ def test_criterion_4_mechanism_reductions():
     # row-stochastic weights and shift-mask isolation
     p2 = AttentionParams.init(acfg, stream(42, "accept"), zero_out=False)
     xs = Tensor(channels_last(stream(43, "accept").standard_normal((1, 4, 8, 8))))
-    _, weights, info = windowed_mhsa(xs, p2, acfg, WindowSpec(4, 2),
-                                     return_weights=True)
+    weights = []
+    window_attention(xs, p2, acfg, (WindowSpec(4, 2),), probs_out=weights)
+    _, info = window_partition(xs, WindowSpec(4, 2))
     mask = attention_mask(info)
     blocked = mask < 0
     for wdx in range(mask.shape[0]):
-        if not np.allclose(weights.data[wdx].sum(axis=-1), 1.0, atol=1e-9):
+        if not np.allclose(weights[0][wdx].sum(axis=-1), 1.0, atol=1e-9):
             failures.append("attention rows do not sum to 1")
-        if not np.all(weights.data[wdx][:, blocked[wdx]] < 1e-12):
+        if not np.all(weights[0][wdx][:, blocked[wdx]] < 1e-12):
             failures.append("cross-seam attention leaked through the mask")
 
     verdict(4, "mechanism reductions", failures,

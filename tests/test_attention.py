@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 import dcswin.tensor as T
-from dcswin.attention import (AttentionConfig, AttentionParams, WindowSpec,
-                              attention_mask, cross_attention, map_to_tokens,
-                              mhsa, tokens_to_map, window_partition,
+from dcswin.attention import (MASK_VALUE, AttentionConfig, AttentionParams,
+                              WindowSpec, attention_mask, cross_attention,
+                              map_to_tokens, mhsa, tokens_to_map,
+                              window_attention, window_partition,
                               window_reverse, windowed_mhsa)
 from dcswin.errors import ConfigError, NumericsError, ShapeError
 from dcswin.rng import stream
@@ -24,6 +25,22 @@ def rand_map(rng, b, c, h, w):
 
 def params_for(dim, rng, zero_out=False):
     return AttentionParams.init(AttentionConfig(dim, 1), rng, zero_out=zero_out)
+
+
+def attend_weights(q_src, kv_src, p, cfg, mask=None):
+    """The [N, heads, Lq, Lk] weights `mhsa` and `cross_attention` attend
+    with: those of their q and k projections."""
+    return T.attention_weights(T.linear(q_src, p.wq, p.bq),
+                               T.linear(kv_src, p.wk, p.bk), cfg.num_heads,
+                               mask)
+
+
+def window_weights(x, p, cfg, spec):
+    """The [B*nW, heads, L, L] weights `window_attention` attends with at
+    one window, and the partition's info."""
+    probs = []
+    window_attention(x, p, cfg, (spec,), probs_out=probs)
+    return probs[0], window_partition(x, spec)[1]
 
 
 # ---- partition / reverse ------------------------------------------------------
@@ -139,6 +156,63 @@ def test_mask_marks_padding_invalid():
     assert np.all(blocked == -1e9)
 
 
+def reference_mask(height, width, spec):
+    """The mask built by rolling and cutting a map of region ids and of
+    validity the way `window_partition` cuts the map: pairs are allowed
+    within one post-shift region of each axis (slid, the last window's
+    unwrapped content, wrapped) when both tokens are real."""
+    w, s = spec.window, spec.shift
+    pad_h, pad_w = (-height) % w, (-width) % w
+    if s == 0 and pad_h == 0 and pad_w == 0:
+        return None
+    hp, wp = height + pad_h, width + pad_w
+
+    def regions(size):
+        ids = np.zeros(size, dtype=np.int64)
+        ids[size - w:size - s] = 1
+        ids[size - s:] = 2
+        return ids
+
+    if s:
+        region = regions(hp)[:, None] * 3 + regions(wp)[None, :]
+    else:
+        region = np.zeros((hp, wp), dtype=np.int64)
+    valid = np.zeros((hp, wp), dtype=bool)
+    valid[:height, :width] = True
+    if s:
+        # padding is appended pre-shift, so the validity map shifts with x
+        valid = np.roll(valid, (-s, -s), axis=(0, 1))
+    gh, gw = hp // w, wp // w
+    region_w = region.reshape(gh, w, gw, w).transpose(0, 2, 1, 3) \
+        .reshape(-1, w * w)
+    valid_w = valid.reshape(gh, w, gw, w).transpose(0, 2, 1, 3) \
+        .reshape(-1, w * w)
+    same = region_w[:, :, None] == region_w[:, None, :]
+    ok = same & valid_w[:, :, None] & valid_w[:, None, :]
+    return np.where(ok, 0.0, MASK_VALUE)
+
+
+def test_mask_matches_reference_every_small_geometry():
+    checked = 0
+    for h in range(1, 13):
+        for w in range(1, 13):
+            for win in range(1, min(h, w) + 1):
+                for shift in range(win):
+                    spec = WindowSpec(win, shift)
+                    _, info = window_partition(Tensor(np.zeros((1, h, w, 1))),
+                                               spec)
+                    got, want = attention_mask(info), reference_mask(h, w, spec)
+                    checked += 1
+                    if want is None:
+                        assert got is None, (h, w, spec)
+                        continue
+                    assert got.dtype == want.dtype and \
+                        got.shape == want.shape, (h, w, spec)
+                    assert got.tobytes() == want.tobytes(), (h, w, spec)
+                    assert not got.flags.writeable, (h, w, spec)
+    assert checked == 2366
+
+
 def test_mask_cached_per_geometry_and_read_only():
     rng = np.random.default_rng(12)
     _, info = window_partition(rand_map(rng, 1, 1, 8, 8), WindowSpec(4, 2))
@@ -173,8 +247,10 @@ def test_single_key_weight_is_one():
     rng = stream(0, "t-attn")
     p = params_for(4, rng)
     tok = Tensor(rng.standard_normal((2, 1, 4)))
-    out, weights = mhsa(tok, p, AttentionConfig(4, 2), return_weights=True)
-    assert np.array_equal(weights.data, np.ones_like(weights.data))
+    cfg = AttentionConfig(4, 2)
+    out = mhsa(tok, p, cfg)
+    weights = attend_weights(tok, tok, p, cfg)
+    assert np.array_equal(weights, np.ones_like(weights))
     assert out.data.shape == (2, 1, 4)
 
 
@@ -185,9 +261,10 @@ def test_mask_saturation_attends_single_key():
     tok = Tensor(rng.standard_normal((1, 5, 4)))
     mask = np.full((5, 5), -1e9)
     mask[:, 3] = 0.0
-    out, weights = mhsa(tok, p, cfg, mask, return_weights=True)
-    assert np.allclose(weights.data[..., 3], 1.0, atol=1e-12)
-    only = np.delete(weights.data, 3, axis=-1)
+    out = mhsa(tok, p, cfg, mask)
+    weights = attend_weights(tok, tok, p, cfg, mask)
+    assert np.allclose(weights[..., 3], 1.0, atol=1e-12)
+    only = np.delete(weights, 3, axis=-1)
     assert np.all(only < 1e-12)
     # every query's context is v(key 3), so all output rows coincide
     assert np.allclose(out.data, out.data[:, :1], atol=1e-12)
@@ -220,9 +297,9 @@ def test_rows_stochastic_random_configs():
         cfg = AttentionConfig(dim, heads)
         p = AttentionParams.init(cfg, rng, zero_out=False)
         tok = Tensor(rng.standard_normal((3, l, dim)))
-        _, weights = mhsa(tok, p, cfg, return_weights=True)
-        sums = weights.data.sum(axis=-1)
-        assert np.all(weights.data >= 0.0)
+        weights = attend_weights(tok, tok, p, cfg)
+        sums = weights.sum(axis=-1)
+        assert np.all(weights >= 0.0)
         assert np.allclose(sums, 1.0, atol=1e-9)
 
 
@@ -243,11 +320,9 @@ def test_shift_mask_isolation_end_to_end():
     cfg = AttentionConfig(4, 2)
     p = AttentionParams.init(cfg, rng, zero_out=False)
     x = Tensor(channels_last(rng.standard_normal((1, 4, 8, 8))))
-    _, weights, info = windowed_mhsa(x, p, cfg, WindowSpec(4, 2),
-                                     return_weights=True)
+    w, info = window_weights(x, p, cfg, WindowSpec(4, 2))
     mask = attention_mask(info)
     blocked = mask < 0
-    w = weights.data  # [nW, heads, L, L]
     for wdx in range(mask.shape[0]):
         assert np.all(w[wdx][:, blocked[wdx]] < 1e-12)
         sums = w[wdx].sum(axis=-1)
@@ -261,15 +336,14 @@ def test_windowed_mhsa_pad_tokens_get_no_weight():
     x = Tensor(channels_last(rng.standard_normal((1, 4, 5, 5))))
     out = windowed_mhsa(x, p, cfg, WindowSpec(4))
     assert out.data.shape == (1, 5, 5, 4)
-    _, weights, info = windowed_mhsa(x, p, cfg, WindowSpec(4),
-                                     return_weights=True)
+    weights, info = window_weights(x, p, cfg, WindowSpec(4))
     mask = attention_mask(info)
     blocked = mask < 0
     for wdx in range(mask.shape[0]):
         # rows with no allowed key belong to stripped padding; skip them
         real = ~np.all(blocked[wdx], axis=-1)
         sel = blocked[wdx] & real[:, None]
-        assert np.all(weights.data[wdx][:, sel] < 1e-12)
+        assert np.all(weights[wdx][:, sel] < 1e-12)
 
 
 def test_windowed_mhsa_gradients_flow():
@@ -410,8 +484,10 @@ def test_cross_attention_1x1_reduces_to_single_token():
     p = AttentionParams.init(cfg, rng, zero_out=False)
     cur = Tensor(channels_last(rng.standard_normal((1, 4, 1, 1))))
     prev = Tensor(channels_last(rng.standard_normal((1, 4, 1, 1))))
-    out, weights = cross_attention(cur, prev, p, cfg, return_weights=True)
-    assert np.array_equal(weights.data, np.ones_like(weights.data))
+    out = cross_attention(cur, prev, p, cfg)
+    weights = attend_weights(Tensor(cur.data.reshape(1, 1, 4)),
+                             Tensor(prev.data.reshape(1, 1, 4)), p, cfg)
+    assert np.array_equal(weights, np.ones_like(weights))
     assert out.data.shape == (1, 1, 1, 4)
 
 

@@ -347,6 +347,8 @@ class TestTrainEval:
     @pytest.mark.parametrize("key,value", [
         pytest.param("norm.mean", "[0.5, oops", id="mean-not-json"),
         pytest.param("norm.std", "[0.5, 0.5]", id="std-two-values"),
+        pytest.param("norm.std", "[-0.25, -0.25, -0.25]", id="std-negative"),
+        pytest.param("norm.std", "[0.25, 0.0, 0.25]", id="std-zero"),
         pytest.param("data.classes", "3", id="classes-not-a-list"),
     ])
     def test_eval_bad_metadata_is_runtime_error(self, workspace, tmp_path,

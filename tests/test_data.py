@@ -322,8 +322,10 @@ class TestStratifiedSplit:
         ("seed", True),
         ("train_frac", "0.8"),
         ("labeled_frac", False),
+        ("manifest", 5),
+        ("manifest", ["m.json"]),
     ], ids=["pool-string", "pool-non-string-id", "seed-float", "seed-bool",
-            "frac-string", "frac-bool"])
+            "frac-string", "frac-bool", "manifest-int", "manifest-list"])
     def test_load_rejects_wrong_field_types(self, tmp_path, field, value):
         split = stratified_split(make_manifest([8, 8]), seed=5)
         split.save(tmp_path / "split.json")

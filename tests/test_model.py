@@ -279,7 +279,8 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     cfg = ModelConfig.micro(cross_scale_stages=(1,))
     model = DCSWin(cfg, seed=4)
     path = tmp_path / "model.dcsm"
-    model.save(path, extra_config={"note": "fixture"})
+    save_checkpoint(path, {**cfg.to_mapping(), "note": "fixture"},
+                    model.state_dict())
     loaded, extra = DCSWin.load(path)
     assert loaded.cfg == cfg
     assert extra == {"note": "fixture"}
@@ -297,12 +298,6 @@ def test_checkpoint_load_skips_optimizer_tensors(tmp_path):
     loaded, _ = DCSWin.load(path)
     assert np.array_equal(loaded.named_params()["head.w"].data,
                           model.named_params()["head.w"].data)
-
-
-def test_extra_config_key_collision_rejected(tmp_path):
-    model = DCSWin(ModelConfig.micro(), seed=0)
-    with pytest.raises(ConfigError):
-        model.save(tmp_path / "x.dcsm", extra_config={"image_size": "8"})
 
 
 def test_load_state_missing_and_mismatched(tmp_path):

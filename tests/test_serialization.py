@@ -314,7 +314,9 @@ def checkpoint_fields(blob):
 
 
 def test_mutated_checkpoints_load_or_raise_typed_errors(tmp_path):
-    DCSWin(ModelConfig.micro(), seed=0).save(tmp_path / "good.dcsm")
+    cfg = ModelConfig.micro()
+    save_checkpoint(tmp_path / "good.dcsm", cfg.to_mapping(),
+                    DCSWin(cfg, seed=0).state_dict())
     good = (tmp_path / "good.dcsm").read_bytes()
     sizes, magics, versions = checkpoint_fields(good)
     huge = [2 ** 30, 2 ** 40, 2 ** 62, 2 ** 63, 2 ** 64 - 1, len(good)]
