@@ -72,8 +72,8 @@ class AttentionParams:
     bo: Tensor
 
     @classmethod
-    def init(cls, cfg: AttentionConfig, rng: np.random.Generator,
-             zero_out: bool = True) -> "AttentionParams":
+    def init(cls, cfg: AttentionConfig,
+             rng: np.random.Generator) -> "AttentionParams":
         """Truncated-normal projections; the output projection starts at zero
         so residual branches are identities at initialization."""
         c = cfg.dim
@@ -81,12 +81,11 @@ class AttentionParams:
         def w():
             return T.trunc_normal((c, c), rng, std=0.02, requires_grad=True)
 
-        wo = T.zeros((c, c), requires_grad=True) if zero_out \
-            else T.trunc_normal((c, c), rng, std=0.02, requires_grad=True)
         return cls(wq=w(), bq=T.zeros((c,), requires_grad=True),
                    wk=w(), bk=T.zeros((c,), requires_grad=True),
                    wv=w(), bv=T.zeros((c,), requires_grad=True),
-                   wo=wo, bo=T.zeros((c,), requires_grad=True))
+                   wo=T.zeros((c, c), requires_grad=True),
+                   bo=T.zeros((c,), requires_grad=True))
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.wq": self.wq, f"{prefix}.bq": self.bq,
@@ -317,8 +316,8 @@ def _mix_weight_grad(g: np.ndarray, outs: Sequence[np.ndarray],
 def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
                      specs: Sequence[WindowSpec],
                      mixture: Optional[Tensor] = None,
-                     columns: Optional[Sequence[Sequence[int]]] = None,
-                     probs_out: Optional[list] = None) -> Tensor:
+                     columns: Optional[Sequence[Sequence[int]]] = None
+                     ) -> Tensor:
     """Self-attention of the [B,H,W,C] map `x` within the windows of each
     spec, as one tape entry.
 
@@ -327,19 +326,18 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
     spec's `attention_mask`. With a [B, S] `mixture`, window i's output is
     scaled per sample by the sum of the mixture columns `columns[i]` and
     the scaled outputs are added in order; each column belongs to at most
-    one window. `probs_out`, if given, receives each window's attention
-    weights.
+    one window.
 
     q, k and v are projected once, on the map. Each window gathers its
     tokens' rows of them by a cached index (a padding row gets the bias,
     which is what a zero row's product gives), and its output projection
     goes back to map order by one more gather. The rule keeps `x`, the
     three projected maps and, per window, the weights, the context and,
-    with a mixture, the map-order output. It rebuilds every window-order
-    copy by the same gathers and, window by window in reverse, runs the
-    rules the op chain would: the mixture's, the output projection's, the
-    attention's, then v's, k's and q's projections. So values and
-    gradients are the same bits as that chain's, per window
+    when the mixture needs a gradient, the map-order output. It rebuilds
+    every window-order copy by the same gathers and, window by window in
+    reverse, runs the rules the op chain would: the mixture's, the output
+    projection's, the attention's, then v's, k's and q's projections. So
+    values and gradients are the same bits as that chain's, per window
     `window_partition`, three `linear`, `multihead_attention`, `linear`
     and `window_reverse`, then the mixture's slices, adds, broadcasts and
     products; each weight's gradient is summed over windows in the
@@ -377,6 +375,8 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
     heads = cfg.num_heads
     inputs = (x, *plist) + (() if mixture is None else (mixture,))
     keep = T._grad_enabled and any(t.requires_grad for t in inputs)
+    # only the mixture's rule reads the map-order outputs
+    need_mix = mixture is not None and mixture.requires_grad
     x2 = T._contiguous(xd).reshape(-1, c)
     weights, biases = (wq, wk, wv), (bq, bk, bv)
     # the rule and every window read the projected maps; a lone window
@@ -398,10 +398,8 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
         del qd, kd, vd
         o = _gather(T._affine(ctx, wo, bo).reshape(b, -1, c),
                     back).reshape(xd.shape)
-        if probs_out is not None:
-            probs_out.append(probs)
         if keep:
-            saved.append((probs, ctx, None if mixture is None else o))
+            saved.append((probs, ctx, o if need_mix else None))
         if mixture is None:
             out = o
         elif out is None:
@@ -416,7 +414,7 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
 
     def bw(g):
         dmix = None
-        if mixture is not None and mixture.requires_grad:
+        if need_mix:
             dmix = _mix_weight_grad(g, [o for _, _, o in saved], columns,
                                     md.shape[1])
         tail = () if mixture is None else (dmix,)

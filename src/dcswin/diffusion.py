@@ -97,13 +97,11 @@ def sample_chain(x0: np.ndarray, t: int, schedule: NoiseSchedule,
 
 
 def diffuse_batch(x0: np.ndarray, t_max: int, schedule: NoiseSchedule,
-                  rng: np.random.Generator,
-                  ts: np.ndarray | None = None) -> np.ndarray:
+                  rng: np.random.Generator) -> np.ndarray:
     """Noise each sample of [B, ...] to its own step. Every t is drawn
-    uniformly from [1, t_max] first (unless `ts` is given), then each
-    sample takes one `forward_diffuse` jump, in batch order."""
-    if ts is None:
-        ts = rng.integers(1, t_max + 1, size=x0.shape[0])
+    uniformly from [1, t_max] first, then each sample takes one
+    `forward_diffuse` jump, in batch order."""
+    ts = rng.integers(1, t_max + 1, size=x0.shape[0])
     out = np.empty_like(x0)
     for i in range(x0.shape[0]):
         out[i] = forward_diffuse(x0[i], int(ts[i]), schedule, rng)
@@ -111,8 +109,7 @@ def diffuse_batch(x0: np.ndarray, t_max: int, schedule: NoiseSchedule,
 
 
 def consistency_loss(model, x0: np.ndarray, schedule: NoiseSchedule,
-                     t_max: int, rng: np.random.Generator,
-                     ts: np.ndarray | None = None) -> Tensor:
+                     t_max: int, rng: np.random.Generator) -> Tensor:
     """Mean KL(p_clean || p_noisy) over the batch.
 
     The clean branch runs without recording and its distribution is a
@@ -125,12 +122,7 @@ def consistency_loss(model, x0: np.ndarray, schedule: NoiseSchedule,
         raise ConfigError(f"consistency_loss expects [B,3,H,W], got {x0.shape}")
     if not (1 <= t_max <= schedule.num_steps):
         raise ConfigError(f"t_max={t_max} outside [1, {schedule.num_steps}]")
-    n = x0.shape[0]
-    if ts is not None:
-        ts = np.asarray(ts)
-        if ts.shape != (n,):
-            raise ConfigError(f"ts shape {ts.shape} != ({n},)")
-    noisy = diffuse_batch(x0, t_max, schedule, rng, ts)
+    noisy = diffuse_batch(x0, t_max, schedule, rng)
 
     with T.no_grad():
         clean_logits = model.forward(Tensor(x0))

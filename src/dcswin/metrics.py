@@ -154,14 +154,9 @@ def _per_class_f1(cm: ConfusionMatrix, k: int) -> float:
     return float(2 * tp / denom)
 
 
-def f1(cm: ConfusionMatrix, positive_class: Optional[int] = None) -> float:
-    """Binary: F1 of the positive class (default class 1). Multiclass:
-    macro mean of per-class F1 unless a positive class is forced."""
-    if positive_class is not None:
-        if not (0 <= positive_class < cm.num_classes):
-            raise IndexError(f"positive class {positive_class} outside "
-                             f"[0, {cm.num_classes})")
-        return _per_class_f1(cm, positive_class)
+def f1(cm: ConfusionMatrix) -> float:
+    """Binary: F1 of the positive class, class 1. Multiclass: macro mean of
+    per-class F1."""
     if cm.num_classes == 2:
         return _per_class_f1(cm, 1)
     return float(np.mean([_per_class_f1(cm, k) for k in range(cm.num_classes)]))

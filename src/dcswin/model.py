@@ -391,10 +391,9 @@ class ScalePredictor:
 class DCSWin:
     """The full classifier; `seed` fixes the init stream."""
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0,
-                 rng: Optional[np.random.Generator] = None):
+    def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
-        rng = stream(seed, "init") if rng is None else rng
+        rng = stream(seed, "init")
         self.patch_embed = PatchEmbed(cfg.patch_size, cfg.embed_dims[0], rng)
         self.predictor = (ScalePredictor(len(cfg.candidates), rng)
                           if cfg.dynamic_window else None)

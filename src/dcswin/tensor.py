@@ -71,8 +71,8 @@ __all__ = [
     "exp", "log", "sqrt", "tanh", "relu", "gelu",
     "broadcast_to", "reshape", "permute", "roll", "pad2d", "slice_nd",
     "concat", "reduce_sum", "reduce_mean", "mean_pool", "avg_pool2d",
-    "matmul", "softmax", "multihead_attention", "attention_weights",
-    "log_softmax", "cross_entropy",
+    "matmul", "softmax", "multihead_attention", "log_softmax",
+    "cross_entropy",
     "conv1x1", "linear", "layer_norm", "mlp_branch", "detach",
 ]
 
@@ -785,13 +785,6 @@ def _attention_probs(qd: np.ndarray, kd: np.ndarray, num_heads: int,
     return probs, kt
 
 
-def attention_weights(q: Tensor, k: Tensor, num_heads: int,
-                      mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """The [N, heads, Lq, Lk] weights `multihead_attention` applies; no
-    graph is recorded."""
-    return _attention_probs(q.data, k.data, num_heads, mask)[0]
-
-
 def multihead_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
                         mask: Optional[np.ndarray] = None) -> Tensor:
     """softmax(q_h k_h^T / sqrt(d) + mask) v_h for every head h.
@@ -968,19 +961,19 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return _finish(out.reshape(xshape[:-1] + (n,)), inputs, bw, "linear")
 
 
-# the epsilon of every layer norm: `layer_norm`'s default and `mlp_branch`'s
+# the epsilon of every layer norm: `layer_norm`'s and `mlp_branch`'s
 _LN_EPS = 1e-5
 
 
-def _norm_stats(xd: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _norm_stats(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """xn = (x - mean) / denom over the last axis, and denom =
-    sqrt(var + eps)."""
+    sqrt(var + _LN_EPS)."""
     # centred here, scaled below
     xn = np.subtract(xd, xd.mean(axis=-1, keepdims=True), out=_empty(xd.shape))
     var = np.multiply(xn, xn, out=_empty(xd.shape)).mean(axis=-1, keepdims=True)
     # squares that overflow would otherwise normalize x to 0 and return beta
     _screen(var, "layer_norm variance")
-    denom = np.sqrt(var + eps)
+    denom = np.sqrt(var + _LN_EPS)
     xn /= denom
     return xn, denom
 
@@ -1011,17 +1004,16 @@ def _check_norm_params(c: int, gamma: Tensor, beta: Tensor, op: str) -> None:
             raise ShapeError(f"{op}: {name} shape {p.data.shape} != ({c},)")
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               eps: float = _LN_EPS) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift.
 
-    With xn = (x - mean) / denom, denom = sqrt(var + eps) and
+    With xn = (x - mean) / denom, denom = sqrt(var + _LN_EPS) and
     dxn = g * gamma, the input gradient is
     (dxn - mean(dxn) - xn * mean(dxn * xn)) / denom.
     """
     _check_norm_params(x.data.shape[-1], gamma, beta, "layer_norm")
     gd = gamma.data
-    xn, denom = _norm_stats(x.data, eps)
+    xn, denom = _norm_stats(x.data)
     out = _norm_out(xn, gd, beta.data)
     return _finish(out, (x, gamma, beta),
                    lambda g: _norm_grads(g, xn, denom, gd), "layer_norm")
@@ -1059,7 +1051,7 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
     # without a graph nothing outlives its last reader, and the norm output
     # and the activation overwrite the arrays they are computed from
     keep = _grad_enabled and (need_h or w2.requires_grad or b2.requires_grad)
-    xn, denom = _norm_stats(xd, _LN_EPS)
+    xn, denom = _norm_stats(xd)
     n = _norm_out(xn, gd, bd, None if keep else xn).reshape(-1, c)
     if not keep:
         xn = None

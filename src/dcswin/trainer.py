@@ -51,6 +51,8 @@ _STATE_KEYS = ("progress.epoch_next", "opt.kind", "opt.step",
 # channels, float64) is 1 MB, which stays in a 2 MB L2; at 64 images it
 # is 8 MB. Outputs do not depend on the chunk (see `_chunks`).
 INFER_CHUNK = 8
+# Adam's moment decay rates and the epsilon added to its denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -228,17 +230,15 @@ class _FlatState:
 
 
 class Adam(_FlatState):
-    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8).
+    """Adam with bias correction (`ADAM_BETA1`, `ADAM_BETA2`, `ADAM_EPS`).
 
     A parameter whose moments are zero and whose gradient is zero (or
     absent) is left exactly unchanged.
     """
     kind = "adam"
 
-    def __init__(self, params: Mapping[str, Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Mapping[str, Tensor]):
         super().__init__(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros(self._size)
         self.v = np.zeros(self._size)
 
@@ -248,20 +248,20 @@ class Adam(_FlatState):
         taken in that order."""
         g = self._gradients()
         self.step_count += 1
-        c1 = 1.0 - self.beta1 ** self.step_count
-        c2 = 1.0 - self.beta2 ** self.step_count
-        t = np.multiply(g, 1.0 - self.beta1)
-        self.m *= self.beta1
+        c1 = 1.0 - ADAM_BETA1 ** self.step_count
+        c2 = 1.0 - ADAM_BETA2 ** self.step_count
+        t = np.multiply(g, 1.0 - ADAM_BETA1)
+        self.m *= ADAM_BETA1
         self.m += t
-        np.multiply(g, 1.0 - self.beta2, out=t)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=t)
         t *= g
-        self.v *= self.beta2
+        self.v *= ADAM_BETA2
         self.v += t
         update = np.divide(self.m, c1, out=g)
         update *= lr
         np.divide(self.v, c2, out=t)
         np.sqrt(t, out=t)
-        t += self.eps
+        t += ADAM_EPS
         update /= t
         self._subtract(update)
 
@@ -342,15 +342,15 @@ class PseudoLabelSet:
 
 
 def generate_pseudo_labels(model: DCSWin, dataset: ArrayDataset,
-                           unlabeled_ids: Sequence[str], tau: float,
-                           batch_size: int = INFER_CHUNK) -> PseudoLabelSet:
+                           unlabeled_ids: Sequence[str],
+                           tau: float) -> PseudoLabelSet:
     """Inference over the unlabeled pool in manifest (lexicographic) order;
     keep argmax labels whose max softmax probability is strictly above tau.
     A softmax probability never exceeds 1, so tau >= 1 skips inference."""
     ids = sorted(unlabeled_ids)
     if not ids or tau >= 1.0:
         return PseudoLabelSet((), tau)
-    probs = predict_probs(model, dataset, ids, batch_size)
+    probs = predict_probs(model, dataset, ids)
     labels = probs.argmax(axis=1)
     confidences = probs.max(axis=1)
     return PseudoLabelSet(tuple(
@@ -656,25 +656,25 @@ def _chunks(n: int, size: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def predict_probs(model: DCSWin, dataset: ArrayDataset, ids: Sequence[str],
-                  batch_size: int = INFER_CHUNK) -> np.ndarray:
-    """[n, num_classes] softmax probabilities, rows in id order. The chunks
-    share one pool of op buffers (`tensor._request_buffers`). No ids give
-    a [0, num_classes] array without a forward."""
+def predict_probs(model: DCSWin, dataset: ArrayDataset,
+                  ids: Sequence[str]) -> np.ndarray:
+    """[n, num_classes] softmax probabilities, rows in id order, from
+    forwards of `INFER_CHUNK` images. The chunks share one pool of op
+    buffers (`tensor._request_buffers`). No ids give a [0, num_classes]
+    array without a forward."""
     if len(ids) == 0:
         return np.empty((0, model.cfg.num_classes))
     out = []
     with no_grad(), T._request_buffers():
-        for start, stop in _chunks(len(ids), batch_size):
+        for start, stop in _chunks(len(ids), INFER_CHUNK):
             logits = model(Tensor(dataset.batch(list(ids[start:stop]))))
             out.append(T.softmax(logits, axis=1).data)
     return np.concatenate(out, axis=0)
 
 
-def evaluate_model(model: DCSWin, dataset: ArrayDataset, ids: Sequence[str],
-                   batch_size: int = INFER_CHUNK
+def evaluate_model(model: DCSWin, dataset: ArrayDataset, ids: Sequence[str]
                    ) -> tuple[dict[str, float], ConfusionMatrix, np.ndarray]:
-    probs = predict_probs(model, dataset, ids, batch_size)
+    probs = predict_probs(model, dataset, ids)
     truth = dataset.labels_for(ids)
     values, cm = evaluate_predictions(truth, probs, len(dataset.class_names),
                                       dataset.class_names)
@@ -747,8 +747,6 @@ def run_experiment(dataset: ArrayDataset, split: DatasetSplit,
     _check_split(dataset, split)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if dataset.norm_mean is None:
-        dataset.fit_normalization(split.labeled)
     write_run_config(out_dir / "run_config.txt", model_cfg, cfg, seeds,
                      extra_config)
     test_ids = sorted(split.test)

@@ -14,9 +14,8 @@ import pytest
 
 import dcswin.trainer as trainer_mod
 from dcswin import tensor as T
-from dcswin.attention import (AttentionConfig, AttentionParams, WindowSpec,
-                              attention_mask, map_to_tokens, tokens_to_map,
-                              window_attention, window_partition,
+from dcswin.attention import (AttentionConfig, WindowSpec, attention_mask,
+                              map_to_tokens, tokens_to_map, window_partition,
                               window_reverse, windowed_mhsa)
 from dcswin.data import (ArrayDataset, DatasetSplit, stratified_split,
                          synth_generate)
@@ -32,6 +31,7 @@ from dcswin.tensor import Tensor, backward, cross_entropy
 from dcswin.trainer import (Adam, TrainConfig, evaluate_model,
                             generate_pseudo_labels, predict_probs,
                             run_experiment, train)
+from test_attention import live_params, window_weights
 
 
 def channels_last(a):
@@ -220,13 +220,12 @@ def test_criterion_3_training_loop_fidelity(mini_manifest, monkeypatch):
     # (b) strictness: stored confidences are strictly above tau
     probe = DCSWin(ModelConfig.micro(num_classes=2), seed=1)
     ids = sorted(split.unlabeled)
-    probs = predict_probs(probe, dataset, ids, batch_size=16)
-    ps = generate_pseudo_labels(probe, dataset, ids, tau=0.5, batch_size=16)
+    probs = predict_probs(probe, dataset, ids)
+    ps = generate_pseudo_labels(probe, dataset, ids, tau=0.5)
     if not all(r.confidence > 0.5 for r in ps.records):
         failures.append("pseudo-label confidence at or below tau")
     boundary = float(probs.max(axis=1)[0])
-    at_tau = generate_pseudo_labels(probe, dataset, ids, tau=boundary,
-                                    batch_size=16)
+    at_tau = generate_pseudo_labels(probe, dataset, ids, tau=boundary)
     if ids[0] in at_tau.ids():
         failures.append("confidence exactly tau was accepted")
 
@@ -333,7 +332,7 @@ def test_criterion_4_mechanism_reductions():
     # one-hot scale mixture collapses to fixed-window attention
     rng = stream(40, "accept")
     acfg = AttentionConfig(4, 2)
-    params = AttentionParams.init(acfg, rng, zero_out=False)
+    params = live_params(acfg, rng)
     x = Tensor(channels_last(rng.standard_normal((2, 4, 8, 8))))
     candidates = (2, 4)
     worst_onehot = 0.0
@@ -371,17 +370,15 @@ def test_criterion_4_mechanism_reductions():
             failures.append(f"partition/reverse not inverse at {(h, w, win, shift)}")
 
     # row-stochastic weights and shift-mask isolation
-    p2 = AttentionParams.init(acfg, stream(42, "accept"), zero_out=False)
+    p2 = live_params(acfg, stream(42, "accept"))
     xs = Tensor(channels_last(stream(43, "accept").standard_normal((1, 4, 8, 8))))
-    weights = []
-    window_attention(xs, p2, acfg, (WindowSpec(4, 2),), probs_out=weights)
-    _, info = window_partition(xs, WindowSpec(4, 2))
+    weights, info = window_weights(xs, p2, acfg, WindowSpec(4, 2))
     mask = attention_mask(info)
     blocked = mask < 0
     for wdx in range(mask.shape[0]):
-        if not np.allclose(weights[0][wdx].sum(axis=-1), 1.0, atol=1e-9):
+        if not np.allclose(weights[wdx].sum(axis=-1), 1.0, atol=1e-9):
             failures.append("attention rows do not sum to 1")
-        if not np.all(weights[0][wdx][:, blocked[wdx]] < 1e-12):
+        if not np.all(weights[wdx][:, blocked[wdx]] < 1e-12):
             failures.append("cross-seam attention leaked through the mask")
 
     verdict(4, "mechanism reductions", failures,

@@ -1,4 +1,6 @@
 """Window partition/reverse, masking, and attention invariants."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ import dcswin.tensor as T
 from dcswin.attention import (MASK_VALUE, AttentionConfig, AttentionParams,
                               WindowSpec, attention_mask, cross_attention,
                               map_to_tokens, mhsa, tokens_to_map,
-                              window_attention, window_partition,
-                              window_reverse, windowed_mhsa)
+                              window_partition, window_reverse,
+                              windowed_mhsa)
 from dcswin.errors import ConfigError, NumericsError, ShapeError
 from dcswin.rng import stream
 from dcswin.tensor import Tensor
@@ -23,24 +25,28 @@ def rand_map(rng, b, c, h, w):
                   requires_grad=True)
 
 
-def params_for(dim, rng, zero_out=False):
-    return AttentionParams.init(AttentionConfig(dim, 1), rng, zero_out=zero_out)
+def live_params(cfg, rng):
+    """`AttentionParams.init` with a drawn output projection in place of
+    the zero one, so attention reaches the output. `wo` is drawn first,
+    then `wq`, `wk` and `wv` as `init` draws them."""
+    wo = T.trunc_normal((cfg.dim, cfg.dim), rng, std=0.02, requires_grad=True)
+    return replace(AttentionParams.init(cfg, rng), wo=wo)
 
 
 def attend_weights(q_src, kv_src, p, cfg, mask=None):
     """The [N, heads, Lq, Lk] weights `mhsa` and `cross_attention` attend
     with: those of their q and k projections."""
-    return T.attention_weights(T.linear(q_src, p.wq, p.bq),
-                               T.linear(kv_src, p.wk, p.bk), cfg.num_heads,
-                               mask)
+    return T._attention_probs(T.linear(q_src, p.wq, p.bq).data,
+                              T.linear(kv_src, p.wk, p.bk).data,
+                              cfg.num_heads, mask)[0]
 
 
 def window_weights(x, p, cfg, spec):
     """The [B*nW, heads, L, L] weights `window_attention` attends with at
-    one window, and the partition's info."""
-    probs = []
-    window_attention(x, p, cfg, (spec,), probs_out=probs)
-    return probs[0], window_partition(x, spec)[1]
+    one window, from the `window_partition` reference chain, and the
+    partition's info."""
+    tokens, info = window_partition(x, spec)
+    return attend_weights(tokens, tokens, p, cfg, attention_mask(info)), info
 
 
 # ---- partition / reverse ------------------------------------------------------
@@ -245,9 +251,9 @@ def test_mask_cached_per_geometry_and_read_only():
 
 def test_single_key_weight_is_one():
     rng = stream(0, "t-attn")
-    p = params_for(4, rng)
-    tok = Tensor(rng.standard_normal((2, 1, 4)))
     cfg = AttentionConfig(4, 2)
+    p = live_params(cfg, rng)
+    tok = Tensor(rng.standard_normal((2, 1, 4)))
     out = mhsa(tok, p, cfg)
     weights = attend_weights(tok, tok, p, cfg)
     assert np.array_equal(weights, np.ones_like(weights))
@@ -257,7 +263,7 @@ def test_single_key_weight_is_one():
 def test_mask_saturation_attends_single_key():
     rng = stream(1, "t-attn")
     cfg = AttentionConfig(4, 1)
-    p = params_for(4, rng)
+    p = live_params(cfg, rng)
     tok = Tensor(rng.standard_normal((1, 5, 4)))
     mask = np.full((5, 5), -1e9)
     mask[:, 3] = 0.0
@@ -273,7 +279,7 @@ def test_mask_saturation_attends_single_key():
 def test_mhsa_records_five_tape_entries():
     rng = stream(12, "t-attn")
     cfg = AttentionConfig(4, 2)
-    p = AttentionParams.init(cfg, rng, zero_out=False)
+    p = live_params(cfg, rng)
     tok = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
     with T.Tape() as tape:
         mhsa(tok, p, cfg)
@@ -284,7 +290,7 @@ def test_mhsa_records_five_tape_entries():
 def test_mhsa_overflowing_logits_raise():
     rng = stream(13, "t-attn")
     cfg = AttentionConfig(4, 2)
-    p = AttentionParams.init(cfg, rng, zero_out=False)
+    p = live_params(cfg, rng)
     tok = Tensor(rng.standard_normal((2, 3, 4)) * 1e200)
     with np.errstate(over="ignore"), \
             pytest.raises(NumericsError, match="attention logits"):
@@ -295,7 +301,7 @@ def test_rows_stochastic_random_configs():
     rng = stream(2, "t-attn")
     for dim, heads, l in ((8, 2, 6), (6, 3, 9), (4, 4, 1)):
         cfg = AttentionConfig(dim, heads)
-        p = AttentionParams.init(cfg, rng, zero_out=False)
+        p = live_params(cfg, rng)
         tok = Tensor(rng.standard_normal((3, l, dim)))
         weights = attend_weights(tok, tok, p, cfg)
         sums = weights.sum(axis=-1)
@@ -306,7 +312,7 @@ def test_rows_stochastic_random_configs():
 def test_permutation_equivariance_unmasked():
     rng = stream(3, "t-attn")
     cfg = AttentionConfig(8, 2)
-    p = AttentionParams.init(cfg, rng, zero_out=False)
+    p = live_params(cfg, rng)
     tok = rng.standard_normal((2, 7, 8))
     perm = rng.permutation(7)
     out = mhsa(Tensor(tok), p, cfg).data
@@ -318,7 +324,7 @@ def test_shift_mask_isolation_end_to_end():
     # windowed attention with shift: weights on cross-seam pairs < 1e-12
     rng = stream(4, "t-attn")
     cfg = AttentionConfig(4, 2)
-    p = AttentionParams.init(cfg, rng, zero_out=False)
+    p = live_params(cfg, rng)
     x = Tensor(channels_last(rng.standard_normal((1, 4, 8, 8))))
     w, info = window_weights(x, p, cfg, WindowSpec(4, 2))
     mask = attention_mask(info)
@@ -332,7 +338,7 @@ def test_shift_mask_isolation_end_to_end():
 def test_windowed_mhsa_pad_tokens_get_no_weight():
     rng = stream(5, "t-attn")
     cfg = AttentionConfig(4, 1)
-    p = AttentionParams.init(cfg, rng, zero_out=False)
+    p = live_params(cfg, rng)
     x = Tensor(channels_last(rng.standard_normal((1, 4, 5, 5))))
     out = windowed_mhsa(x, p, cfg, WindowSpec(4))
     assert out.data.shape == (1, 5, 5, 4)
@@ -349,7 +355,7 @@ def test_windowed_mhsa_pad_tokens_get_no_weight():
 def test_windowed_mhsa_gradients_flow():
     rng = stream(6, "t-attn")
     cfg = AttentionConfig(4, 2)
-    p = AttentionParams.init(cfg, rng, zero_out=False)
+    p = live_params(cfg, rng)
     x = Tensor(channels_last(rng.standard_normal((2, 4, 6, 6))),
                requires_grad=True)
     out = windowed_mhsa(x, p, cfg, WindowSpec(4, 2))
@@ -398,7 +404,7 @@ def test_windowed_mhsa_is_the_op_chain_bit_for_bit(side, window, shift,
     included, and the op is one tape entry."""
     rng = stream(13, "t-attn")
     cfg = AttentionConfig(4, 2)
-    p = AttentionParams.init(cfg, rng, zero_out=False)
+    p = live_params(cfg, rng)
     x = Tensor(channels_last(rng.standard_normal((2, 4, side, side))),
                requires_grad=x_grad)
     spec = WindowSpec(window, shift)
@@ -416,7 +422,7 @@ def test_windowed_mhsa_without_a_graph_is_the_op_chain(side, window, shift):
     the first call's buffers, the output is the chain's bytes."""
     rng = stream(14, "t-attn")
     cfg = AttentionConfig(4, 2)
-    p = AttentionParams.init(cfg, rng, zero_out=False)
+    p = live_params(cfg, rng)
     x = Tensor(channels_last(rng.standard_normal((3, 4, side, side))))
     spec = WindowSpec(window, shift)
     want = chain_windowed_mhsa(x, p, cfg, spec).data.tobytes()
@@ -448,7 +454,7 @@ def test_tokens_to_map_length_mismatch():
 def test_cross_attention_identity_at_zero_init():
     rng = stream(7, "t-attn")
     cfg = AttentionConfig(6, 2)
-    p = AttentionParams.init(cfg, rng, zero_out=True)
+    p = AttentionParams.init(cfg, rng)
     cur = Tensor(channels_last(rng.standard_normal((2, 6, 3, 3))))
     prev = Tensor(channels_last(rng.standard_normal((2, 6, 5, 5))))
     out = cross_attention(cur, prev, p, cfg)
@@ -458,7 +464,7 @@ def test_cross_attention_identity_at_zero_init():
 def test_cross_attention_constant_prev_position_independent():
     rng = stream(8, "t-attn")
     cfg = AttentionConfig(4, 1)
-    p = AttentionParams.init(cfg, rng, zero_out=False)
+    p = live_params(cfg, rng)
     cur = Tensor(channels_last(rng.standard_normal((1, 4, 3, 3))))
     prev = Tensor(channels_last(np.broadcast_to(
         rng.standard_normal((1, 4, 1, 1)), (1, 4, 4, 4))))
@@ -471,7 +477,7 @@ def test_cross_attention_constant_prev_position_independent():
 def test_cross_attention_spatial_sizes_may_differ():
     rng = stream(9, "t-attn")
     cfg = AttentionConfig(4, 2)
-    p = AttentionParams.init(cfg, rng, zero_out=False)
+    p = live_params(cfg, rng)
     cur = Tensor(channels_last(rng.standard_normal((2, 4, 4, 4))))
     prev = Tensor(channels_last(rng.standard_normal((2, 4, 8, 8))))
     out = cross_attention(cur, prev, p, cfg)
@@ -481,7 +487,7 @@ def test_cross_attention_spatial_sizes_may_differ():
 def test_cross_attention_1x1_reduces_to_single_token():
     rng = stream(10, "t-attn")
     cfg = AttentionConfig(4, 1)
-    p = AttentionParams.init(cfg, rng, zero_out=False)
+    p = live_params(cfg, rng)
     cur = Tensor(channels_last(rng.standard_normal((1, 4, 1, 1))))
     prev = Tensor(channels_last(rng.standard_normal((1, 4, 1, 1))))
     out = cross_attention(cur, prev, p, cfg)
@@ -494,7 +500,7 @@ def test_cross_attention_1x1_reduces_to_single_token():
 def test_cross_attention_mismatches_rejected():
     rng = stream(11, "t-attn")
     cfg = AttentionConfig(4, 1)
-    p = AttentionParams.init(cfg, rng, zero_out=False)
+    p = live_params(cfg, rng)
     with pytest.raises(ShapeError):
         cross_attention(Tensor(np.zeros((1, 2, 2, 4))),
                         Tensor(np.zeros((2, 2, 2, 4))), p, cfg)

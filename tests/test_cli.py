@@ -1,5 +1,7 @@
 """Command-line surface tests: the synth/split/train/eval flow, exit-code
 contract, and gradcheck reporting."""
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -32,6 +34,19 @@ def workspace(tmp_path_factory):
                                  tau=0.5, warmup_epochs=1, num_runs=1,
                                  seed=0), seeds=[0])
     return root
+
+
+@pytest.fixture(scope="module")
+def trained(workspace):
+    """`dcswin train` of the workspace config into `workspace/run`, run
+    once for the tests that read that run; returns its stdout."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = main(["train", "--config", str(workspace / "run.cfg"),
+                   "--split", str(workspace / "split.json"),
+                   "--out", str(workspace / "run")])
+    assert rc == EXIT_OK
+    return stdout.getvalue()
 
 
 class TestSynthAndSplit:
@@ -74,14 +89,9 @@ class TestSynthAndSplit:
 
 
 class TestTrainEval:
-    def test_train_then_eval_flow(self, workspace, capsys):
+    def test_train_then_eval_flow(self, workspace, trained, capsys):
         out_dir = workspace / "run"
-        rc = main(["train", "--config", str(workspace / "run.cfg"),
-                   "--split", str(workspace / "split.json"),
-                   "--out", str(out_dir)])
-        stdout = capsys.readouterr().out
-        assert rc == EXIT_OK
-        assert "report:" in stdout
+        assert "report:" in trained
         assert (out_dir / "report.json").is_file()
         assert (out_dir / "run_config.txt").is_file()
         assert (out_dir / "seed0" / "state.dcsm").is_file()
@@ -103,6 +113,7 @@ class TestTrainEval:
         assert (report.parent / "confusion.csv").is_file()
         assert (report.parent / "predictions.jsonl").is_file()
 
+    @pytest.mark.usefixtures("trained")
     def test_repeated_eval_bit_identical(self, workspace):
         report = workspace / "eval2" / "report.json"
         argv = ["eval", "--checkpoint",
@@ -116,6 +127,7 @@ class TestTrainEval:
         assert report.read_bytes() == first
         assert (report.parent / "predictions.jsonl").read_bytes() == preds
 
+    @pytest.mark.usefixtures("trained")
     def test_eval_ids_file(self, workspace):
         split = json.loads((workspace / "split.json").read_text())
         ids_file = workspace / "ids.txt"
@@ -266,6 +278,7 @@ class TestTrainEval:
         assert rc == EXIT_RUNTIME
         assert err.startswith("error:") and "run.seeds" in err
 
+    @pytest.mark.usefixtures("trained")
     def test_eval_class_mismatch_is_runtime_error(self, workspace, tmp_path,
                                                   capsys):
         other = tmp_path / "threeclass"
@@ -280,6 +293,7 @@ class TestTrainEval:
         assert rc == EXIT_RUNTIME
         assert "do not match" in capsys.readouterr().err
 
+    @pytest.mark.usefixtures("trained")
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_empty_manifest_is_runtime_error(self, workspace, tmp_path,
                                              capsys, command):
@@ -300,6 +314,7 @@ class TestTrainEval:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.usefixtures("trained")
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_manifest_path_outside_its_directory_is_runtime_error(
             self, workspace, tmp_path, capsys, command):
@@ -321,6 +336,7 @@ class TestTrainEval:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.usefixtures("trained")
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_missing_record_file_is_runtime_error(self, workspace, tmp_path,
                                                   capsys, command):
@@ -344,6 +360,7 @@ class TestTrainEval:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.usefixtures("trained")
     @pytest.mark.parametrize("key,value", [
         pytest.param("norm.mean", "[0.5, oops", id="mean-not-json"),
         pytest.param("norm.std", "[0.5, 0.5]", id="std-two-values"),
@@ -367,6 +384,7 @@ class TestTrainEval:
         assert err.startswith("error:") and key in err
         assert "Traceback" not in err
 
+    @pytest.mark.usefixtures("trained")
     @pytest.mark.parametrize("source,needle", [
         pytest.param("ids", "'class0/missing'", id="ids-unknown-id"),
         pytest.param("ids-bytes", "not UTF-8", id="ids-not-utf8"),
@@ -447,7 +465,7 @@ class TestGradcheckCommand:
     def test_failure_maps_to_exit_3(self, monkeypatch, capsys):
         monkeypatch.setattr(
             cli_mod, "run_op_check",
-            lambda name: GradCheckResult(name, worst_rel=1.0, tol=1e-4))
+            lambda name: GradCheckResult(name, worst_rel=1.0))
         rc = main(["gradcheck", "--op", "softmax"])
         assert rc == EXIT_VERIFY
         assert "FAIL" in capsys.readouterr().out

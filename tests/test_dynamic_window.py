@@ -11,7 +11,7 @@ from dcswin.dynamic_window import (dynamic_window_attention, hard_selection,
 from dcswin.errors import ConfigError, ShapeError
 from dcswin.rng import stream
 from dcswin.tensor import Tensor
-from test_attention import chain_windowed_mhsa, grads_after
+from test_attention import chain_windowed_mhsa, grads_after, live_params
 
 
 def channels_last(a):
@@ -22,7 +22,7 @@ def channels_last(a):
 def attn_setup(dim=4, heads=2, key=0):
     rng = stream(key, "t-dynwin")
     cfg = AttentionConfig(dim, heads)
-    return AttentionParams.init(cfg, rng, zero_out=False), cfg, rng
+    return live_params(cfg, rng), cfg, rng
 
 
 # ---- predict_scales ---------------------------------------------------------------
@@ -252,7 +252,7 @@ def assert_op_is_the_chain(side, candidates, shift, hard, kind):
                requires_grad=True)
     mixture, leaf = mixture_leaves(kind, rng, 2, len(candidates))
     # a zero output projection makes every window's output exactly zero
-    zeroed = AttentionParams.init(cfg, rng, zero_out=True)
+    zeroed = AttentionParams.init(cfg, rng)
     for p in (params, zeroed):
         leaves = [x, *p.named("p").values()] + ([] if hard else [leaf])
         got = grads_after(lambda: dynamic_window_attention(

@@ -74,7 +74,6 @@ def test_fixture_balanced_accuracy():
 
 def test_fixture_f1_positive_class():
     assert f1(FIX) == pytest.approx(90.0 / 105.0, abs=1e-15)
-    assert f1(FIX, positive_class=1) == pytest.approx(90.0 / 105.0, abs=1e-15)
 
 
 def test_fixture_kappa():
@@ -211,11 +210,6 @@ def test_confusion_matrix_validation():
         ConfusionMatrix.from_predictions([0, 3], [0, 1], 2)
     with pytest.raises(ShapeError):
         ConfusionMatrix.from_predictions([0, 1], [0], 2)
-
-
-def test_f1_positive_class_range_checked():
-    with pytest.raises(IndexError):
-        f1(FIX, positive_class=2)
 
 
 # ---- aggregation & files ------------------------------------------------------------

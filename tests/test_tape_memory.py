@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 import dcswin.tensor as T
-from dcswin.attention import (AttentionConfig, AttentionParams, WindowSpec,
-                              window_attention, window_partition)
+from dcswin.attention import (AttentionConfig, WindowSpec, window_attention,
+                              window_partition)
+from dcswin.dynamic_window import hard_selection
 from dcswin.errors import ShapeError
 from dcswin.model import DCSWin, ModelConfig
 from dcswin.tensor import Tensor, backward
+from test_attention import live_params
 
 
 def leaf(data):
@@ -145,7 +147,7 @@ def test_window_attention_keeps_no_partitioned_copy():
     the window-order tokens, q, k^T and v are rebuilt in backward."""
     rng = np.random.default_rng(6)
     cfg = AttentionConfig(4, 2)
-    params = AttentionParams.init(cfg, rng, zero_out=False)
+    params = live_params(cfg, rng)
     x = leaf(rng.standard_normal((2, 5, 5, 4)))
     mix = leaf(rng.uniform(0.1, 1.0, (2, 2)))
     specs = (WindowSpec(2, 1), WindowSpec(4))
@@ -179,6 +181,31 @@ def test_window_attention_keeps_no_partitioned_copy():
         8 * (2 * nw * 2 * length * length + 2 * nw * length * 4)
         + x.data.nbytes for nw, length in windows)
     assert sum(arr.nbytes for _, _, arr in saved) == expect
+
+
+def test_window_attention_keeps_no_output_for_hard_selection():
+    """Hard selection's one-hot mixture is a constant, so no rule reads a
+    window's map-order output and the op keeps none: per window only the
+    weights and the context, besides the input map and its projections."""
+    rng = np.random.default_rng(7)
+    cfg = AttentionConfig(4, 2)
+    params = live_params(cfg, rng)
+    x = leaf(rng.standard_normal((2, 5, 5, 4)))
+    # sample 0 picks the first window and sample 1 the second, so both run
+    hard = hard_selection(leaf([[0.7, 0.3], [0.2, 0.8]]))
+    specs = (WindowSpec(2, 1), WindowSpec(4))
+    with T.Tape() as tape:
+        window_attention(x, params, cfg, specs, hard, ((0,), (1,)))
+    held = {id(t.data) for t in (hard, *params.named("p").values())}
+    saved = [(var, arr) for _, var, arr in T._saved_arrays(tape)
+             if id(arr) not in held]
+    assert sorted(var for var, _ in saved) == \
+        ["maps"] * 3 + ["saved"] * 4 + ["x2"]
+    windows = [(9, 4), (4, 16)]
+    expect = 4 * x.data.nbytes + sum(
+        8 * (2 * nw * 2 * length * length + 2 * nw * length * 4)
+        for nw, length in windows)
+    assert sum(arr.nbytes for _, arr in saved) == expect
 
 
 # measured with `tools/step_memory.py --saved`: 88.36 MB

@@ -210,9 +210,10 @@ def test_layer_norm_constant_vector_is_zero():
 
 
 def test_layer_norm_two_point_example():
-    out = T.layer_norm(Tensor([[1.0, 3.0]]), T.ones((2,)), T.zeros((2,)),
-                       eps=1e-12)
-    assert np.allclose(out.data, [[-1.0, 1.0]], atol=1e-6)
+    # mean 2 and variance 1, so the two points normalize to +-1/sqrt(1+eps)
+    out = T.layer_norm(Tensor([[1.0, 3.0]]), T.ones((2,)), T.zeros((2,)))
+    want = 1.0 / np.sqrt(1.0 + T._LN_EPS)
+    assert np.allclose(out.data, [[-want, want]], rtol=0.0, atol=1e-12)
 
 
 def test_layer_norm_statistics():
@@ -473,7 +474,7 @@ def test_multihead_attention_mask_saturates():
                for s in ((2, 3, 4), (2, 5, 4), (2, 5, 4)))
     mask = np.full((3, 5), -1e9)
     mask[:, 2] = 0.0
-    weights = T.attention_weights(q, k, 2, mask)
+    weights, _ = T._attention_probs(q.data, k.data, 2, mask)
     assert weights.shape == (2, 2, 3, 5)
     assert np.all(np.delete(weights, 2, axis=-1) < 1e-12)
     # every query of every head reads value row 2 alone

@@ -362,9 +362,8 @@ class TestPseudoLabels:
         model = DCSWin(ModelConfig.micro(num_classes=2), seed=1)
         dataset.fit_normalization(sorted(split.labeled))
         ids = sorted(split.unlabeled)
-        probs = predict_probs(model, dataset, ids, batch_size=16)
-        ps = generate_pseudo_labels(model, dataset, split.unlabeled, tau=0.5,
-                                    batch_size=16)
+        probs = predict_probs(model, dataset, ids)
+        ps = generate_pseudo_labels(model, dataset, split.unlabeled, tau=0.5)
         expected = [(i, int(p.argmax()), float(p.max()))
                     for i, p in zip(ids, probs) if p.max() > 0.5]
         assert [(r.id, r.label, r.confidence) for r in ps.records] == expected
@@ -373,10 +372,9 @@ class TestPseudoLabels:
         model = DCSWin(ModelConfig.micro(num_classes=2), seed=2)
         dataset.fit_normalization(sorted(split.labeled))
         ids = sorted(split.unlabeled)
-        probs = predict_probs(model, dataset, ids, batch_size=16)
+        probs = predict_probs(model, dataset, ids)
         tau = float(probs.max(axis=1)[0])  # first sample's own confidence
-        ps = generate_pseudo_labels(model, dataset, split.unlabeled, tau,
-                                    batch_size=16)
+        ps = generate_pseudo_labels(model, dataset, split.unlabeled, tau)
         assert ids[0] not in ps.ids()
 
     def test_generate_tau_one_is_empty(self, dataset, split, monkeypatch):
@@ -725,6 +723,11 @@ class TestTrainLoop:
 
 # ---- evaluation and experiment orchestration ----------------------------------
 
+def probs_in_chunks(monkeypatch, chunk, model, dataset, ids):
+    """`predict_probs` with requests run in chunks of `chunk` images."""
+    monkeypatch.setattr(trainer_mod, "INFER_CHUNK", chunk)
+    return predict_probs(model, dataset, ids)
+
 
 class TestEvaluation:
     def test_predict_probs_rows_are_distributions(self, dataset, split):
@@ -749,7 +752,7 @@ class TestEvaluation:
     @pytest.mark.parametrize("selection", ["soft", "hard"])
     @pytest.mark.parametrize("arm", sorted(ARMS))
     def test_predict_probs_independent_of_batch_size(self, dataset, arm,
-                                                     selection):
+                                                     selection, monkeypatch):
         model = DCSWin(ModelConfig.micro(num_classes=2, selection=selection)
                        .ablated(arm), seed=0)
         # a fresh init zeroes the residual branches' output projections
@@ -759,14 +762,15 @@ class TestEvaluation:
         ids = sorted(dataset.index)
         dataset.fit_normalization(ids)
         # 9 and 16 ids leave a last chunk of one image at 8, 5 and 4
+        chunks = (trainer_mod.INFER_CHUNK, 7, 5, 4)
         for n_ids in (9, 16):
-            whole = predict_probs(model, dataset, ids[:n_ids],
-                                  batch_size=n_ids)
-            for batch_size in (trainer_mod.INFER_CHUNK, 7, 5, 4):
-                assert np.array_equal(predict_probs(
-                    model, dataset, ids[:n_ids], batch_size), whole)
+            whole = probs_in_chunks(monkeypatch, n_ids, model, dataset,
+                                    ids[:n_ids])
+            for chunk in chunks:
+                assert np.array_equal(probs_in_chunks(
+                    monkeypatch, chunk, model, dataset, ids[:n_ids]), whole)
 
-    @pytest.mark.parametrize("n_ids,batch_size,sizes", [
+    @pytest.mark.parametrize("n_ids,chunk,sizes", [
         (64, None, [8] * 8),
         (17, None, [8, 9]),
         (9, None, [9]),
@@ -775,7 +779,7 @@ class TestEvaluation:
         (2, 1, [2]),
     ])
     def test_no_grad_request_chunks(self, dataset, monkeypatch, n_ids,
-                                    batch_size, sizes):
+                                    chunk, sizes):
         """Requests run in chunks of INFER_CHUNK images, and a last chunk of
         one image joins the chunk before it."""
         model = DCSWin(ModelConfig.micro(num_classes=2), seed=0)
@@ -785,13 +789,14 @@ class TestEvaluation:
                             lambda x: (seen.append(x.shape[0]), real(x))[1])
         ids = (sorted(dataset.index) * 4)[:n_ids]
         dataset.fit_normalization(sorted(dataset.index))
-        kwargs = {} if batch_size is None else {"batch_size": batch_size}
-        probs = predict_probs(model, dataset, ids, **kwargs)
+        if chunk is not None:
+            monkeypatch.setattr(trainer_mod, "INFER_CHUNK", chunk)
+        probs = predict_probs(model, dataset, ids)
         assert seen == sizes and probs.shape == (n_ids, 2)
 
     @pytest.mark.parametrize("arm", ["baseline", "full"])
     def test_chunked_request_matches_one_forward_default_config(
-            self, tmp_path_factory, arm):
+            self, tmp_path_factory, arm, monkeypatch):
         """At the default config a one-image forward rounds differently
         from a wider batch (NumPy computes one-row products through gemv),
         so this is where a one-image chunk would show; at the micro config
@@ -806,14 +811,14 @@ class TestEvaluation:
         rng = np.random.default_rng(3)
         for p in model.named_params().values():
             p.data = p.data + rng.standard_normal(p.data.shape) * 0.05
-        whole = predict_probs(model, data64, ids, batch_size=len(ids))
-        assert np.array_equal(predict_probs(model, data64, ids), whole)
-        for batch_size in (16, 4):
+        chunks = (trainer_mod.INFER_CHUNK, 16, 4)
+        whole = probs_in_chunks(monkeypatch, len(ids), model, data64, ids)
+        for chunk in chunks:
             assert np.array_equal(
-                predict_probs(model, data64, ids, batch_size), whole)
-        pair = predict_probs(model, data64, ids[:2], batch_size=2)
+                probs_in_chunks(monkeypatch, chunk, model, data64, ids), whole)
+        pair = probs_in_chunks(monkeypatch, 2, model, data64, ids[:2])
         assert np.array_equal(
-            predict_probs(model, data64, ids[:2], batch_size=1), pair)
+            probs_in_chunks(monkeypatch, 1, model, data64, ids[:2]), pair)
 
     @staticmethod
     def _noisy_model(arm):
