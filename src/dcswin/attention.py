@@ -292,17 +292,16 @@ def _mix_columns(w: np.ndarray, columns: Sequence[Sequence[int]]
     return out
 
 
-def _mix_weight_grad(g: np.ndarray, outs: Sequence[np.ndarray],
+def _mix_weight_grad(gcols: Sequence[np.ndarray],
                      columns: Sequence[Sequence[int]], s: int) -> np.ndarray:
-    """The [B, S] gradient of the mixture weights for the output gradient
-    `g` and each window's map-order output, built as slicing, summing,
-    broadcasting and multiplying columns would pass it back: one
-    zero-padded [B, S] array per column, added in descending column order,
-    so it has their bits down to the sign of a zero."""
-    b = g.shape[0]
+    """The [B, S] gradient of the mixture weights from each window's [B, 1]
+    gradient `_unbroadcast(g * o)` of its map-order output `o`, built as
+    slicing, summing, broadcasting and multiplying columns would pass it
+    back: one zero-padded [B, S] array per column, added in descending
+    column order, so it has their bits down to the sign of a zero."""
+    b = gcols[0].shape[0]
     per_column = {}
-    for d, idx in zip(outs, columns):
-        gcol = T._unbroadcast(g * d, (b, 1, 1, 1)).reshape(b, 1)
+    for gcol, idx in zip(gcols, columns):
         for i in idx:
             per_column[i] = gcol
     dw = None
@@ -332,16 +331,19 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
     tokens' rows of them by a cached index (a padding row gets the bias,
     which is what a zero row's product gives), and its output projection
     goes back to map order by one more gather. The rule keeps `x`, the
-    three projected maps and, per window, the weights, the context and,
-    when the mixture needs a gradient, the map-order output. It rebuilds
-    every window-order copy by the same gathers and, window by window in
-    reverse, runs the rules the op chain would: the mixture's, the output
-    projection's, the attention's, then v's, k's and q's projections. So
+    three projected maps and, per window, the attention weights. Window by
+    window in reverse, it rebuilds every window-order copy by the same
+    gathers, the context from the weights and v, and, when the mixture
+    needs a gradient, the map-order output from the context, each with the
+    forward's own calls just before its first reader, and runs the rules
+    the op chain would: the mixture's, the output projection's, the
+    attention's, then v's, k's and q's projections. So
     values and gradients are the same bits as that chain's, per window
     `window_partition`, three `linear`, `multihead_attention`, `linear`
     and `window_reverse`, then the mixture's slices, adds, broadcasts and
     products; each weight's gradient is summed over windows in the
-    sweep's order.
+    sweep's order, and the mixture's is assembled after the sweep in
+    the chain's column order.
     """
     xd = x.data
     infos = [_partition_info(xd.shape, spec) for spec in specs]
@@ -399,7 +401,7 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
         o = _gather(T._affine(ctx, wo, bo).reshape(b, -1, c),
                     back).reshape(xd.shape)
         if keep:
-            saved.append((probs, ctx, o if need_mix else None))
+            saved.append(probs)
         if mixture is None:
             out = o
         elif out is None:
@@ -413,25 +415,27 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
     need_branch = need_x or any(p.requires_grad for p in plist)
 
     def bw(g):
-        dmix = None
-        if need_mix:
-            dmix = _mix_weight_grad(g, [o for _, _, o in saved], columns,
-                                    md.shape[1])
-        tail = () if mixture is None else (dmix,)
-        if not need_branch:
-            return (None,) * 9 + tail
         dx = None
         dparams = [None] * 8
+        gcols = [None] * len(infos)
         for i in reversed(range(len(infos))):
-            probs, ctx, _ = saved[i]
-            gi = g if mixture is None else g * cols[i]
+            probs = saved[i]
             # `maps` by name, so that `tensor._saved_arrays` counts them
             rows, pad, back, shape, (qd, kd, vd) = _cut(
                 infos[i], maps.__getitem__, biases)
+            ctx = T._attention_context(probs, vd, heads).reshape(-1, c)
+            if need_mix:
+                o = _gather(T._affine(ctx, wo, bo).reshape(b, -1, c),
+                            back).reshape(xd.shape)
+                gcols[i] = T._unbroadcast(g * o, (b, 1, 1, 1)).reshape(b, 1)
+                del o
+            if not need_branch:
+                continue
+            gi = g if mixture is None else g * cols[i]
             dctx, dwo, dbo = T._affine_grads(
                 _gather(gi.reshape(b, -1, c), rows, pad).reshape(-1, c), ctx,
                 wo, True, True)
-            del gi
+            del gi, ctx
             kt = T._contiguous(T._heads(kd, heads).transpose(0, 1, 3, 2))
             del kd
             dq, dk, dv = T._attention_grads(dctx.reshape(shape), probs, qd,
@@ -459,7 +463,11 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
                     dx = dxm
                 else:
                     dx += dxm
-        return (dx, *dparams) + tail
+        if mixture is None:
+            return (dx, *dparams)
+        dmix = _mix_weight_grad(gcols, columns, md.shape[1]) if need_mix \
+            else None
+        return (dx, *dparams, dmix)
 
     return T._finish(out, inputs, bw, "window_attention")
 

@@ -14,9 +14,11 @@ array lives only while its caller or some backward rule holds it, and
 the sweep drops each entry before it runs the rule, which frees the
 arrays that rule saved as soon as it is done with them. `mlp_branch`,
 the pre-norm MLP branch of a block as one entry, keeps less than its four
-ops would: the norm's xn and denom, and the hidden pre-activation with
-its tanh. Its rule rebuilds the norm output and the activation by the
+ops would: the norm's xn and denom, and the hidden pre-activation. Its
+rule rebuilds gelu's tanh, the activation and the norm output by the
 forward's own elementwise calls, so no product is recomputed.
+`attention.window_attention` likewise keeps, per window, only the
+attention weights, and rebuilds the context and the output from them.
 
 Conventions:
   * ops are the module functions below and take `Tensor`s, never raw
@@ -896,20 +898,29 @@ def conv1x1(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
                          f"and kernel {w.shape}")
     xd, wd = x.data, w.data
     need_dx = x.requires_grad
-    out = np.einsum("bchw,sc->bshw", xd, wd, optimize=True)
+    bsz, c, h, w_sp = xd.shape
+    s = wd.shape[0]
+    # one matmul per product, each operand oriented as NumPy's optimized
+    # einsum ("bchw,sc->bshw" and its gradients) orients it, so the values
+    # keep that form's bits; the output stays the s-major view it returned,
+    # the memory order in which the mixture's spatial mean sums it
+    out = np.matmul(wd, xd.transpose(1, 0, 2, 3).reshape(c, -1)) \
+        .reshape(s, bsz, h, w_sp).transpose(1, 0, 2, 3)
     inputs: tuple[Tensor, ...]
     if b is not None:
-        if b.data.shape != (wd.shape[0],):
-            raise ShapeError(f"conv1x1: bias shape {b.shape} != ({wd.shape[0]},)")
+        if b.data.shape != (s,):
+            raise ShapeError(f"conv1x1: bias shape {b.shape} != ({s},)")
         out = out + b.data[None, :, None, None]
         inputs = (x, w, b)
     else:
         inputs = (x, w)
 
     def bw(g):
-        dx = np.einsum("bshw,sc->bchw", g, wd, optimize=True) \
+        dx = np.matmul(wd.T, g.transpose(1, 0, 2, 3).reshape(s, -1)) \
+            .reshape(c, bsz, h, w_sp).transpose(1, 0, 2, 3) \
             if need_dx else None
-        dw = np.einsum("bshw,bchw->sc", g, xd, optimize=True)
+        dw = np.matmul(xd.transpose(1, 0, 2, 3).reshape(c, -1),
+                       g.transpose(0, 2, 3, 1).reshape(-1, s)).T
         if b is not None:
             return dx, dw, g.sum(axis=(0, 2, 3))
         return dx, dw
@@ -1027,11 +1038,11 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
     [C, H] `w1` and [H, C] `w2`.
 
     The rule keeps only what it cannot rebuild by elementwise work: the
-    norm's xn and denom, and the hidden pre-activation h with its tanh.
-    It rebuilds the activation and then the norm output with the calls
-    the forward made, each just before the product that reads it, and
-    runs the four ops' rules in the order a sweep of them would, so
-    values and gradients are the same bits as that chain's.
+    norm's xn and denom, and the hidden pre-activation h. It rebuilds
+    gelu's tanh and the activation from h, and then the norm output, with
+    the calls the forward made, each just before the product that reads
+    it, and runs the four ops' rules in the order a sweep of them would,
+    so values and gradients are the same bits as that chain's.
     """
     xd = x.data
     c = xd.shape[-1]
@@ -1049,7 +1060,7 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
     need_n = x.requires_grad or gamma.requires_grad or beta.requires_grad
     need_h = need_n or w1.requires_grad or b1.requires_grad
     # without a graph nothing outlives its last reader, and the norm output
-    # and the activation overwrite the arrays they are computed from
+    # overwrites the array it is computed from; the activation always does
     keep = _grad_enabled and (need_h or w2.requires_grad or b2.requires_grad)
     xn, denom = _norm_stats(xd)
     n = _norm_out(xn, gd, bd, None if keep else xn).reshape(-1, c)
@@ -1058,14 +1069,16 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
     h = _affine(n, w1d, b1.data)
     del n
     th = _gelu_tanh(h)
-    act = _gelu_out(h, th, None if keep else th)
+    act = _gelu_out(h, th, th)
+    del th
     if not keep:
-        h = th = None
+        h = None
     out = _affine(act, w2d, b2.data)
     del act
 
     def bw(g):
         g2 = g.reshape(-1, c)
+        th = _gelu_tanh(h)
         act = _gelu_out(h, th)
         da, dw2, db2 = _affine_grads(g2, act, w2d, need_h, True)
         if not need_h:

@@ -245,8 +245,8 @@ def mixture_leaves(kind, rng, b, s):
 
 def assert_op_is_the_chain(side, candidates, shift, hard, kind):
     """Output, every input gradient and the mixture's gradient are the same
-    bytes as the chain's, signs of zeros included, and the op is one tape
-    entry."""
+    bytes as the chain's, signs of zeros included, also when only the
+    mixture needs a gradient, and the op is one tape entry."""
     params, cfg, rng = attn_setup(key=20)
     x = Tensor(channels_last(rng.standard_normal((2, 4, side, side))),
                requires_grad=True)
@@ -262,6 +262,17 @@ def assert_op_is_the_chain(side, candidates, shift, hard, kind):
             x, mixture(), candidates, p, cfg, shift=shift, hard=hard),
             leaves)
         assert got == want
+    if not hard:
+        # only the mixture needs a gradient: the rule rebuilds the windows'
+        # map-order outputs and nothing else
+        frozen = AttentionParams(**{k: Tensor(getattr(params, k).data)
+                                    for k in params.__dataclass_fields__})
+        fixed = Tensor(x.data)
+        got = grads_after(lambda: dynamic_window_attention(
+            fixed, mixture(), candidates, frozen, cfg, shift=shift), [leaf])
+        want = grads_after(lambda: chain_dynamic_window_attention(
+            fixed, mixture(), candidates, frozen, cfg, shift=shift), [leaf])
+        assert got == want and got[1][0] is not None
     mix = mixture()
     with T.Tape() as tape:
         dynamic_window_attention(x, mix, candidates, params, cfg,

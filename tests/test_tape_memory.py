@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import dcswin.tensor as T
-from dcswin.attention import (AttentionConfig, WindowSpec, window_attention,
-                              window_partition)
+from dcswin.attention import (AttentionConfig, WindowSpec, attention_mask,
+                              window_attention, window_partition,
+                              window_reverse)
 from dcswin.dynamic_window import hard_selection
 from dcswin.errors import ShapeError
 from dcswin.model import DCSWin, ModelConfig
@@ -115,7 +116,8 @@ def test_input_gradient_is_skipped_when_the_input_needs_none(op, x_shape,
 
 def test_mlp_branch_keeps_neither_its_norm_output_nor_its_activation():
     """The rule holds the norm's xn and denom and the hidden
-    pre-activation with its tanh, and rebuilds the rest in backward."""
+    pre-activation, and rebuilds the rest, gelu's tanh included, in
+    backward."""
     rng = np.random.default_rng(5)
     c, h = 6, 13
     x = leaf(rng.standard_normal((2, 3, 4, c)))
@@ -124,32 +126,38 @@ def test_mlp_branch_keeps_neither_its_norm_output_nor_its_activation():
               leaf(rng.standard_normal((h, c))), leaf(rng.standard_normal(c))]
     with T.no_grad():
         norm = T.layer_norm(x, *params[:2])
-        act = T.gelu(T.linear(norm, *params[2:4]))
+        hidden = T.linear(norm, *params[2:4])
+        act = T.gelu(hidden)
+    th = T._gelu_tanh(hidden.data)
     with T.Tape() as tape:
         T.mlp_branch(x, *params)
     held = {id(p.data) for p in params}
     saved = [(var, arr) for op, var, arr in T._saved_arrays(tape)
              if id(arr) not in held]
-    assert sorted(var for var, _ in saved) == ["denom", "h", "th", "xn"]
+    assert sorted(var for var, _ in saved) == ["denom", "h", "xn"]
     for _, arr in saved:
-        for dropped in (norm.data, act.data):
+        for dropped in (norm.data, act.data, th):
             assert not (arr.size == dropped.size
                         and np.array_equal(arr.reshape(dropped.shape),
                                            dropped))
     rows = x.data.size // c
     assert sum(arr.nbytes for _, arr in saved) == 8 * (rows * c + rows
-                                                       + 2 * rows * h)
+                                                       + rows * h)
 
 
-def test_window_attention_keeps_no_partitioned_copy():
-    """The rule holds the input map, its three projections and, per
-    window, the attention weights, the context and the map-order output;
-    the window-order tokens, q, k^T and v are rebuilt in backward."""
+def assert_window_op_keeps_only_the_weights(selection):
+    """The rule of a two-window `window_attention` over a padded 5x5 map
+    holds the input map, its three projections and, per window, the
+    attention weights; no array it holds equals a per-window array of the
+    `window_partition` reference chain (the tokens, q, k^T, v, the
+    context or the map-order output)."""
     rng = np.random.default_rng(6)
     cfg = AttentionConfig(4, 2)
     params = live_params(cfg, rng)
     x = leaf(rng.standard_normal((2, 5, 5, 4)))
-    mix = leaf(rng.uniform(0.1, 1.0, (2, 2)))
+    # each sample favours another window, so hard selection runs both
+    soft = leaf([[0.7, 0.3], [0.2, 0.8]])
+    mix = hard_selection(soft) if selection == "hard" else soft
     specs = (WindowSpec(2, 1), WindowSpec(4))
     with T.Tape() as tape:
         window_attention(x, params, cfg, specs, mix, ((0,), (1,)))
@@ -158,7 +166,7 @@ def test_window_attention_keeps_no_partitioned_copy():
              if id(arr) not in held]
     assert {op for op, _, _ in saved} == {"window_attention"}
     assert sorted(var for _, var, _ in saved) == \
-        ["maps"] * 3 + ["saved"] * 6 + ["x2"]
+        ["maps"] * 3 + ["saved"] * 2 + ["x2"]
     assert any(arr is x.data for _, _, arr in saved)
     copies = []
     with T.no_grad():
@@ -169,47 +177,38 @@ def test_window_attention_keeps_no_partitioned_copy():
                 (params.wv, params.bv)))
             kt = np.ascontiguousarray(
                 k.data.reshape(k.shape[:2] + (2, 2)).transpose(0, 2, 3, 1))
-            copies += [tokens.data, q.data, kt, v.data]
+            ctx = T.multihead_attention(q, k, v, cfg.num_heads,
+                                        attention_mask(info))
+            o = window_reverse(T.linear(ctx, params.wo, params.bo), info)
+            copies += [tokens.data, q.data, kt, v.data, ctx.data, o.data]
     for _, _, arr in saved:
         for copy in copies:
             assert not (arr.size == copy.size
                         and np.array_equal(arr.reshape(copy.shape), copy))
-    # per window: [B*nW, heads, L, L] weights, [B*nW*L, C] context and a
-    # map; 5x5 pads to 6x6 (9 windows of 4) under 2, to 8x8 (4 of 16) under 4
-    windows = [(9, 4), (4, 16)]
-    expect = 4 * x.data.nbytes + sum(
-        8 * (2 * nw * 2 * length * length + 2 * nw * length * 4)
-        + x.data.nbytes for nw, length in windows)
-    assert sum(arr.nbytes for _, _, arr in saved) == expect
+    # per window [B*nW, heads, L, L] weights: 5x5 pads to 6x6 (9 windows
+    # of 4) under 2, and to 8x8 (4 windows of 16) under 4
+    weights = sum(8 * 2 * nw * 2 * length * length
+                  for nw, length in [(9, 4), (4, 16)])
+    assert sum(arr.nbytes for _, _, arr in saved) == \
+        4 * x.data.nbytes + weights
+
+
+def test_window_attention_keeps_no_partitioned_copy():
+    """Soft selection: the window-order tokens, q, k^T and v, the context
+    and the map-order output that the mixture's gradient reads are all
+    rebuilt in backward."""
+    assert_window_op_keeps_only_the_weights("soft")
 
 
 def test_window_attention_keeps_no_output_for_hard_selection():
-    """Hard selection's one-hot mixture is a constant, so no rule reads a
-    window's map-order output and the op keeps none: per window only the
-    weights and the context, besides the input map and its projections."""
-    rng = np.random.default_rng(7)
-    cfg = AttentionConfig(4, 2)
-    params = live_params(cfg, rng)
-    x = leaf(rng.standard_normal((2, 5, 5, 4)))
-    # sample 0 picks the first window and sample 1 the second, so both run
-    hard = hard_selection(leaf([[0.7, 0.3], [0.2, 0.8]]))
-    specs = (WindowSpec(2, 1), WindowSpec(4))
-    with T.Tape() as tape:
-        window_attention(x, params, cfg, specs, hard, ((0,), (1,)))
-    held = {id(t.data) for t in (hard, *params.named("p").values())}
-    saved = [(var, arr) for _, var, arr in T._saved_arrays(tape)
-             if id(arr) not in held]
-    assert sorted(var for var, _ in saved) == \
-        ["maps"] * 3 + ["saved"] * 4 + ["x2"]
-    windows = [(9, 4), (4, 16)]
-    expect = 4 * x.data.nbytes + sum(
-        8 * (2 * nw * 2 * length * length + 2 * nw * length * 4)
-        for nw, length in windows)
-    assert sum(arr.nbytes for _, arr in saved) == expect
+    """Hard selection's one-hot mixture is a constant, and the op keeps
+    the same arrays as for soft selection."""
+    assert_window_op_keeps_only_the_weights("hard")
 
 
-# measured with `tools/step_memory.py --saved`: 88.36 MB
-FULL_ARM_SAVED_BYTES = 92_649_768
+# measured with `tools/step_memory.py --saved`: 61.36 MB; the sizes follow
+# from the shapes alone, so the figure is the same on any host
+FULL_ARM_SAVED_BYTES = 64_341_800
 
 
 def test_full_arm_forward_saves_no_more_than_measured():
