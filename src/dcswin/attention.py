@@ -58,6 +58,12 @@ class WindowSpec:
         if not (0 <= self.shift < self.window):
             raise ConfigError(f"shift {self.shift} outside [0, {self.window})")
 
+    @classmethod
+    def in_block(cls, window: int, side: int, shifted: bool) -> "WindowSpec":
+        """A `window` in a block over a map of `side`: a shifted block
+        shifts by half a window, unless the window covers the map."""
+        return cls(window, window // 2 if shifted and window < side else 0)
+
 
 @dataclass
 class AttentionParams:
@@ -279,19 +285,6 @@ def _cut(info: PartitionInfo, project: Callable[[int], np.ndarray],
         for j, bd in enumerate(biases)]
 
 
-def _mix_columns(w: np.ndarray, columns: Sequence[Sequence[int]]
-                 ) -> list[np.ndarray]:
-    """Per group of indices, the [B, 1] sum of those columns of the [B, S]
-    weights `w`, added in the group's order."""
-    out = []
-    for idx in columns:
-        col = w[:, idx[0]:idx[0] + 1]
-        for i in idx[1:]:
-            col = col + w[:, i:i + 1]
-        out.append(col)
-    return out
-
-
 def _mix_weight_grad(gcols: Sequence[np.ndarray],
                      columns: Sequence[Sequence[int]], s: int) -> np.ndarray:
     """The [B, S] gradient of the mixture weights from each window's [B, 1]
@@ -314,18 +307,19 @@ def _mix_weight_grad(gcols: Sequence[np.ndarray],
 
 def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
                      specs: Sequence[WindowSpec],
-                     mixture: Optional[Tensor] = None,
-                     columns: Optional[Sequence[Sequence[int]]] = None
-                     ) -> Tensor:
+                     mixture: Optional[Tensor] = None) -> Tensor:
     """Self-attention of the [B,H,W,C] map `x` within the windows of each
     spec, as one tape entry.
 
     Without `mixture` there is one spec, and the result is
     `window_reverse` of `mhsa` over `window_partition(x, spec)` with the
-    spec's `attention_mask`. With a [B, S] `mixture`, window i's output is
-    scaled per sample by the sum of the mixture columns `columns[i]` and
-    the scaled outputs are added in order; each column belongs to at most
-    one window.
+    spec's `attention_mask`. A [B, S] `mixture` has one column per spec.
+    Equal specs (e.g. candidates clipped to the map side) are attended
+    once, and their columns are summed in spec order. A window whose
+    summed column is zero for every sample is skipped, so a one-hot
+    mixture is single-window attention exactly. Each live window's output
+    is scaled per sample by its column, and the scaled outputs are added
+    in spec order.
 
     q, k and v are projected once, on the map. Each window gathers its
     tokens' rows of them by a cached index (a padding row gets the bias,
@@ -346,27 +340,32 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
     the chain's column order.
     """
     xd = x.data
-    infos = [_partition_info(xd.shape, spec) for spec in specs]
-    b, h, w_in, c = xd.shape
-    if c != cfg.dim:
-        raise ShapeError(f"window_attention: map width {c} != configured "
-                         f"{cfg.dim}")
     if mixture is None:
-        if len(specs) != 1 or columns is not None:
+        if len(specs) != 1:
             raise ShapeError(f"window_attention: {len(specs)} windows without "
                              f"a mixture; only one window may go unmixed")
     else:
         md = mixture.data
-        flat = [i for idx in columns or () for i in idx]
-        if md.ndim != 2 or md.shape[0] != b or columns is None \
-                or not specs or len(specs) != len(columns) \
-                or not all(columns) or len(set(flat)) != len(flat) \
-                or not all(0 <= i < md.shape[1] for i in flat):
-            raise ShapeError(f"window_attention: a [{b}, S] mixture and one "
-                             f"non-empty column group per window, disjoint "
-                             f"and within [0, S), got mixture {md.shape} and "
-                             f"groups {columns} for {len(specs)} windows")
-        cols = [col.reshape(b, 1, 1, 1) for col in _mix_columns(md, columns)]
+        want = (*xd.shape[:1], len(specs))
+        if md.shape != want:
+            raise ShapeError(f"mixture shape {md.shape} != {want}")
+        # equal specs share one window, whose column sums theirs in order
+        groups: dict[WindowSpec, tuple[list[int], np.ndarray]] = {}
+        for i, spec in enumerate(specs):
+            idx, col = groups.get(spec, ([], None))
+            col = md[:, i:i + 1] if col is None else col + md[:, i:i + 1]
+            groups[spec] = (idx + [i], col)
+        live = [(spec, idx, col.reshape(-1, 1, 1, 1))
+                for spec, (idx, col) in groups.items()
+                if not np.all(col == 0.0)]
+        if not live:
+            raise ConfigError("mixture assigns zero weight to every candidate")
+        specs, columns, cols = zip(*live)
+    infos = [_partition_info(xd.shape, spec) for spec in specs]
+    b, _, _, c = xd.shape
+    if c != cfg.dim:
+        raise ShapeError(f"window_attention: map width {c} != configured "
+                         f"{cfg.dim}")
     plist = (params.wq, params.bq, params.wk, params.bk, params.wv,
              params.bv, params.wo, params.bo)
     for p in plist:

@@ -636,11 +636,13 @@ def synth_generate(out_root: Union[str, Path], num_classes: int = 4,
         raise ConfigError(f"num_classes must be 2, 3, or 4, got {num_classes}")
     if per_class < 1:
         raise ConfigError(f"per_class must be >= 1, got {per_class}")
+    if image_size < 1:
+        raise ConfigError(f"image_size must be >= 1, got {image_size}")
     if not (0.0 <= overlap <= 1.0):
         raise ConfigError(f"overlap must be in [0,1], got {overlap}")
+    rng = stream(seed, "synth")
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
-    rng = stream(seed, "synth")
     freqs = class_frequencies(num_classes, image_size)
     gaps = np.diff(freqs)
     step = max(1, image_size // 8)

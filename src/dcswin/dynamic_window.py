@@ -15,8 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import (AttentionConfig, AttentionParams, WindowSpec,
-                        _mix_columns, window_attention)
-from .errors import ConfigError, ShapeError
+                        window_attention)
 from .tensor import Tensor
 
 
@@ -57,30 +56,16 @@ def dynamic_window_attention(x: Tensor, mixture: Tensor,
                              hard: bool = False) -> Tensor:
     """Mixture-weighted sum of windowed attention at every candidate size.
 
-    x is [B,H,W,C]. Q/K/V/output projections are shared across candidates,
-    and q, k and v are projected once (`window_attention`); only the window
-    geometry differs. Candidates with the same window and
-    shift (e.g. several clipped to the stage side) are attended once, with
-    their weight columns summed; hard selection takes its argmax over the
-    original candidate list first. Windows whose weight is exactly zero for
-    every sample are skipped, so a one-hot mixture reproduces single-window
-    attention exactly. With shift=True each candidate uses its own
-    half-window cyclic shift (suppressed when the window covers the map).
+    x is [B,H,W,C]. Each candidate is one `WindowSpec`; with shift=True
+    it takes its half-window cyclic shift (`WindowSpec.in_block`).
+    `window_attention` attends equal windows once, skips those whose
+    weight is zero for every sample, and shares the Q/K/V/output
+    projections across windows. Hard selection takes its argmax over the
+    candidate list first, so a one-hot choice reproduces single-window
+    attention exactly.
     """
-    candidates = tuple(int(c) for c in candidates)
+    _, h, w_sp, _ = x.data.shape
+    specs = [WindowSpec.in_block(int(c), min(h, w_sp), shift)
+             for c in candidates]
     weights = hard_selection(mixture) if hard else mixture
-    b, h, w_sp, _ = x.data.shape
-    if weights.data.shape != (b, len(candidates)):
-        raise ShapeError(f"mixture shape {weights.data.shape} != "
-                         f"({b}, {len(candidates)})")
-    groups: dict[WindowSpec, list[int]] = {}
-    for i, cand in enumerate(candidates):
-        s = cand // 2 if (shift and cand < min(h, w_sp)) else 0
-        groups.setdefault(WindowSpec(cand, s), []).append(i)
-    cols = _mix_columns(weights.data, list(groups.values()))
-    live = [(spec, idx) for (spec, idx), col in zip(groups.items(), cols)
-            if not np.all(col == 0.0)]
-    if not live:
-        raise ConfigError("mixture assigns zero weight to every candidate")
-    return window_attention(x, params, cfg, [spec for spec, _ in live],
-                            weights, [idx for _, idx in live])
+    return window_attention(x, params, cfg, specs, weights)

@@ -301,14 +301,14 @@ def _attention_cases(seed: int):
         lambda: _probe(windowed_mhsa(pmap, pparams, cfg, pspec)),
         {"x": pmap, **pparams.named("p")})
 
-    # column 1 feeds no window (a skipped zero-weight candidate) and the
-    # second window takes the summed columns 0 and 3 (a duplicated one)
+    # the first and third specs are equal, so one window takes their
+    # summed columns 0 and 2
     mmap = _leaf(rng, (2, 5, 5, 4))
-    mix = _leaf(rng, (2, 4))
-    mspecs = (WindowSpec(window=2, shift=1), WindowSpec(window=4))
+    mix = _leaf(rng, (2, 3))
+    mspecs = (WindowSpec(window=4), WindowSpec(window=2, shift=1),
+              WindowSpec(window=4))
     cases["window_attention"] = (
-        lambda: _probe(window_attention(mmap, pparams, cfg, mspecs, mix,
-                                        ((2,), (0, 3)))),
+        lambda: _probe(window_attention(mmap, pparams, cfg, mspecs, mix)),
         {"x": mmap, "mixture": mix, **pparams.named("p")})
 
     return cases

@@ -322,9 +322,8 @@ class Block:
         self.dynamic = cfg.dynamic_window
         self.hard = cfg.selection == "hard"
         self.candidates = cfg.stage_candidates(stage)
-        fixed = cfg.stage_fixed_window(stage)
-        fixed_shift = fixed // 2 if (shifted and fixed < self.side) else 0
-        self.fixed_spec = WindowSpec(fixed, fixed_shift)
+        self.fixed_spec = WindowSpec.in_block(cfg.stage_fixed_window(stage),
+                                              self.side, shifted)
         self.shifted = shifted
         self.ln1 = LayerNorm(dim)
         self.attn = AttentionParams.init(self.attn_cfg, rng)
@@ -507,8 +506,7 @@ class DCSWin:
         config, tensors = load_checkpoint(path)
         cfg = ModelConfig.from_mapping(config)
         model = cls(cfg, seed=0)
-        model.load_state({k: v for k, v in tensors.items()
-                          if not k.startswith("opt.")})
+        model.load_state(tensors)
         arch_keys = set(cfg.to_mapping())
         extra = {k: v for k, v in config.items() if k not in arch_keys}
         return model, extra

@@ -10,11 +10,22 @@ import zlib
 
 import numpy as np
 
+from .errors import ConfigError
+
+
+def check_seed(seed: int) -> int:
+    """`seed` as an int; a negative seed raises ConfigError."""
+    seed = int(seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
 
 def stream(seed: int, name: str) -> np.random.Generator:
     """Generator for (seed, name); same pair always yields the same draws."""
     key = zlib.crc32(name.encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence([int(seed), key]))
+    return np.random.default_rng(np.random.SeedSequence([check_seed(seed),
+                                                         key]))
 
 
 def state_of(gen: np.random.Generator) -> dict:

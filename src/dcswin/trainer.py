@@ -32,7 +32,7 @@ from .errors import ConfigError, FormatError
 from .metrics import (ConfusionMatrix, MetricsReport, aggregate_runs,
                       evaluate_predictions, write_predictions_jsonl)
 from .model import DCSWin, ModelConfig
-from .rng import restore, state_of, stream
+from .rng import check_seed, restore, state_of, stream
 from .serialization import (config_from_mapping, config_to_mapping,
                             config_to_text, load_checkpoint, load_config_file,
                             save_checkpoint)
@@ -479,8 +479,7 @@ def _load_state(path: Path, model: DCSWin, cfg: TrainConfig, opt,
         raise FormatError("checkpoint/config mismatch: normalization stats "
                           "differ from the current labeled pool")
     opt.load_state_tensors(tensors, step_count)
-    model.load_state({k: v for k, v in tensors.items()
-                      if not k.startswith("opt.")})
+    model.load_state(tensors)
     return epoch_next, rngs
 
 
@@ -743,8 +742,10 @@ def run_experiment(dataset: ArrayDataset, split: DatasetSplit,
     log, checkpoint, test predictions, metrics, and confusion matrix; the
     aggregate report lands in `out_dir/report.json`. A split naming an id
     missing from the dataset, or with an empty labeled or test pool, raises
-    ConfigError before anything is written."""
+    ConfigError before anything is written, as does a negative seed."""
     _check_split(dataset, split)
+    for seed in seeds:
+        check_seed(seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_run_config(out_dir / "run_config.txt", model_cfg, cfg, seeds,

@@ -79,6 +79,28 @@ class TestSynthAndSplit:
         assert rc == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--seed", "-1", "seed"), ("--size", "0", "image_size"),
+        ("--size", "-4", "image_size")])
+    def test_synth_bad_seed_or_size_is_usage_error_before_writing(
+            self, tmp_path, capsys, flag, value, key):
+        rc = main(["synth-data", "--classes", "2", "--per-class", "2",
+                   flag, value, "--out", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error:") and key in err
+        assert not (tmp_path / "d").exists()
+
+    def test_split_negative_seed_is_usage_error(self, workspace, tmp_path,
+                                                capsys):
+        rc = main(["split", "--manifest",
+                   str(workspace / "data" / "manifest.json"),
+                   "--seed", "-1", "--out", str(tmp_path / "split.json")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error:") and "seed" in err
+        assert not (tmp_path / "split.json").exists()
+
     def test_split_bad_fraction_is_usage_error(self, workspace, capsys):
         rc = main(["split", "--manifest",
                    str(workspace / "data" / "manifest.json"),
@@ -264,6 +286,28 @@ class TestTrainEval:
         assert "run.seeds = 5,7" in (out_dir / "run_config.txt").read_text()
         assert json.loads((out_dir / "report.json").read_text())["seeds"] \
             == [5, 7]
+
+    @pytest.mark.parametrize("source", ["--seeds", "train.seed"])
+    def test_negative_seed_is_runtime_error_before_writing(
+            self, workspace, tmp_path, capsys, source):
+        argv = ["train", "--split", str(workspace / "split.json"),
+                "--out", str(tmp_path / "out")]
+        if source == "--seeds":
+            argv += ["--config", str(workspace / "run.cfg"), "--seeds=-1"]
+        else:
+            # without run.seeds the seeds count up from train.seed
+            cfg = tmp_path / "neg.cfg"
+            lines = (workspace / "run.cfg").read_text().splitlines()
+            cfg.write_text("\n".join(
+                "train.seed = -2" if line.startswith("train.seed ") else line
+                for line in lines if not line.startswith("run.seeds"))
+                + "\n")
+            argv += ["--config", str(cfg)]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == EXIT_RUNTIME
+        assert err.startswith("error:") and "seed" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seeds", ["5,x", " , "])
     def test_malformed_run_seeds_is_runtime_error(self, workspace, tmp_path,

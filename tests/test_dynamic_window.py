@@ -5,7 +5,7 @@ import pytest
 
 import dcswin.tensor as T
 from dcswin.attention import (AttentionConfig, AttentionParams, WindowSpec,
-                              window_attention, windowed_mhsa)
+                              attention_mask, window_attention, windowed_mhsa)
 from dcswin.dynamic_window import (dynamic_window_attention, hard_selection,
                                    pool_to_stage, predict_scales)
 from dcswin.errors import ConfigError, ShapeError
@@ -159,20 +159,22 @@ def test_hard_selection_argmax_before_merging_duplicates():
 
 
 def test_duplicate_windows_attended_once(monkeypatch):
-    import dcswin.dynamic_window as dw
+    import dcswin.attention as attention
 
     params, cfg, rng = attn_setup(key=19)
     x = Tensor(channels_last(rng.standard_normal((2, 4, 4, 4))))
     mix = Tensor([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
-    calls = []
+    masks = []
 
-    def counting(x, params, cfg, specs, mixture, columns):
-        calls.append((list(specs), [tuple(c) for c in columns]))
-        return window_attention(x, params, cfg, specs, mixture, columns)
+    def counting(info):
+        masks.append(info.spec)
+        return attention_mask(info)
 
-    monkeypatch.setattr(dw, "window_attention", counting)
+    # the op asks for one mask per window it attends
+    monkeypatch.setattr(attention, "attention_mask", counting)
     out = dynamic_window_attention(x, mix, (2, 4, 4), params, cfg, shift=True)
-    assert calls == [([WindowSpec(2, 1), WindowSpec(4, 0)], [(0,), (1, 2)])]
+    assert masks == [WindowSpec(2, 1), WindowSpec(4, 0)]
+    monkeypatch.undo()
     b2 = windowed_mhsa(x, params, cfg, WindowSpec(2, 1)).data
     b4 = windowed_mhsa(x, params, cfg, WindowSpec(4, 0)).data
     w2 = mix.data[:, 0].reshape(2, 1, 1, 1)
@@ -329,20 +331,15 @@ def test_mixture_op_without_a_graph_is_the_op_chain(side, candidates, shift,
 
 
 def test_mixture_op_rejects_bad_column_groups():
+    """A mixture needs one [B]-long column per spec, and an unmixed call
+    one spec."""
     params, cfg, rng = attn_setup(key=22)
     x = Tensor(channels_last(rng.standard_normal((2, 4, 4, 4))))
-    w = Tensor(np.ones((2, 3)))
     specs = (WindowSpec(2), WindowSpec(4))
-    for columns in [((0,), (0, 1)), ((0,), ()), ((0,), (3,)), ((0,),),
-                    ((0,), (-1,))]:
-        with pytest.raises(ShapeError):
-            window_attention(x, params, cfg, specs, w, columns)
-    with pytest.raises(ShapeError):
-        window_attention(x, params, cfg, specs, Tensor(np.ones((3, 3))),
-                         ((0,), (1,)))
+    for shape in [(3, 2), (2, 3), (2, 1), (2,)]:
+        with pytest.raises(ShapeError, match="mixture shape"):
+            window_attention(x, params, cfg, specs, Tensor(np.ones(shape)))
     with pytest.raises(ShapeError):
         window_attention(x, params, cfg, specs)
-    with pytest.raises(ShapeError):
-        window_attention(x, params, cfg, specs[:1], columns=((0,),))
     with pytest.raises(ShapeError):
         window_attention(x, params, AttentionConfig(8, 2), specs[:1])

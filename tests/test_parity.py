@@ -1,5 +1,6 @@
 """The digest half of `tools/parity.py`: the same code and weights give the
-same digests, and one ulp in one parameter changes them."""
+same digests, every case digests the inference, evaluation, pseudo-label
+and checkpoint paths, and one ulp in one parameter changes them."""
 import importlib
 from pathlib import Path
 
@@ -28,6 +29,12 @@ def test_digests_repeat_and_see_one_ulp(parity, monkeypatch):
     cases = micro_full(parity)
     first = parity.digests(cases)
     assert parity.digests(cases) == first
+    for case in cases:
+        for what in ("predict_probs", "evaluate_model.values",
+                     "evaluate_model.confusion", "pseudo.ids",
+                     "pseudo.labels", "pseudo.confidences",
+                     "checkpoint.logits"):
+            assert f"{case.name}/{what}" in first
     build = parity._model
 
     def nudged(cfg, weights):

@@ -160,7 +160,7 @@ def assert_window_op_keeps_only_the_weights(selection):
     mix = hard_selection(soft) if selection == "hard" else soft
     specs = (WindowSpec(2, 1), WindowSpec(4))
     with T.Tape() as tape:
-        window_attention(x, params, cfg, specs, mix, ((0,), (1,)))
+        window_attention(x, params, cfg, specs, mix)
     held = {id(t.data) for t in (mix, *params.named("p").values())}
     saved = [(op, var, arr) for op, var, arr in T._saved_arrays(tape)
              if id(arr) not in held]

@@ -25,10 +25,14 @@ for the package under `--src` (default `src`). The matrix, per case:
 and, per case, the logits without a graph; the logits, cross-entropy loss
 and every parameter gradient of one step; the loss and every parameter
 after each of 3 Adam and 3 SGD steps, the third a noise-consistency step;
-and `trainer.predict_probs` of the final SGD model over 11 images (chunks
-of 8 and 3). Each digest covers an array's dtype, shape and bytes, so two
-trees agree only if every value has the same bits, signs of zeros
-included.
+and, of the final SGD model over 11 images (chunks of 8 and 3):
+`trainer.predict_probs`; `trainer.evaluate_model`'s metric values and
+confusion counts; `trainer.generate_pseudo_labels`' ids, labels and
+confidences at the median top probability; and the no-graph logits of
+the model that `DCSWin.load` rebuilds from a `save_checkpoint` of its
+weights and SGD state. Each digest covers an array's dtype, shape and
+bytes, so two trees agree only if every value has the same bits, signs
+of zeros included.
 """
 from __future__ import annotations
 
@@ -113,6 +117,8 @@ def _case_digests(case: Case):
     from dcswin import trainer
     from dcswin.data import ArrayDataset
     from dcswin.diffusion import NoiseSchedule, consistency_loss
+    from dcswin.model import DCSWin
+    from dcswin.serialization import save_checkpoint
     from dcswin.tensor import Tensor
 
     cfg = _config(case.config).ablated(case.arm)
@@ -156,11 +162,30 @@ def _case_digests(case: Case):
                 yield out(f"{kind}.step{step}.{name}", p.data)
 
     ids = [f"s{i:02d}" for i in range(PREDICT_IMAGES)]
+    # every class has a true sample, so every metric is defined
     dataset = ArrayDataset(ids, rng.random((PREDICT_IMAGES, 3, side, side)),
-                           rng.integers(0, cfg.num_classes, PREDICT_IMAGES),
+                           np.arange(PREDICT_IMAGES) % cfg.num_classes,
                            [f"c{i}" for i in range(cfg.num_classes)])
     dataset.fit_normalization(ids)
-    yield out("predict_probs", trainer.predict_probs(model, dataset, ids))
+    probs = trainer.predict_probs(model, dataset, ids)
+    yield out("predict_probs", probs)
+    values, cm, _ = trainer.evaluate_model(model, dataset, ids)
+    yield out("evaluate_model.values",
+              np.array([values[k] for k in sorted(values)]))
+    yield out("evaluate_model.confusion", cm.counts)
+    pseudo = trainer.generate_pseudo_labels(
+        model, dataset, ids, float(np.median(probs.max(axis=1))))
+    yield out("pseudo.ids", np.array(pseudo.ids(), dtype=str))
+    yield out("pseudo.labels", pseudo.labels())
+    yield out("pseudo.confidences",
+              np.array([rec.confidence for rec in pseudo.records]))
+    with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
+        path = Path(tmp) / "state.dcsm"
+        save_checkpoint(path, cfg.to_mapping(),
+                        {**model.state_dict(), **opt.state_tensors()})
+        loaded, _ = DCSWin.load(path)
+    with T.no_grad():
+        yield out("checkpoint.logits", loaded(Tensor(x)).data)
 
 
 def digests(cases=CASES) -> dict[str, str]:
