@@ -271,18 +271,20 @@ def _gather(src: np.ndarray, rows: np.ndarray,
     return out
 
 
-def _cut(info: PartitionInfo, project: Callable[[int], np.ndarray],
+def _cut(info: PartitionInfo,
+         project: Callable[[int], Optional[np.ndarray]],
          biases: Sequence[np.ndarray]) -> tuple:
     """The row indices of `info`'s windows (`_window_rows`), their token
     shape [B*nW, L, C], and their rows of the [B*H*W, C] maps
     `project(0)`, `project(1)` and `project(2)`, with each map's bias for
-    padding."""
+    padding; None for a map that `project` gives as None."""
     rows, pad, back, _ = _window_rows(info.height, info.width, info.spec)
     b, c = info.batch, info.channels
     shape = (b * info.num_windows, info.spec.window ** 2, c)
     return rows, pad, back, shape, [
-        _gather(project(j).reshape(b, -1, c), rows, pad, bd).reshape(shape)
-        for j, bd in enumerate(biases)]
+        None if m is None else
+        _gather(m.reshape(b, -1, c), rows, pad, bd).reshape(shape)
+        for m, bd in zip(map(project, range(len(biases))), biases)]
 
 
 def _mix_weight_grad(gcols: Sequence[np.ndarray],
@@ -324,20 +326,21 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
     q, k and v are projected once, on the map. Each window gathers its
     tokens' rows of them by a cached index (a padding row gets the bias,
     which is what a zero row's product gives), and its output projection
-    goes back to map order by one more gather. The rule keeps `x`, the
-    three projected maps and, per window, the attention weights. Window by
-    window in reverse, it rebuilds every window-order copy by the same
-    gathers, the context from the weights and v, and, when the mixture
-    needs a gradient, the map-order output from the context, each with the
-    forward's own calls just before its first reader, and runs the rules
-    the op chain would: the mixture's, the output projection's, the
-    attention's, then v's, k's and q's projections. So
-    values and gradients are the same bits as that chain's, per window
-    `window_partition`, three `linear`, `multihead_attention`, `linear`
-    and `window_reverse`, then the mixture's slices, adds, broadcasts and
-    products; each weight's gradient is summed over windows in the
-    sweep's order, and the mixture's is assembled after the sweep in
-    the chain's column order.
+    goes back to map order by one more gather. The rule keeps only `x`
+    and, per window, the attention weights. Before its sweep it projects
+    v again, and q and k too when a branch input needs a gradient, by the
+    forward's own products. Window by window in reverse, it rebuilds every
+    window-order copy by the same gathers, the context from the weights
+    and v, and, when the mixture needs a gradient, the map-order output
+    from the context, each with the forward's own calls just before its
+    first reader, and runs the rules the op chain would: the mixture's,
+    the output projection's, the attention's, then v's, k's and q's
+    projections. So values and gradients are the same bits as that
+    chain's, per window `window_partition`, three `linear`,
+    `multihead_attention`, `linear` and `window_reverse`, then the
+    mixture's slices, adds, broadcasts and products; each weight's
+    gradient is summed over windows in the sweep's order, and the
+    mixture's is assembled after the sweep in the chain's column order.
     """
     xd = x.data
     if mixture is None:
@@ -380,10 +383,10 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
     need_mix = mixture is not None and mixture.requires_grad
     x2 = T._contiguous(xd).reshape(-1, c)
     weights, biases = (wq, wk, wv), (bq, bk, bv)
-    # the rule and every window read the projected maps; a lone window
-    # without a rule lets each go once its rows are gathered
+    # every window reads the projected maps, which go when the op returns;
+    # a lone window lets each go once its rows are gathered
     maps = [T._affine(x2, wd, bd) for wd, bd in zip(weights, biases)] \
-        if keep or len(infos) > 1 else None
+        if len(infos) > 1 else None
 
     def project(j: int) -> np.ndarray:
         if maps is None:
@@ -417,9 +420,12 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
         dx = None
         dparams = [None] * 8
         gcols = [None] * len(infos)
+        # the forward's projections: v for every context, q and k only
+        # for the branch's gradients
+        maps = [T._affine(x2, wd, bd) if need_branch or j == 2 else None
+                for j, (wd, bd) in enumerate(zip(weights, biases))]
         for i in reversed(range(len(infos))):
             probs = saved[i]
-            # `maps` by name, so that `tensor._saved_arrays` counts them
             rows, pad, back, shape, (qd, kd, vd) = _cut(
                 infos[i], maps.__getitem__, biases)
             ctx = T._attention_context(probs, vd, heads).reshape(-1, c)

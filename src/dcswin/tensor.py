@@ -14,11 +14,11 @@ array lives only while its caller or some backward rule holds it, and
 the sweep drops each entry before it runs the rule, which frees the
 arrays that rule saved as soon as it is done with them. `mlp_branch`,
 the pre-norm MLP branch of a block as one entry, keeps less than its four
-ops would: the norm's xn and denom, and the hidden pre-activation. Its
-rule rebuilds gelu's tanh, the activation and the norm output by the
-forward's own elementwise calls, so no product is recomputed.
-`attention.window_attention` likewise keeps, per window, only the
-attention weights, and rebuilds the context and the output from them.
+ops would: only the norm's xn and denom. Its rule rebuilds the norm
+output, the hidden pre-activation (one product), gelu's tanh and the
+activation by the forward's own calls. `attention.window_attention`
+likewise keeps only its input and, per window, the attention weights,
+and rebuilds the projections, the context and the output from them.
 
 Conventions:
   * ops are the module functions below and take `Tensor`s, never raw
@@ -976,12 +976,20 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 _LN_EPS = 1e-5
 
 
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """`x.mean(axis=-1, keepdims=True)` with its bits: the sum and the
+    in-place true divide that NumPy's mean makes, without its dispatch."""
+    m = np.add.reduce(x, -1, keepdims=True)
+    m /= x.shape[-1]
+    return m
+
+
 def _norm_stats(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """xn = (x - mean) / denom over the last axis, and denom =
     sqrt(var + _LN_EPS)."""
     # centred here, scaled below
-    xn = np.subtract(xd, xd.mean(axis=-1, keepdims=True), out=_empty(xd.shape))
-    var = np.multiply(xn, xn, out=_empty(xd.shape)).mean(axis=-1, keepdims=True)
+    xn = np.subtract(xd, _row_mean(xd), out=_empty(xd.shape))
+    var = _row_mean(np.multiply(xn, xn, out=_empty(xd.shape)))
     # squares that overflow would otherwise normalize x to 0 and return beta
     _screen(var, "layer_norm variance")
     denom = np.sqrt(var + _LN_EPS)
@@ -1003,8 +1011,8 @@ def _norm_grads(g: np.ndarray, xn: np.ndarray, denom: np.ndarray,
     """The input, gamma and beta gradients of a layer norm."""
     lead = tuple(range(xn.ndim - 1))
     dxn = g * gd
-    dx = dxn - dxn.mean(axis=-1, keepdims=True)
-    dx -= xn * (dxn * xn).mean(axis=-1, keepdims=True)
+    dx = dxn - _row_mean(dxn)
+    dx -= xn * _row_mean(dxn * xn)
     dx /= denom
     return dx, (g * xn).sum(axis=lead), g.sum(axis=lead)
 
@@ -1037,12 +1045,12 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
     as one tape entry: [..., C] -> [..., C] through a hidden width H, with
     [C, H] `w1` and [H, C] `w2`.
 
-    The rule keeps only what it cannot rebuild by elementwise work: the
-    norm's xn and denom, and the hidden pre-activation h. It rebuilds
-    gelu's tanh and the activation from h, and then the norm output, with
-    the calls the forward made, each just before the product that reads
-    it, and runs the four ops' rules in the order a sweep of them would,
-    so values and gradients are the same bits as that chain's.
+    The rule keeps only the norm's xn and denom. It rebuilds the norm
+    output, the hidden pre-activation h from it by fc1's one product, and
+    gelu's tanh and the activation from h, with the calls the forward
+    made, and reuses the norm output for fc1's weight gradient. It runs
+    the four ops' rules in the order a sweep of them would, so values and
+    gradients are the same bits as that chain's.
     """
     xd = x.data
     c = xd.shape[-1]
@@ -1055,7 +1063,7 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
                          f"{b1.data.shape}, {w2.data.shape} and "
                          f"{b2.data.shape}")
     xshape = xd.shape
-    gd, bd, w1d, w2d = gamma.data, beta.data, w1.data, w2.data
+    gd, bd, w1d, b1d, w2d = gamma.data, beta.data, w1.data, b1.data, w2.data
     inputs = (x, gamma, beta, w1, b1, w2, b2)
     need_n = x.requires_grad or gamma.requires_grad or beta.requires_grad
     need_h = need_n or w1.requires_grad or b1.requires_grad
@@ -1066,26 +1074,25 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
     n = _norm_out(xn, gd, bd, None if keep else xn).reshape(-1, c)
     if not keep:
         xn = None
-    h = _affine(n, w1d, b1.data)
+    h = _affine(n, w1d, b1d)
     del n
     th = _gelu_tanh(h)
     act = _gelu_out(h, th, th)
-    del th
-    if not keep:
-        h = None
+    del th, h
     out = _affine(act, w2d, b2.data)
     del act
 
     def bw(g):
         g2 = g.reshape(-1, c)
+        n = _norm_out(xn, gd, bd).reshape(-1, c)
+        h = _affine(n, w1d, b1d)
         th = _gelu_tanh(h)
         act = _gelu_out(h, th)
         da, dw2, db2 = _affine_grads(g2, act, w2d, need_h, True)
         if not need_h:
             return None, None, None, None, None, dw2, db2
         dh = _gelu_grad(da, h, th, act)
-        del act, da
-        n = _norm_out(xn, gd, bd).reshape(-1, c)
+        del act, da, h
         dn, dw1, db1 = _affine_grads(dh, n, w1d, need_n, True)
         del n, dh
         if not need_n:

@@ -1,6 +1,7 @@
 """The digest half of `tools/parity.py`: the same code and weights give the
 same digests, every case digests the inference, evaluation, pseudo-label
-and checkpoint paths, and one ulp in one parameter changes them."""
+and checkpoint paths, one ulp in one parameter changes them, and the
+gradient checks' errors are digested for every named op and the model."""
 import importlib
 from pathlib import Path
 
@@ -56,6 +57,17 @@ def test_digests_repeat_and_see_one_ulp(parity, monkeypatch):
         assert any(not k.endswith(".attn.wq") for k in differ), case.name
         if case.weights == "perturbed":
             assert prefix + "logits" in differ
+
+
+def test_gradcheck_digests_repeat_and_cover_every_check(parity):
+    from dcswin import gradcheck
+    first = parity.gradcheck_digests()
+    assert parity.gradcheck_digests() == first
+    checks = {name.split("/")[1] for name in first}
+    assert checks == set(gradcheck.op_names()) | {"model[micro]"}
+    for check in checks:
+        assert f"gradcheck/{check}/worst_rel" in first
+    assert "gradcheck/model[micro]/input" in first
 
 
 def test_cases_cover_every_config_arm_and_selection(parity):

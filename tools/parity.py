@@ -30,9 +30,13 @@ and, of the final SGD model over 11 images (chunks of 8 and 3):
 confusion counts; `trainer.generate_pseudo_labels`' ids, labels and
 confidences at the median top probability; and the no-graph logits of
 the model that `DCSWin.load` rebuilds from a `save_checkpoint` of its
-weights and SGD state. Each digest covers an array's dtype, shape and
-bytes, so two trees agree only if every value has the same bits, signs
-of zeros included.
+weights and SGD state. Once per tree, after the cases, it digests the
+worst and the per-tensor relative errors of `gradcheck.run_op_check` for
+every named op and of `gradcheck.run_model_check()`: finite differences
+read the loss at perturbed inputs, so these see any change to a value
+the cases miss. Each digest covers an array's dtype, shape and bytes, so
+two trees agree only if every value has the same bits, signs of zeros
+included.
 """
 from __future__ import annotations
 
@@ -196,6 +200,20 @@ def digests(cases=CASES) -> dict[str, str]:
     return result
 
 
+def gradcheck_digests() -> dict[str, str]:
+    """name -> digest of the worst and each tensor's relative error of
+    every named op's elementwise check and of the model's directional
+    check."""
+    from dcswin import gradcheck
+    result = {}
+    for res in [*map(gradcheck.run_op_check, gradcheck.op_names()),
+                gradcheck.run_model_check()]:
+        errors = {"worst_rel": res.worst_rel, **res.per_tensor}
+        for what, err in errors.items():
+            result[f"gradcheck/{res.name}/{what}"] = _digest(np.float64(err))
+    return result
+
+
 def _run_digest(src: Path) -> list[tuple[str, str]]:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONHASHSEED="0")
@@ -232,8 +250,8 @@ def against(rev: str) -> int:
         print(f"differs: {rev} has {len(theirs)} arrays, this tree "
               f"{len(ours)}")
         return 1
-    print(f"equal: all {len(ours)} arrays of {len(CASES)} cases have the "
-          f"same bits as at {rev}")
+    print(f"equal: all {len(ours)} arrays of {len(CASES)} cases and the "
+          f"gradient checks have the same bits as at {rev}")
     return 0
 
 
@@ -250,7 +268,7 @@ def main() -> None:
     if args.against:
         raise SystemExit(against(args.against))
     sys.path.insert(0, str(Path(args.src).resolve()))
-    for name, dig in digests().items():
+    for name, dig in {**digests(), **gradcheck_digests()}.items():
         print(name, dig)
 
 

@@ -31,11 +31,14 @@ With `--load`, nothing trains: synthetic 64x64 PPM datasets of 160 and
 are written to a temporary directory once, and 25
 `ArrayDataset.from_manifest` calls on each are timed; the median wall time
 and microseconds per image of each, then the peak RSS, are printed.
-With `--saved`, nothing steps: one forward of the training step's model
-and batch is recorded, and the bytes its backward rules hold (parameters
+With `--saved`, one training step of that model and batch runs under
+`tracemalloc`. The bytes the forward's backward rules hold (parameters
 included) are printed, in MB of 2^20 bytes as peak RSS is, by op and by
 the rule's closure variable, counting each array that owns its memory
-once: what the tape keeps alive between forward and backward.
+once: what the tape keeps alive between forward and backward. Then the
+step's peak of bytes allocated since it began (`step_peak_mb`) and where
+it fell (`peak_rule`): `forward`, or the op of the backward rule and that
+rule's place in the sweep, counted from 1.
 Otherwise prints the process's peak RSS (`ru_maxrss`) and, over the steps
 after the first two, the median minor page faults and wall time per step.
 BLAS runs on one thread, as in perfbench.
@@ -55,6 +58,7 @@ import resource  # noqa: E402
 import statistics  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -75,12 +79,18 @@ LOAD_IMAGES = (160, 400)
 LOAD_CALLS = 25
 
 
-def training_step():
+def step_inputs():
+    """The default full-arm model and the one fixed batch it steps on."""
     cfg = ModelConfig()
     model = DCSWin(cfg, seed=0)
     rng = np.random.default_rng(0)
     x = T.Tensor(rng.standard_normal((BATCH, 3, 64, 64)))
     y = rng.integers(0, cfg.num_classes, BATCH)
+    return model, x, y
+
+
+def training_step():
+    model, x, y = step_inputs()
 
     def step():
         model.zero_grad()
@@ -187,23 +197,49 @@ def load_main() -> None:
     print(f"peak_rss_mb {usage.ru_maxrss / 1024:.1f}")
 
 
+def traced_rule(bw, op: str, peaks: list):
+    """`bw`, which first closes the last `[peak, where]` of `peaks` with
+    the traced peak since it opened, then opens its own."""
+    def rule(g):
+        peaks[-1][0] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        peaks.append([0, f"{op} {len(peaks)}"])
+        return bw(g)
+    return rule
+
+
 def saved_main() -> None:
-    model = DCSWin(ModelConfig(), seed=0)
-    x = T.Tensor(np.random.default_rng(0).standard_normal((BATCH, 3, 64, 64)))
+    model, x, y = step_inputs()
+    tracemalloc.start()
     with T.Tape() as tape:
-        model(x)
-    by_op, by_var = collections.Counter(), collections.Counter()
-    for op, var, arr in T._saved_arrays(tape):
-        by_op[op] += arr.nbytes
-        by_var[op, var] += arr.nbytes
+        logits = model(x)
+        by_op, by_var = collections.Counter(), collections.Counter()
+        for op, var, arr in T._saved_arrays(tape):
+            by_op[op] += arr.nbytes
+            by_var[op, var] += arr.nbytes
+        entries = len(tape)
+        loss = T.cross_entropy(logits, y)
+    del logits
+    # a rule's span runs until the next rule starts, so it includes the
+    # sweep adding up the gradients the rule returned
+    peaks = [[0, "forward"]]
+    for entry in tape._entries:
+        entry.bw = traced_rule(entry.bw, entry.bw.__qualname__.split(".")[0],
+                               peaks)
+    tape.backward(loss)
+    peaks[-1][0] = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    step_peak, peak_rule = max(peaks, key=lambda p: p[0])
     mb = 1 << 20
-    print(f"tape_entries {len(tape)}")
+    print(f"tape_entries {entries}")
     print(f"saved_mb {sum(by_op.values()) / mb:.2f}")
     for op, nbytes in by_op.most_common():
         print(f"{op} {nbytes / mb:.2f}")
         for (vop, var), vbytes in by_var.most_common():
             if vop == op:
                 print(f"  {var} {vbytes / mb:.2f}")
+    print(f"step_peak_mb {step_peak / mb:.2f}")
+    print(f"peak_rule {peak_rule}")
 
 
 def repeat(step):
@@ -230,7 +266,8 @@ def main() -> None:
                            "of 160 and 400 images")
     mode.add_argument("--saved", action="store_true",
                       help="print the bytes one training forward leaves "
-                           "on the tape, by op and closure variable")
+                           "on the tape, by op and closure variable, and "
+                           "the step's traced peak and where it falls")
     args = parser.parse_args()
     if args.saved:
         saved_main()
