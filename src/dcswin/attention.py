@@ -12,9 +12,13 @@ op, `window_attention`: it projects q, k and v once on the map and cuts
 each window's rows out of them by a cached index instead of partitioning
 the map with `pad2d`, `roll`, `reshape` and `permute`. The mask comes from
 the same index: `_window_rows` works out a window's pad, shift and
-partition once and derives both from those coordinates. `mhsa`,
-`window_partition` and `window_reverse` remain as that op's reference
-chain.
+partition once and derives both from those coordinates. A block's ln1
+is part of the op as well. `mhsa`, `window_partition` and
+`window_reverse` remain as that op's reference chain.
+
+`cross_attention`, the cross-scale fusion's attention with its residual
+add, is one op too, so the model no longer calls `_attend` or
+`tensor.multihead_attention`; perfbench's tracer still wraps `mhsa`.
 """
 from __future__ import annotations
 
@@ -212,10 +216,12 @@ def mhsa(tokens: Tensor, params: AttentionParams, cfg: AttentionConfig,
 
 
 def windowed_mhsa(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
-                  spec: WindowSpec) -> Tensor:
+                  spec: WindowSpec,
+                  norm: Optional[tuple[Tensor, Tensor]] = None) -> Tensor:
     """Partition -> masked self-attention per window -> reverse, as one
-    `window_attention` op."""
-    return window_attention(x, params, cfg, (spec,))
+    `window_attention` op, of `x` or of its layer norm under `norm`'s
+    (gamma, beta)."""
+    return window_attention(x, params, cfg, (spec,), norm=norm)
 
 
 @lru_cache(maxsize=64)
@@ -309,9 +315,11 @@ def _mix_weight_grad(gcols: Sequence[np.ndarray],
 
 def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
                      specs: Sequence[WindowSpec],
-                     mixture: Optional[Tensor] = None) -> Tensor:
-    """Self-attention of the [B,H,W,C] map `x` within the windows of each
-    spec, as one tape entry.
+                     mixture: Optional[Tensor] = None,
+                     norm: Optional[tuple[Tensor, Tensor]] = None) -> Tensor:
+    """Self-attention of the [B,H,W,C] map `x`, or with `norm`'s [C]
+    (gamma, beta) of its `layer_norm`, within the windows of each spec, as
+    one tape entry.
 
     Without `mixture` there is one spec, and the result is
     `window_reverse` of `mhsa` over `window_partition(x, spec)` with the
@@ -341,6 +349,14 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
     mixture's slices, adds, broadcasts and products; each weight's
     gradient is summed over windows in the sweep's order, and the
     mixture's is assembled after the sweep in the chain's column order.
+
+    With `norm`, the norm is part of the op, as `mlp_branch`'s is: the
+    rule keeps the norm's xn and denom instead of the map, rebuilds the
+    norm output from them before its sweep, and runs `layer_norm`'s rule
+    after it. Without a graph the norm output overwrites xn. A window's
+    input gradients go before the next window builds its own, and the
+    attention's rule runs over chunks of whole images' windows
+    (`T._attention_grads`).
     """
     xd = x.data
     if mixture is None:
@@ -365,7 +381,9 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
             raise ConfigError("mixture assigns zero weight to every candidate")
         specs, columns, cols = zip(*live)
     infos = [_partition_info(xd.shape, spec) for spec in specs]
-    b, _, _, c = xd.shape
+    # the rule reads x's shape, and with a folded norm not x itself
+    xshape = xd.shape
+    b, _, _, c = xshape
     if c != cfg.dim:
         raise ShapeError(f"window_attention: map width {c} != configured "
                          f"{cfg.dim}")
@@ -377,20 +395,30 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
                              f"for width {c}")
     wq, bq, wk, bk, wv, bv, wo, bo = (p.data for p in plist)
     heads = cfg.num_heads
-    inputs = (x, *plist) + (() if mixture is None else (mixture,))
+    inputs = (x, *(() if norm is None else norm), *plist) \
+        + (() if mixture is None else (mixture,))
     keep = T._grad_enabled and any(t.requires_grad for t in inputs)
     # only the mixture's rule reads the map-order outputs
     need_mix = mixture is not None and mixture.requires_grad
-    x2 = T._contiguous(xd).reshape(-1, c)
+    if norm is None:
+        x2 = n2 = T._contiguous(xd).reshape(-1, c)
+    else:
+        T._check_norm_params(c, *norm, "window_attention")
+        gd, nbd = (p.data for p in norm)
+        xn, denom = T._norm_stats(xd)
+        n2 = T._norm_out(xn, gd, nbd, None if keep else xn).reshape(-1, c)
+        if not keep:
+            xn = denom = None
+        x2 = None
     weights, biases = (wq, wk, wv), (bq, bk, bv)
     # every window reads the projected maps, which go when the op returns;
     # a lone window lets each go once its rows are gathered
-    maps = [T._affine(x2, wd, bd) for wd, bd in zip(weights, biases)] \
+    maps = [T._affine(n2, wd, bd) for wd, bd in zip(weights, biases)] \
         if len(infos) > 1 else None
 
     def project(j: int) -> np.ndarray:
         if maps is None:
-            return T._affine(x2, weights[j], biases[j])
+            return T._affine(n2, weights[j], biases[j])
         return maps[j]
 
     saved: list[tuple] = []
@@ -401,28 +429,31 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
         ctx = T._attention_context(probs, vd, heads).reshape(-1, c)
         del qd, kd, vd
         o = _gather(T._affine(ctx, wo, bo).reshape(b, -1, c),
-                    back).reshape(xd.shape)
+                    back).reshape(xshape)
         if keep:
             saved.append(probs)
         if mixture is None:
             out = o
         elif out is None:
-            out = np.multiply(o, cols[0], out=T._empty(xd.shape))
+            out = np.multiply(o, cols[0], out=T._empty(xshape))
         else:
-            term = T._empty(xd.shape) if term is None else term
+            term = T._empty(xshape) if term is None else term
             out += np.multiply(o, cols[i], out=term)
         # the next window's arrays may reuse these buffers
         del probs, ctx, o
-    need_x = x.requires_grad
+    del maps, n2
+    # the gradient of the attention's input: the map, or the norm output
+    need_x = any(t.requires_grad for t in (x, *(norm or ())))
     need_branch = need_x or any(p.requires_grad for p in plist)
 
     def bw(g):
         dx = None
         dparams = [None] * 8
         gcols = [None] * len(infos)
+        n2 = x2 if norm is None else T._norm_out(xn, gd, nbd).reshape(-1, c)
         # the forward's projections: v for every context, q and k only
         # for the branch's gradients
-        maps = [T._affine(x2, wd, bd) if need_branch or j == 2 else None
+        maps = [T._affine(n2, wd, bd) if need_branch or j == 2 else None
                 for j, (wd, bd) in enumerate(zip(weights, biases))]
         for i in reversed(range(len(infos))):
             probs = saved[i]
@@ -431,7 +462,7 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
             ctx = T._attention_context(probs, vd, heads).reshape(-1, c)
             if need_mix:
                 o = _gather(T._affine(ctx, wo, bo).reshape(b, -1, c),
-                            back).reshape(xd.shape)
+                            back).reshape(xshape)
                 gcols[i] = T._unbroadcast(g * o, (b, 1, 1, 1)).reshape(b, 1)
                 del o
             if not need_branch:
@@ -444,9 +475,10 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
             kt = T._contiguous(T._heads(kd, heads).transpose(0, 1, 3, 2))
             del kd
             dq, dk, dv = T._attention_grads(dctx.reshape(shape), probs, qd,
-                                            kt, vd, heads)
+                                            kt, vd, heads,
+                                            infos[i].num_windows)
             del dctx, qd, kt, vd
-            tok = _gather(x2.reshape(b, -1, c), rows, pad).reshape(-1, c)
+            tok = _gather(n2.reshape(b, -1, c), rows, pad).reshape(-1, c)
             dxv, dwv, dbv = T._affine_grads(dv.reshape(-1, c), tok, wv, need_x,
                                             True)
             dxk, dwk, dbk = T._affine_grads(dk.reshape(-1, c), tok, wk, need_x,
@@ -463,16 +495,25 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
                 # the tokens' flows arrive as v's, then k's, then q's
                 dxv += dxk
                 dxv += dxq
-                dxm = _gather(dxv.reshape(b, -1, c), back).reshape(xd.shape)
+                del dxk, dxq
+                dxm = _gather(dxv.reshape(b, -1, c), back).reshape(xshape)
+                del dxv
                 if dx is None:
                     dx = dxm
                 else:
                     dx += dxm
+                del dxm
+        del maps, n2
+        dnorm = ()
+        if norm is not None:
+            # the norm's rule, on the flow its output got
+            dx, *dnorm = (None, None, None) if dx is None else \
+                T._norm_grads(dx, xn, denom, gd)
         if mixture is None:
-            return (dx, *dparams)
+            return (dx, *dnorm, *dparams)
         dmix = _mix_weight_grad(gcols, columns, md.shape[1]) if need_mix \
             else None
-        return (dx, *dparams, dmix)
+        return (dx, *dnorm, *dparams, dmix)
 
     return T._finish(out, inputs, bw, "window_attention")
 
@@ -496,10 +537,21 @@ def tokens_to_map(t: Tensor, h: int, w: int) -> Tensor:
 
 def cross_attention(current: Tensor, prev: Tensor, params: AttentionParams,
                     cfg: AttentionConfig) -> Tensor:
-    """Attend from `current` (queries) into `prev` (keys/values).
+    """Attend from `current` (queries) into `prev` (keys/values), as one
+    tape entry.
 
     Both are [B,H,W,C] with equal B and C; spatial sizes may differ. The
     attended result is added back onto `current`.
+
+    The result is that of the op chain it replaces: `current` and `prev`
+    reshaped to tokens, `mhsa`'s projections and `multihead_attention`
+    from the first into the second, the output projection reshaped back,
+    and an `add` onto `current`. The rule keeps `current`, `prev` and the
+    attention weights. It projects q, k and v again and rebuilds k^T and
+    the context with the forward's own calls, then runs the chain's rules
+    in its order: the output projection's, the attention's, then v's, k's
+    and q's projections. So `prev` gets v's gradient plus k's, `current`
+    the add's plus q's, and every value is the same bits as the chain's.
     """
     for name, t in (("current", current), ("prev", prev)):
         if t.data.ndim != 4:
@@ -511,8 +563,63 @@ def cross_attention(current: Tensor, prev: Tensor, params: AttentionParams,
     if current.data.shape[3] != prev.data.shape[3]:
         raise ShapeError(f"cross_attention: channel mismatch {current.data.shape} "
                          f"vs {prev.data.shape}; align prev first")
-    b, h, w, c = current.data.shape
-    _, hp, wp, _ = prev.data.shape
-    att = _attend(T.reshape(current, (b, h * w, c)),
-                  T.reshape(prev, (b, hp * wp, c)), params, cfg)
-    return T.add(current, T.reshape(att, current.data.shape))
+    cshape, pshape = current.data.shape, prev.data.shape
+    b, c = cshape[0], cshape[3]
+    if c != cfg.dim:
+        raise ShapeError(f"attention: token dim {c} != configured {cfg.dim}")
+    plist = (params.wq, params.bq, params.wk, params.bk, params.wv,
+             params.bv, params.wo, params.bo)
+    for p in plist:
+        if p.data.shape != ((c, c) if p.data.ndim == 2 else (c,)):
+            raise ShapeError(f"cross_attention: projection {p.data.shape} "
+                             f"for width {c}")
+    wq, bq, wk, bk, wv, bv, wo, bo = (p.data for p in plist)
+    heads = cfg.num_heads
+    cur2 = T._contiguous(current.data).reshape(-1, c)
+    prev2 = T._contiguous(prev.data).reshape(-1, c)
+
+    def project(x2, wd, bd):
+        return T._affine(x2, wd, bd).reshape(b, -1, c)
+
+    qd, kd, vd = (project(cur2, wq, bq), project(prev2, wk, bk),
+                  project(prev2, wv, bv))
+    probs, _ = T._attention_probs(qd, kd, heads, None)
+    del qd, kd
+    ctx = T._attention_context(probs, vd, heads).reshape(-1, c)
+    del vd
+    att = T._affine(ctx, wo, bo).reshape(cshape)
+    del ctx
+    out = np.add(current.data, att, out=T._empty(cshape))
+    del att
+    need_cur, need_prev = current.requires_grad, prev.requires_grad
+
+    def bw(g):
+        qd = project(cur2, wq, bq)
+        kd = project(prev2, wk, bk)
+        kt = T._contiguous(T._heads(kd, heads).transpose(0, 1, 3, 2))
+        del kd
+        vd = project(prev2, wv, bv)
+        ctx = T._attention_context(probs, vd, heads).reshape(-1, c)
+        g2 = g.reshape(-1, c)
+        dctx, dwo, dbo = T._affine_grads(g2, ctx, wo, True, True)
+        del ctx
+        dq, dk, dv = T._attention_grads(dctx.reshape(b, -1, c), probs, qd,
+                                        kt, vd, heads)
+        del dctx, qd, kt, vd
+        dpv, dwv, dbv = T._affine_grads(dv.reshape(-1, c), prev2, wv,
+                                        need_prev, True)
+        dpk, dwk, dbk = T._affine_grads(dk.reshape(-1, c), prev2, wk,
+                                        need_prev, True)
+        dcq, dwq, dbq = T._affine_grads(dq.reshape(-1, c), cur2, wq,
+                                        need_cur, True)
+        del dq, dk, dv
+        dprev = dcur = None
+        if need_prev:
+            dpv += dpk
+            dprev = dpv.reshape(pshape)
+        if need_cur:
+            dcq += g2
+            dcur = dcq.reshape(cshape)
+        return dcur, dprev, dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo
+
+    return T._finish(out, (current, prev, *plist), bw, "cross_attention")

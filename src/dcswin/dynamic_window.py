@@ -9,7 +9,7 @@ that mixture.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,10 +53,13 @@ def hard_selection(mixture: Tensor) -> Tensor:
 def dynamic_window_attention(x: Tensor, mixture: Tensor,
                              candidates: Sequence[int], params: AttentionParams,
                              cfg: AttentionConfig, shift: bool = False,
-                             hard: bool = False) -> Tensor:
+                             hard: bool = False,
+                             norm: Optional[tuple[Tensor, Tensor]] = None
+                             ) -> Tensor:
     """Mixture-weighted sum of windowed attention at every candidate size.
 
-    x is [B,H,W,C]. Each candidate is one `WindowSpec`; with shift=True
+    x is [B,H,W,C], attended as it is or, given `norm`'s (gamma, beta),
+    as its layer norm. Each candidate is one `WindowSpec`; with shift=True
     it takes its half-window cyclic shift (`WindowSpec.in_block`).
     `window_attention` attends equal windows once, skips those whose
     weight is zero for every sample, and shares the Q/K/V/output
@@ -68,4 +71,4 @@ def dynamic_window_attention(x: Tensor, mixture: Tensor,
     specs = [WindowSpec.in_block(int(c), min(h, w_sp), shift)
              for c in candidates]
     weights = hard_selection(mixture) if hard else mixture
-    return window_attention(x, params, cfg, specs, weights)
+    return window_attention(x, params, cfg, specs, weights, norm)

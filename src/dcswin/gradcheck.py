@@ -257,6 +257,12 @@ def _op_cases(seed: int) -> dict[str, tuple[Callable[[], Tensor], dict[str, Tens
         {"x": fx, "gamma": fgamma, "beta": fbeta, "w1": fw1, "b1": fb1,
          "w2": fw2, "b2": fb2})
 
+    # 2x2 patches of a 4x6 image, so the two grid axes differ
+    px = _leaf(rng, (2, 3, 4, 6))
+    pw, pb = _leaf(rng, (12, 5)), _leaf(rng, (5,))
+    cases["patch_embed"] = (lambda: _probe(T.patch_embed(px, pw, pb, 2)),
+                            {"x": px, "w": pw, "b": pb})
+
     return cases
 
 
@@ -264,6 +270,7 @@ def _attention_cases(seed: int):
     from .attention import AttentionConfig, AttentionParams, WindowSpec
     from .attention import (cross_attention, mhsa, window_attention,
                             windowed_mhsa)
+    from .dynamic_window import hard_selection
 
     rng = np.random.default_rng(seed)
     cases: dict[str, tuple[Callable[[], Tensor], dict[str, Tensor]]] = {}
@@ -310,6 +317,41 @@ def _attention_cases(seed: int):
     cases["window_attention"] = (
         lambda: _probe(window_attention(mmap, pparams, cfg, mspecs, mix)),
         {"x": mmap, "mixture": mix, **pparams.named("p")})
+
+    # The cases below draw after the ones above, which so keep their
+    # inputs. A folded layer norm on the padded micro config's maps: 6x6
+    # pads to 8x8 under a shifted 4, 3x3 to 4x4 under a shifted 2.
+    nparams = AttentionParams.init(cfg, np.random.default_rng(seed + 5))
+    nparams.wo.data[...] = rng.uniform(-0.5, 0.5, size=nparams.wo.data.shape)
+    norm = (Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True),
+            _leaf(rng, (4,)))
+    nleaves = {"gamma": norm[0], "beta": norm[1], **nparams.named("p")}
+    nspecs = (WindowSpec(window=2, shift=1), WindowSpec(window=4, shift=2))
+    nmap = _leaf(rng, (2, 6, 6, 4), -2.0, 2.0)
+    nmix = _leaf(rng, (2, 2))
+    cases["window_attention_norm"] = (
+        lambda: _probe(window_attention(nmap, nparams, cfg, nspecs, nmix,
+                                        norm)),
+        {"x": nmap, "mixture": nmix, **nleaves})
+    # each sample's one-hot choice is another window, so both run
+    hmap = _leaf(rng, (2, 6, 6, 4), -2.0, 2.0)
+    hard = hard_selection(Tensor([[0.7, 0.3], [0.2, 0.8]]))
+    cases["window_attention_norm_hard"] = (
+        lambda: _probe(window_attention(hmap, nparams, cfg, nspecs, hard,
+                                        norm)),
+        {"x": hmap, **nleaves})
+    smap = _leaf(rng, (1, 3, 3, 4), -2.0, 2.0)
+    cases["windowed_mhsa_norm_padded"] = (
+        lambda: _probe(windowed_mhsa(smap, nparams, cfg,
+                                     WindowSpec(window=2, shift=1), norm)),
+        {"x": smap, **nleaves})
+
+    # two images, and a 3x3 map of keys for a 2x2 map of queries
+    scur = _leaf(rng, (2, 2, 2, 4))
+    sprev = _leaf(rng, (2, 3, 3, 4))
+    cases["cross_attention_sizes"] = (
+        lambda: _probe(cross_attention(scur, sprev, cparams, cfg)),
+        {"cur": scur, "prev": sprev, **cparams.named("p")})
 
     return cases
 

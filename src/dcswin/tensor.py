@@ -12,13 +12,25 @@ per input, the leaf `Tensor` (a leaf that needs a gradient), the key and
 shape (a recorded output) or nothing (no gradient). So an intermediate
 array lives only while its caller or some backward rule holds it, and
 the sweep drops each entry before it runs the rule, which frees the
-arrays that rule saved as soon as it is done with them. `mlp_branch`,
-the pre-norm MLP branch of a block as one entry, keeps less than its four
-ops would: only the norm's xn and denom. Its rule rebuilds the norm
-output, the hidden pre-activation (one product), gelu's tanh and the
-activation by the forward's own calls. `attention.window_attention`
-likewise keeps only its input and, per window, the attention weights,
-and rebuilds the projections, the context and the output from them.
+arrays that rule saved as soon as it is done with them. A model forward
+records a handful of fused ops, each one entry that keeps less than the
+ops it replaced and rebuilds the rest in backward by the forward's own
+calls:
+  * `mlp_branch`, a block's ln2 and MLP, keeps the norm's xn and denom,
+    and rebuilds the norm output, the hidden pre-activation (one
+    product), gelu's tanh and the activation;
+  * `attention.window_attention`, a block's ln1 and window attention at
+    one window or mixed over several, keeps the norm's xn and denom and,
+    per window, the attention weights, and rebuilds the norm output, the
+    projections, the context and the output (without a folded norm it
+    keeps its input map instead of xn and denom);
+  * `attention.cross_attention`, the cross-scale fusion's attention and
+    residual add, keeps both maps and the attention weights, and
+    rebuilds q, k^T, v and the context;
+  * `patch_embed` keeps the image, not the patch copy its product reads.
+The attention rules work over chunks of whole images' windows of about
+256 KB of weights each (`_attention_grads`), so their scratch stays
+small; their values are the unchunked ones.
 
 Conventions:
   * ops are the module functions below and take `Tensor`s, never raw
@@ -35,9 +47,9 @@ Conventions:
     the batch-major windows;
   * inside a request scope (`_request_buffers`, entered by
     `trainer.predict_probs`), the large arrays of `linear`, `gelu`,
-    `layer_norm`, `mlp_branch`, `multihead_attention`,
-    `attention.window_attention`, `add` and the `reshape`/`permute`
-    copies may be views of recycled
+    `layer_norm`, `mlp_branch`, `multihead_attention`, `patch_embed`,
+    `attention.window_attention`, `attention.cross_attention`, `add` and
+    the `reshape`/`permute` copies may be views of recycled
     buffers that no live array references any more. Only where results
     are written changes, so values are the same bits, and still no op
     writes into its inputs;
@@ -75,7 +87,8 @@ __all__ = [
     "concat", "reduce_sum", "reduce_mean", "mean_pool", "avg_pool2d",
     "matmul", "softmax", "multihead_attention", "log_softmax",
     "cross_entropy",
-    "conv1x1", "linear", "layer_norm", "mlp_branch", "detach",
+    "conv1x1", "linear", "layer_norm", "mlp_branch", "patch_embed",
+    "detach",
 ]
 
 _grad_enabled: bool = True
@@ -823,22 +836,39 @@ def _attention_context(probs: np.ndarray, vd: np.ndarray,
     return out
 
 
+# the attention weights one chunk of `_attention_grads` reads, in bytes:
+# small enough that the chunk's scratch arrays stay in cache
+_GRAD_CHUNK_BYTES = 1 << 18
+
+
 def _attention_grads(g: np.ndarray, probs: np.ndarray, qd: np.ndarray,
-                     kt: np.ndarray, vd: np.ndarray, num_heads: int) -> tuple:
+                     kt: np.ndarray, vd: np.ndarray, num_heads: int,
+                     per_image: int = 1) -> tuple:
     """The q, k and v gradients of `multihead_attention` for the output
-    gradient `g`, from its weights, q, the k^T of `_attention_probs` and v."""
-    gh = _heads(g, num_heads)
-    dv = np.empty(vd.shape)
-    np.matmul(probs.swapaxes(-1, -2), gh, out=_heads(dv, num_heads))
-    ds = np.matmul(gh, _heads(vd, num_heads).swapaxes(-1, -2))
-    ds -= (ds * probs).sum(axis=-1, keepdims=True)
-    ds *= probs
-    ds *= 1.0 / math.sqrt(qd.shape[2] // num_heads)
-    dq = np.empty(qd.shape)
-    np.matmul(ds, kt.swapaxes(-1, -2), out=_heads(dq, num_heads))
-    dk = np.empty(vd.shape)
-    _heads(dk, num_heads)[...] = np.matmul(
-        _heads(qd, num_heads).swapaxes(-1, -2), ds).swapaxes(-1, -2)
+    gradient `g`, from its weights, q, the k^T of `_attention_probs` and v.
+
+    It runs over chunks of whole images' windows, `per_image` windows an
+    image, with about `_GRAD_CHUNK_BYTES` of weights each, so the weights'
+    gradient and its scratch never span the whole batch. Every window's
+    products are those of one unchunked pass, so are its bits."""
+    n = probs.shape[0]
+    image_bytes = probs.nbytes // n * per_image
+    step = per_image * max(1, _GRAD_CHUNK_BYTES // image_bytes)
+    inv_sqrt_d = 1.0 / math.sqrt(qd.shape[2] // num_heads)
+    gh, qh, vh = (_heads(a, num_heads) for a in (g, qd, vd))
+    dq, dk, dv = np.empty(qd.shape), np.empty(vd.shape), np.empty(vd.shape)
+    dqh, dkh, dvh = (_heads(a, num_heads) for a in (dq, dk, dv))
+    for start in range(0, n, step):
+        c = slice(start, start + step)
+        p = probs[c]
+        np.matmul(p.swapaxes(-1, -2), gh[c], out=dvh[c])
+        ds = np.matmul(gh[c], vh[c].swapaxes(-1, -2))
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= inv_sqrt_d
+        np.matmul(ds, kt[c].swapaxes(-1, -2), out=dqh[c])
+        dkh[c] = np.matmul(qh[c].swapaxes(-1, -2), ds).swapaxes(-1, -2)
+        del ds
     return dq, dk, dv
 
 
@@ -970,6 +1000,58 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         return (None if dx is None else dx.reshape(xshape), *grads)
 
     return _finish(out.reshape(xshape[:-1] + (n,)), inputs, bw, "linear")
+
+
+# [B, C, H/p, p, W/p, p] -> [B, H/p, W/p, C, p, p]
+_PATCH_AXES = (0, 2, 4, 1, 3, 5)
+
+
+def _patch_rows(xd: np.ndarray, patch: int) -> np.ndarray:
+    """The [B*H/p*W/p, C*p*p] rows of a [B,C,H,W] image's p x p patches,
+    each channel-major, copied as `reshape` and `permute` copy them."""
+    b, c, h, w = xd.shape
+    t = _contiguous(xd).reshape(b, c, h // patch, patch, w // patch, patch)
+    return _contiguous(np.transpose(t, _PATCH_AXES)).reshape(
+        -1, c * patch * patch)
+
+
+def patch_embed(x: Tensor, w: Tensor, b: Tensor, patch: int) -> Tensor:
+    """The non-overlapping `patch` x `patch` patches of a channels-first
+    [B,C,H,W] image, each flattened channel-major and projected by
+    [C*p*p, N] `w` and [N] `b`: a channels-last [B,H/p,W/p,N] map, as
+    one tape entry.
+
+    The result is that of the chain `reshape`, `permute`, `reshape` and
+    `linear`. The rule keeps the image instead of the patch copy the
+    product reads, cuts the patches again by the same copy, and runs
+    `linear`'s rule and then the layout's, so values and gradients are
+    the same bits as the chain's.
+    """
+    xd, wd = x.data, w.data
+    if xd.ndim != 4 or patch < 1 or xd.shape[2] % patch \
+            or xd.shape[3] % patch:
+        raise ShapeError(f"patch_embed: {patch}x{patch} patches do not tile "
+                         f"a [B,C,H,W] image of shape {xd.shape}")
+    bsz, c, h, w_sp = xd.shape
+    k = c * patch * patch
+    if wd.ndim != 2 or wd.shape[0] != k or b.data.shape != wd.shape[1:]:
+        raise ShapeError(f"patch_embed: {k}-wide patches need [{k}, N] w and "
+                         f"[N] b, got {wd.shape} and {b.data.shape}")
+    n = wd.shape[1]
+    grid = (bsz, h // patch, w_sp // patch)
+    need_dx = x.requires_grad
+    out = _affine(_patch_rows(xd, patch), wd, b.data)
+
+    def bw(g):
+        dx, dw, db = _affine_grads(g.reshape(-1, n), _patch_rows(xd, patch),
+                                   wd, need_dx, True)
+        if dx is not None:
+            dx = np.ascontiguousarray(np.transpose(
+                dx.reshape(grid + (c, patch, patch)),
+                np.argsort(_PATCH_AXES))).reshape(xd.shape)
+        return dx, dw, db
+
+    return _finish(out.reshape(grid + (n,)), (x, w, b), bw, "patch_embed")
 
 
 # the epsilon of every layer norm: `layer_norm`'s and `mlp_branch`'s

@@ -433,6 +433,64 @@ def test_windowed_mhsa_without_a_graph_is_the_op_chain(side, window, shift):
                 assert windowed_mhsa(x, p, cfg, spec).data.tobytes() == want
 
 
+def chain_cross_attention(current, prev, params, cfg):
+    """`cross_attention` as the chain of ops it replaced: both maps
+    reshaped to tokens, the three projections, attention, the output
+    projection reshaped back, and an add onto `current`."""
+    b, h, w, c = current.shape
+    cur = T.reshape(current, (b, h * w, c))
+    kv = T.reshape(prev, (b, -1, c))
+    q = T.linear(cur, params.wq, params.bq)
+    k = T.linear(kv, params.wk, params.bk)
+    v = T.linear(kv, params.wv, params.bv)
+    ctx = T.multihead_attention(q, k, v, cfg.num_heads)
+    att = T.linear(ctx, params.wo, params.bo)
+    return T.add(current, T.reshape(att, current.shape))
+
+
+# (current side, previous side): equal grids as the model pools them, and
+# keys from a larger or a smaller grid
+CROSS_SIDES = [(4, 4), (2, 3), (3, 1)]
+
+
+@pytest.mark.parametrize("side,prev_side", CROSS_SIDES)
+@pytest.mark.parametrize("needs", ["both", "current", "prev", "neither"])
+def test_cross_attention_is_the_op_chain_bit_for_bit(side, prev_side, needs):
+    """Output and every gradient are the same bytes, signs of zeros
+    included, whichever map needs a gradient, and the op is one tape
+    entry."""
+    rng = stream(15, "t-attn")
+    cfg = AttentionConfig(4, 2)
+    p = live_params(cfg, rng)
+    cur = Tensor(channels_last(rng.standard_normal((2, 4, side, side))),
+                 requires_grad=needs in ("both", "current"))
+    prev = Tensor(channels_last(
+        rng.standard_normal((2, 4, prev_side, prev_side))),
+        requires_grad=needs in ("both", "prev"))
+    leaves = [cur, prev, *p.named("p").values()]
+    assert grads_after(lambda: cross_attention(cur, prev, p, cfg), leaves) \
+        == grads_after(lambda: chain_cross_attention(cur, prev, p, cfg),
+                       leaves)
+    with T.Tape() as tape:
+        cross_attention(cur, prev, p, cfg)
+    assert len(tape) == 1
+
+
+def test_cross_attention_without_a_graph_is_the_op_chain():
+    rng = stream(16, "t-attn")
+    cfg = AttentionConfig(4, 2)
+    p = live_params(cfg, rng)
+    cur = Tensor(channels_last(rng.standard_normal((3, 4, 4, 4))))
+    prev = Tensor(channels_last(rng.standard_normal((3, 4, 4, 4))))
+    want = chain_cross_attention(cur, prev, p, cfg).data.tobytes()
+    with T.no_grad():
+        assert cross_attention(cur, prev, p, cfg).data.tobytes() == want
+        with T._request_buffers():
+            for _ in range(2):
+                assert cross_attention(cur, prev, p, cfg).data.tobytes() \
+                    == want
+
+
 # ---- token/map helpers -----------------------------------------------------------
 
 def test_map_tokens_roundtrip():

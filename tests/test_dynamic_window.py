@@ -343,3 +343,79 @@ def test_mixture_op_rejects_bad_column_groups():
         window_attention(x, params, cfg, specs)
     with pytest.raises(ShapeError):
         window_attention(x, params, AttentionConfig(8, 2), specs[:1])
+
+
+# ---- ln1 folded into the window op -----------------------------------------------
+
+def norm_leaves(rng, c=4):
+    return (Tensor(rng.uniform(0.5, 1.5, c), requires_grad=True),
+            Tensor(rng.standard_normal(c), requires_grad=True))
+
+
+@pytest.mark.parametrize("side,candidates,shift",
+                         [(4, (2, 4), False), (4, (2, 4, 4), True)] + PADDED)
+@pytest.mark.parametrize("hard", [False, True])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_folded_norm_is_layer_norm_then_the_op_bit_for_bit(side, candidates,
+                                                           shift, hard,
+                                                           x_grad):
+    """Output and every gradient, the norm's gamma and beta included, are
+    the bytes of `layer_norm` followed by the unfolded op, and the whole
+    is one tape entry; also when only the norm's parameters, not the map,
+    need a gradient."""
+    params, cfg, rng = attn_setup(key=22)
+    x = Tensor(channels_last(rng.standard_normal((2, 4, side, side))),
+               requires_grad=x_grad)
+    norm = norm_leaves(rng)
+    mixture, leaf = mixture_leaves("softmax", rng, 2, len(candidates))
+    leaves = [x, *norm, *params.named("p").values()] + ([] if hard
+                                                        else [leaf])
+    got = grads_after(lambda: dynamic_window_attention(
+        x, mixture(), candidates, params, cfg, shift=shift, hard=hard,
+        norm=norm), leaves)
+    want = grads_after(lambda: dynamic_window_attention(
+        T.layer_norm(x, *norm), mixture(), candidates, params, cfg,
+        shift=shift, hard=hard), leaves)
+    assert got == want
+    spec = WindowSpec.in_block(candidates[0], side, shift)
+    assert grads_after(lambda: windowed_mhsa(x, params, cfg, spec, norm),
+                       leaves) == \
+        grads_after(lambda: windowed_mhsa(T.layer_norm(x, *norm), params,
+                                          cfg, spec), leaves)
+    with T.Tape() as tape:
+        dynamic_window_attention(x, mixture(), candidates, params, cfg,
+                                 shift=shift, hard=hard, norm=norm)
+    assert [e.bw.__qualname__.split(".")[0] for e in tape._entries] == \
+        ["softmax", "window_attention"]
+
+
+@pytest.mark.parametrize("side,candidates,shift",
+                         [(4, (2, 4, 4), True)] + PADDED)
+def test_folded_norm_without_a_graph_is_layer_norm_then_the_op(side,
+                                                               candidates,
+                                                               shift):
+    """Under no_grad, where the norm output overwrites xn, and inside a
+    request scope whose second call reuses the first call's buffers."""
+    params, cfg, rng = attn_setup(key=23)
+    x = Tensor(channels_last(rng.standard_normal((3, 4, side, side))))
+    norm = norm_leaves(rng)
+    mix = Tensor(rng.uniform(0.1, 1.0, (3, len(candidates))))
+    want = dynamic_window_attention(T.layer_norm(x, *norm), mix, candidates,
+                                    params, cfg, shift=shift).data.tobytes()
+    with T.no_grad():
+        assert dynamic_window_attention(
+            x, mix, candidates, params, cfg, shift=shift,
+            norm=norm).data.tobytes() == want
+        with T._request_buffers():
+            for _ in range(2):
+                assert dynamic_window_attention(
+                    x, mix, candidates, params, cfg, shift=shift,
+                    norm=norm).data.tobytes() == want
+
+
+def test_folded_norm_rejects_mis_sized_parameters():
+    params, cfg, rng = attn_setup(key=24)
+    x = Tensor(channels_last(rng.standard_normal((1, 4, 4, 4))))
+    with pytest.raises(ShapeError, match="gamma"):
+        windowed_mhsa(x, params, cfg, WindowSpec(2),
+                      (T.ones((3,)), T.zeros((4,))))

@@ -10,8 +10,8 @@ import pytest
 
 import dcswin.tensor as T
 from dcswin.gradcheck import (_attention_cases, _dynamic_window_case,
-                              check_elementwise, op_names, run_model_check,
-                              run_op_check)
+                              _op_cases, check_elementwise, op_names,
+                              run_model_check, run_op_check)
 from dcswin.tensor import Tensor
 
 SEEDS = tuple(range(20))
@@ -40,16 +40,36 @@ def test_every_differentiable_op_has_a_case():
 
 @pytest.mark.parametrize("name", [
     "windowed_mhsa", "windowed_mhsa_padded", "window_attention",
+    "window_attention_norm", "window_attention_norm_hard",
+    "windowed_mhsa_norm_padded",
     "dynamic_window_attention", "dynamic_window_attention_duplicates"])
 def test_window_cases_check_the_window_op(name):
     """The windowed cases gradcheck `attention.window_attention`, not a
-    chain of smaller ops."""
-    cases = {**_attention_cases(0), **_dynamic_window_case(0)}
+    chain of smaller ops; with a folded norm, no `layer_norm` either."""
+    assert recorded_ops(name) == ["window_attention"]
+
+
+@pytest.mark.parametrize("name,op", [
+    ("cross_attention", "cross_attention"),
+    ("cross_attention_sizes", "cross_attention"),
+    ("patch_embed", "patch_embed")])
+def test_fused_cases_check_one_op(name, op):
+    """The cross-attention and patch-embedding cases gradcheck their one
+    op, not the chain of `reshape`, `permute`, `linear`,
+    `multihead_attention` and `add` it replaced."""
+    assert recorded_ops(name) == [op]
+
+
+def recorded_ops(name):
+    """The ops a named case records before its probe's `mul` and sum."""
+    cases = {**_op_cases(0), **_attention_cases(0), **_dynamic_window_case(0)}
     f, _ = cases[name]
     with T.Tape() as tape:
         f()
     ops = [entry.bw.__qualname__.split(".")[0] for entry in tape._entries]
-    assert "window_attention" in ops and "multihead_attention" not in ops
+    assert ops[-2:] == ["mul", "reduce_sum"]
+    # the dynamic cases' mixture is a softmax of leaf logits
+    return [op for op in ops[:-2] if op != "softmax"]
 
 
 def test_micro_model_directional_gradcheck():

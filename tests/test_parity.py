@@ -1,7 +1,8 @@
 """The digest half of `tools/parity.py`: the same code and weights give the
 same digests, every case digests the inference, evaluation, pseudo-label
-and checkpoint paths, one ulp in one parameter changes them, and the
-gradient checks' errors are digested for every named op and the model."""
+and checkpoint paths, one ulp in one parameter changes them, the files of
+a small experiment and the gradient checks' errors of every named op and
+the model are digested, and only a gradient check may be new or gone."""
 import importlib
 from pathlib import Path
 
@@ -78,3 +79,28 @@ def test_cases_cover_every_config_arm_and_selection(parity):
         ("full", "soft"), ("full", "hard"), ("no-cs", "soft"),
         ("no-cs", "hard"), ("no-dw", "soft"), ("baseline", "soft")}
     assert len(cases) == 4 * 6 * 2
+
+
+def test_experiment_digests_repeat_and_cover_every_file(parity):
+    first = parity.experiment_digests()
+    assert parity.experiment_digests() == first
+    assert sorted(first) == ["experiment/report.json"] + [
+        f"experiment/seed{seed}/{what}" for seed in (0, 1)
+        for what in ("epochs.jsonl", "metrics.json", "state.dcsm")]
+
+
+def test_compare_lets_only_gradient_checks_come_and_go(parity, capsys):
+    """A named gradient check is the package's own, so one tree may lack
+    it; any other name, order or digest that differs fails."""
+    base = [("micro/full/soft/fresh/logits", "a"),
+            ("gradcheck/add/worst_rel", "b")]
+    assert parity.compare(base, base, "rev") == 0
+    grown = base + [("gradcheck/patch_embed/worst_rel", "c")]
+    assert parity.compare(base, grown, "rev") == 0
+    assert "new: 1 arrays of the gradient checks patch_embed" in \
+        capsys.readouterr().out
+    assert parity.compare(grown, base, "rev") == 0
+    assert "gone: 1" in capsys.readouterr().out
+    assert parity.compare(base, base[1:], "rev") == 1
+    assert parity.compare(base, base[::-1], "rev") == 1
+    assert parity.compare(base, [base[0], (base[1][0], "x")], "rev") == 1

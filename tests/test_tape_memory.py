@@ -1,19 +1,23 @@
 """The tape's memory contract: an entry keeps only what its backward rule
 reads, and the sweep frees each entry's saved arrays as it passes it."""
+import importlib
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dcswin.tensor as T
 from dcswin.attention import (AttentionConfig, WindowSpec, attention_mask,
-                              window_attention, window_partition,
-                              window_reverse)
+                              cross_attention, window_attention,
+                              window_partition, window_reverse)
 from dcswin.dynamic_window import hard_selection
 from dcswin.errors import ShapeError
 from dcswin.model import DCSWin, ModelConfig
 from dcswin.tensor import Tensor, backward
 from test_attention import live_params
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 def leaf(data):
@@ -144,35 +148,41 @@ def test_mlp_branch_keeps_neither_its_norm_output_nor_its_activation():
     assert sum(arr.nbytes for _, arr in saved) == 8 * (rows * c + rows)
 
 
-def assert_window_op_keeps_only_the_weights(selection):
+def assert_window_op_keeps_only_the_weights(selection, folded):
     """The rule of a two-window `window_attention` over a padded 5x5 map
-    holds only the input map and, per window, the attention weights; no
-    array it holds equals one of the three projected maps or a per-window
-    array of the `window_partition` reference chain (the tokens, q, k^T,
-    v, the context or the map-order output)."""
+    holds only the input map, or with a folded norm the norm's xn and
+    denom, and, per window, the attention weights; no array it holds
+    equals the norm output, one of the three projected maps or a
+    per-window array of the `window_partition` reference chain (the
+    tokens, q, k^T, v, the context or the map-order output)."""
     rng = np.random.default_rng(6)
     cfg = AttentionConfig(4, 2)
     params = live_params(cfg, rng)
     x = leaf(rng.standard_normal((2, 5, 5, 4)))
+    norm = (leaf(rng.uniform(0.5, 1.5, 4)), leaf(rng.standard_normal(4)))
     # each sample favours another window, so hard selection runs both
     soft = leaf([[0.7, 0.3], [0.2, 0.8]])
     mix = hard_selection(soft) if selection == "hard" else soft
     specs = (WindowSpec(2, 1), WindowSpec(4))
     with T.Tape() as tape:
-        window_attention(x, params, cfg, specs, mix)
-    held = {id(t.data) for t in (mix, *params.named("p").values())}
+        window_attention(x, params, cfg, specs, mix,
+                         norm if folded else None)
+    held = {id(t.data) for t in (mix, *norm, *params.named("p").values())}
     saved = [(op, var, arr) for op, var, arr in T._saved_arrays(tape)
              if id(arr) not in held]
     assert {op for op, _, _ in saved} == {"window_attention"}
-    assert sorted(var for _, var, _ in saved) == ["saved"] * 2 + ["x2"]
-    assert any(arr is x.data for _, _, arr in saved)
+    assert sorted(var for _, var, _ in saved) == (
+        ["denom", "saved", "saved", "xn"] if folded else ["saved"] * 2 + ["x2"])
+    assert any(arr is x.data for _, _, arr in saved) != folded
     copies = []
     with T.no_grad():
+        src = T.layer_norm(x, *norm) if folded else x
+        copies.append(src.data)
         for w, b in ((params.wq, params.bq), (params.wk, params.bk),
                      (params.wv, params.bv)):
-            copies.append(T.linear(x, w, b).data)
+            copies.append(T.linear(src, w, b).data)
         for spec in specs:
-            tokens, info = window_partition(x, spec)
+            tokens, info = window_partition(src, spec)
             q, k, v = (T.linear(tokens, w, b) for w, b in (
                 (params.wq, params.bq), (params.wk, params.bk),
                 (params.wv, params.bv)))
@@ -182,6 +192,8 @@ def assert_window_op_keeps_only_the_weights(selection):
                                         attention_mask(info))
             o = window_reverse(T.linear(ctx, params.wo, params.bo), info)
             copies += [tokens.data, q.data, kt, v.data, ctx.data, o.data]
+    if not folded:
+        copies.pop(0)  # the map itself is what the rule keeps
     for _, _, arr in saved:
         for copy in copies:
             assert not (arr.size == copy.size
@@ -190,25 +202,67 @@ def assert_window_op_keeps_only_the_weights(selection):
     # of 4) under 2, and to 8x8 (4 windows of 16) under 4
     weights = sum(8 * 2 * nw * 2 * length * length
                   for nw, length in [(9, 4), (4, 16)])
-    assert sum(arr.nbytes for _, _, arr in saved) == x.data.nbytes + weights
+    # xn is the map's size, denom one value per row
+    kept = x.data.nbytes + (8 * 2 * 5 * 5 if folded else 0)
+    assert sum(arr.nbytes for _, _, arr in saved) == kept + weights
 
 
 def test_window_attention_keeps_no_partitioned_copy():
     """Soft selection: the projected maps, the window-order tokens, q, k^T
     and v, the context and the map-order output that the mixture's
     gradient reads are all rebuilt in backward."""
-    assert_window_op_keeps_only_the_weights("soft")
+    assert_window_op_keeps_only_the_weights("soft", folded=False)
 
 
 def test_window_attention_keeps_no_output_for_hard_selection():
     """Hard selection's one-hot mixture is a constant, and the op keeps
     the same arrays as for soft selection."""
-    assert_window_op_keeps_only_the_weights("hard")
+    assert_window_op_keeps_only_the_weights("hard", folded=False)
 
 
-# measured with `tools/step_memory.py --saved`: 43.87 MB; the sizes follow
+@pytest.mark.parametrize("selection", ["soft", "hard"])
+def test_window_attention_keeps_a_folded_norm_as_xn_and_denom(selection):
+    """With ln1 folded in, the rule keeps the norm's xn and denom in
+    place of the map, and rebuilds the norm output as well."""
+    assert_window_op_keeps_only_the_weights(selection, folded=True)
+
+
+def test_cross_attention_keeps_its_inputs_and_the_weights():
+    """The rule holds `current`, `prev` and the [B, heads, Lq, Lk]
+    attention weights; q, k^T, v and the context are rebuilt."""
+    rng = np.random.default_rng(7)
+    cfg = AttentionConfig(4, 2)
+    params = live_params(cfg, rng)
+    cur = leaf(rng.standard_normal((2, 3, 3, 4)))
+    prev = leaf(rng.standard_normal((2, 2, 2, 4)))
+    with T.Tape() as tape:
+        cross_attention(cur, prev, params, cfg)
+    held = {id(t.data) for t in params.named("p").values()}
+    saved = {var: arr for op, var, arr in T._saved_arrays(tape)
+             if id(arr) not in held}
+    assert sorted(saved) == ["cur2", "prev2", "probs"]
+    assert saved["cur2"] is cur.data and saved["prev2"] is prev.data
+    assert saved["probs"].shape == (2, 2, 9, 4)
+
+
+def test_patch_embed_keeps_the_image_not_its_patches():
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.standard_normal((2, 3, 4, 4)))
+    w, b = leaf(rng.standard_normal((12, 5))), leaf(rng.standard_normal(5))
+    with T.Tape() as tape:
+        T.patch_embed(x, w, b, 2)
+    saved = [(var, arr) for _, var, arr in T._saved_arrays(tape)
+             if arr is not w.data]
+    assert [var for var, _ in saved] == ["xd"] and saved[0][1] is x.data
+
+
+# measured with `tools/step_memory.py --saved`: 35.88 MB; the sizes follow
 # from the shapes alone, so the figure is the same on any host
-FULL_ARM_SAVED_BYTES = 45_998_888
+FULL_ARM_SAVED_BYTES = 37_618_472
+# that tool's `step_peak_mb` for the same step, 35.89 MB, rounded up; the
+# traced bytes are NumPy's arrays and Python's objects, so the figure
+# varies by a few KB at most between processes
+FULL_ARM_STEP_PEAK_MB = 35.9
 
 
 def test_full_arm_forward_saves_no_more_than_measured():
@@ -221,3 +275,14 @@ def test_full_arm_forward_saves_no_more_than_measured():
         model(x)
     saved = sum(arr.nbytes for _, _, arr in T._saved_arrays(tape))
     assert saved <= FULL_ARM_SAVED_BYTES, saved
+
+
+def test_full_arm_step_peak_stays_at_most_measured(monkeypatch):
+    """The traced peak of a default full-arm batch-16 training step, as
+    `tools/step_memory.py --saved` measures it: the tape's bytes plus the
+    largest rule's scratch on top of them."""
+    monkeypatch.syspath_prepend(str(TOOLS))
+    step_memory = importlib.import_module("step_memory")
+    _, _, spans = step_memory.traced_step()
+    peak, held, where = max(spans)
+    assert peak <= FULL_ARM_STEP_PEAK_MB * (1 << 20), (peak, held, where)

@@ -345,6 +345,50 @@ def test_layer_norm_matches_composite(xshape):
     _assert_same_op(T.layer_norm, composite_layer_norm, leaves)
 
 
+def chain_patch_embed(x, w, b, p):
+    """`patch_embed` as the chain of ops it replaced."""
+    bsz, c, h, w_sp = x.shape
+    t = T.reshape(x, (bsz, c, h // p, p, w_sp // p, p))
+    t = T.permute(t, (0, 2, 4, 1, 3, 5))
+    return T.linear(T.reshape(t, (bsz, h // p, w_sp // p, c * p * p)), w, b)
+
+
+@pytest.mark.parametrize("shape,p", [((2, 3, 8, 8), 4), ((1, 3, 4, 6), 2),
+                                     ((2, 2, 3, 3), 1)])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_patch_embed_is_the_op_chain_bit_for_bit(shape, p, x_grad):
+    """Output and every gradient are the same bytes as the chain's, and
+    the op is one tape entry."""
+    rng = np.random.default_rng(40)
+    x = Tensor(rng.standard_normal(shape), requires_grad=x_grad)
+    k = shape[1] * p * p
+    w, b = leaf(rng.standard_normal((k, 5))), leaf(rng.standard_normal(5))
+    leaves = [x, w, b] if x_grad else [w, b]
+
+    def run(op):
+        for t in leaves:
+            t.grad = None
+        out = op(x, w, b, p)
+        probe = np.linspace(-1.3, 0.7, out.data.size).reshape(out.shape)
+        backward(T.reduce_sum(T.mul(out, Tensor(probe))))
+        return out.data.tobytes(), [t.grad.tobytes() for t in leaves]
+
+    assert run(T.patch_embed) == run(chain_patch_embed)
+    with T.Tape() as tape:
+        T.patch_embed(x, w, b, p)
+    assert len(tape) == 1
+
+
+def test_patch_embed_rejects_bad_shapes():
+    x = Tensor(np.zeros((1, 3, 4, 4)))
+    w, b = Tensor(np.zeros((12, 2))), Tensor(np.zeros(2))
+    for args in ((x, w, b, 3), (Tensor(np.zeros((3, 4, 4))), w, b, 2),
+                 (x, Tensor(np.zeros((8, 2))), b, 2),
+                 (x, w, Tensor(np.zeros(3)), 2)):
+        with pytest.raises(ShapeError, match="patch_embed"):
+            T.patch_embed(*args)
+
+
 def test_layer_norm_overflowing_squares_raise():
     # the squared deviations overflow; the op must not quietly return beta
     x = Tensor(np.array([[1e200, -1e200, 0.0]]))

@@ -31,12 +31,23 @@ confusion counts; `trainer.generate_pseudo_labels`' ids, labels and
 confidences at the median top probability; and the no-graph logits of
 the model that `DCSWin.load` rebuilds from a `save_checkpoint` of its
 weights and SGD state. Once per tree, after the cases, it digests the
-worst and the per-tensor relative errors of `gradcheck.run_op_check` for
-every named op and of `gradcheck.run_model_check()`: finite differences
-read the loss at perturbed inputs, so these see any change to a value
-the cases miss. Each digest covers an array's dtype, shape and bytes, so
-two trees agree only if every value has the same bits, signs of zeros
-included.
+files of one `trainer.run_experiment` (two seeds of a semi-supervised run
+of the micro config on a small synthetic dataset, with pseudo-labels,
+the consistency loss, diffusion augmentation and a checkpoint every
+epoch): each seed's `epochs.jsonl` records without their `wall_ms`, its
+`metrics.json` and the bytes of its `state.dcsm`, and `report.json`.
+Last, it digests the worst and the per-tensor relative errors of
+`gradcheck.run_op_check` for every named op and of
+`gradcheck.run_model_check()`: finite differences read the loss at
+perturbed inputs, so these see any change to a value the cases miss.
+Each digest covers an array's dtype, shape and bytes (a file's bytes as
+an array of uint8), so two trees agree only if every value has the same
+bits, signs of zeros included.
+
+The matrix is this tool's, so both trees digest the same names, except
+for the gradient checks, which are the package's own: a check that only
+one tree names has nothing to be compared with, and is listed as new or
+gone instead.
 """
 from __future__ import annotations
 
@@ -200,6 +211,49 @@ def digests(cases=CASES) -> dict[str, str]:
     return result
 
 
+def experiment_digests() -> dict[str, str]:
+    """name -> digest of the files one small `run_experiment` writes."""
+    import json
+
+    from dcswin import trainer
+    from dcswin.data import ArrayDataset, stratified_split, synth_generate
+    from dcswin.model import ModelConfig
+
+    with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
+        root = Path(tmp)
+        manifest = synth_generate(root / "data", num_classes=2, per_class=8,
+                                  image_size=16, seed=0)
+        split = stratified_split(manifest, train_frac=0.75, labeled_frac=0.4,
+                                 seed=0)
+        cfg = trainer.TrainConfig(
+            epochs=3, initial_lr=3e-3, batch_size=4, warmup_epochs=1,
+            tau=0.3, pseudo_weight=0.8, consistency_weight=0.1, augment_t=5,
+            checkpoint_every=1, seed=0)
+        out = root / "out"
+        trainer.run_experiment(ArrayDataset.from_manifest(manifest), split,
+                               ModelConfig.micro(num_classes=2), cfg, out,
+                               seeds=[0, 1])
+
+        def file_digest(data: bytes) -> str:
+            return _digest(np.frombuffer(data, dtype=np.uint8))
+
+        result = {}
+        for seed_dir in sorted(out.glob("seed*")):
+            records = [json.loads(line) for line in
+                       (seed_dir / "epochs.jsonl").read_text().splitlines()]
+            for record in records:
+                record.pop("wall_ms")
+            files = {"epochs.jsonl": json.dumps(records).encode(),
+                     "metrics.json": (seed_dir / "metrics.json").read_bytes(),
+                     "state.dcsm": (seed_dir / "state.dcsm").read_bytes()}
+            for what, data in files.items():
+                result[f"experiment/{seed_dir.name}/{what}"] = \
+                    file_digest(data)
+        result["experiment/report.json"] = file_digest(
+            (out / "report.json").read_bytes())
+    return result
+
+
 def gradcheck_digests() -> dict[str, str]:
     """name -> digest of the worst and each tensor's relative error of
     every named op's elementwise check and of the model's directional
@@ -227,6 +281,39 @@ def _run_digest(src: Path) -> list[tuple[str, str]]:
     return [tuple(line.split()) for line in proc.stdout.splitlines()]
 
 
+def compare(theirs: list[tuple[str, str]], ours: list[tuple[str, str]],
+            rev: str) -> int:
+    """Print how this tree's digests compare with `rev`'s, and return the
+    exit status: 1 for a differing digest, an array digested in another
+    order, or a name outside the gradient checks that only one tree has."""
+    their_map, our_map = dict(theirs), dict(ours)
+    gone = [name for name, _ in theirs if name not in our_map]
+    new = [name for name, _ in ours if name not in their_map]
+    for name in gone + new:
+        if not name.startswith("gradcheck/"):
+            side = rev if name in their_map else "this tree"
+            print(f"differs: only {side} digests {name}")
+            return 1
+    shared = [name for name, _ in ours if name in their_map]
+    for a, b in zip([name for name, _ in theirs if name in our_map], shared):
+        if a != b:
+            print(f"differs: {rev} has {a} where this tree has {b}")
+            return 1
+    for name in shared:
+        if their_map[name] != our_map[name]:
+            print(f"differs: {name}")
+            return 1
+    print(f"equal: all {len(shared)} arrays of {len(CASES)} cases, the "
+          f"experiment files and the gradient checks have the same bits "
+          f"as at {rev}")
+    for label, names, side in (("new", new, "this tree"), ("gone", gone, rev)):
+        checks = sorted({name.split("/")[1] for name in names})
+        if checks:
+            print(f"{label}: {len(names)} arrays of the gradient checks "
+                  f"{', '.join(checks)}, which only {side} has")
+    return 0
+
+
 def against(rev: str) -> int:
     sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
                          cwd=ROOT, capture_output=True, text=True)
@@ -239,20 +326,7 @@ def against(rev: str) -> int:
                        check=True)
         theirs = _run_digest(Path(tmp) / "src")
     ours = _run_digest(ROOT / "src")
-    for (name_a, dig_a), (name_b, dig_b) in zip(theirs, ours):
-        if name_a != name_b:
-            print(f"differs: {rev} has {name_a} where this tree has {name_b}")
-            return 1
-        if dig_a != dig_b:
-            print(f"differs: {name_a}")
-            return 1
-    if len(theirs) != len(ours):
-        print(f"differs: {rev} has {len(theirs)} arrays, this tree "
-              f"{len(ours)}")
-        return 1
-    print(f"equal: all {len(ours)} arrays of {len(CASES)} cases and the "
-          f"gradient checks have the same bits as at {rev}")
-    return 0
+    return compare(theirs, ours, rev)
 
 
 def main() -> None:
@@ -268,7 +342,8 @@ def main() -> None:
     if args.against:
         raise SystemExit(against(args.against))
     sys.path.insert(0, str(Path(args.src).resolve()))
-    for name, dig in {**digests(), **gradcheck_digests()}.items():
+    for name, dig in {**digests(), **experiment_digests(),
+                      **gradcheck_digests()}.items():
         print(name, dig)
 
 

@@ -38,7 +38,11 @@ the rule's closure variable, counting each array that owns its memory
 once: what the tape keeps alive between forward and backward. Then the
 step's peak of bytes allocated since it began (`step_peak_mb`) and where
 it fell (`peak_rule`): `forward`, or the op of the backward rule and that
-rule's place in the sweep, counted from 1.
+rule's place in the sweep, counted from 1. Last, for the five rules with
+the highest peaks, the op, the place in the sweep, the bytes held as the
+rule starts (`held_mb`) and the rule's transient on top of them
+(`transient_mb`): a peak that the tape sets shows a large held figure, one
+that a rule's scratch sets a large transient.
 Otherwise prints the process's peak RSS (`ru_maxrss`) and, over the steps
 after the first two, the median minor page faults and wall time per step.
 BLAS runs on one thread, as in perfbench.
@@ -48,9 +52,12 @@ from __future__ import annotations
 import os
 import sys
 
-os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before NumPy loads
-os.environ["OMP_NUM_THREADS"] = "1"
-sys.path.insert(0, "src")
+if __name__ == "__main__":
+    # before NumPy loads; an importer keeps its own settings
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    os.environ["OMP_NUM_THREADS"] = "1"
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
 
 import argparse  # noqa: E402
 import collections  # noqa: E402
@@ -77,6 +84,7 @@ TRAIN_IMAGES = 320
 TRAIN_RUNS = 3
 LOAD_IMAGES = (160, 400)
 LOAD_CALLS = 25
+TOP_RULES = 5
 
 
 def step_inputs():
@@ -197,49 +205,70 @@ def load_main() -> None:
     print(f"peak_rss_mb {usage.ru_maxrss / 1024:.1f}")
 
 
-def traced_rule(bw, op: str, peaks: list):
-    """`bw`, which first closes the last `[peak, where]` of `peaks` with
-    the traced peak since it opened, then opens its own."""
+def traced_rule(bw, op: str, spans: list):
+    """`bw`, which first closes the last `[peak, held, where]` of `spans`
+    with the traced peak since it opened, then opens its own with the
+    bytes traced as it starts."""
     def rule(g):
-        peaks[-1][0] = tracemalloc.get_traced_memory()[1]
+        held, spans[-1][0] = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        peaks.append([0, f"{op} {len(peaks)}"])
+        spans.append([0, held, f"{op} {len(spans)}"])
         return bw(g)
     return rule
 
 
-def saved_main() -> None:
+def traced_step():
+    """One training step of `step_inputs()` under `tracemalloc`: the
+    forward's tape entries, the bytes its rules hold by (op, closure
+    variable), and per span, the forward's and then each rule's in sweep
+    order, `[peak, held, where]`: the traced peak of bytes allocated since
+    the step began, the bytes traced as the span began (0 for the
+    forward), and `forward` or the rule's op and place in the sweep,
+    counted from 1."""
     model, x, y = step_inputs()
     tracemalloc.start()
-    with T.Tape() as tape:
-        logits = model(x)
-        by_op, by_var = collections.Counter(), collections.Counter()
-        for op, var, arr in T._saved_arrays(tape):
-            by_op[op] += arr.nbytes
-            by_var[op, var] += arr.nbytes
-        entries = len(tape)
-        loss = T.cross_entropy(logits, y)
-    del logits
-    # a rule's span runs until the next rule starts, so it includes the
-    # sweep adding up the gradients the rule returned
-    peaks = [[0, "forward"]]
-    for entry in tape._entries:
-        entry.bw = traced_rule(entry.bw, entry.bw.__qualname__.split(".")[0],
-                               peaks)
-    tape.backward(loss)
-    peaks[-1][0] = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    step_peak, peak_rule = max(peaks, key=lambda p: p[0])
+    try:
+        with T.Tape() as tape:
+            logits = model(x)
+            saved = collections.Counter()
+            for op, var, arr in T._saved_arrays(tape):
+                saved[op, var] += arr.nbytes
+            entries = len(tape)
+            loss = T.cross_entropy(logits, y)
+        del logits
+        # a rule's span runs until the next rule starts, so it includes
+        # the sweep adding up the gradients the rule returned
+        spans = [[0, 0, "forward"]]
+        for entry in tape._entries:
+            entry.bw = traced_rule(
+                entry.bw, entry.bw.__qualname__.split(".")[0], spans)
+        tape.backward(loss)
+        spans[-1][0] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return entries, saved, spans
+
+
+def saved_main() -> None:
+    entries, saved, spans = traced_step()
+    by_op = collections.Counter()
+    for (op, _), nbytes in saved.items():
+        by_op[op] += nbytes
+    step_peak, _, peak_rule = max(spans, key=lambda s: s[0])
     mb = 1 << 20
     print(f"tape_entries {entries}")
     print(f"saved_mb {sum(by_op.values()) / mb:.2f}")
     for op, nbytes in by_op.most_common():
         print(f"{op} {nbytes / mb:.2f}")
-        for (vop, var), vbytes in by_var.most_common():
+        for (vop, var), vbytes in saved.most_common():
             if vop == op:
                 print(f"  {var} {vbytes / mb:.2f}")
     print(f"step_peak_mb {step_peak / mb:.2f}")
     print(f"peak_rule {peak_rule}")
+    print("top_rules op sweep_index held_mb transient_mb")
+    rules = sorted(spans[1:], key=lambda s: s[0], reverse=True)
+    for peak, held, where in rules[:TOP_RULES]:
+        print(f"  {where} {held / mb:.2f} {(peak - held) / mb:.2f}")
 
 
 def repeat(step):
