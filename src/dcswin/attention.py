@@ -293,6 +293,24 @@ def _cut(info: PartitionInfo,
         for m, bd in zip(map(project, range(len(biases))), biases)]
 
 
+def _kept(probs: np.ndarray, stats: tuple):
+    """What a rule keeps of attention weights: the weights, or only their
+    softmax rows' (max, sum) when they are larger than one chunk of the
+    attention rule (`T._GRAD_CHUNK_BYTES`)."""
+    return probs if probs.nbytes <= T._GRAD_CHUNK_BYTES else stats
+
+
+def _weights(kept, qd: Optional[np.ndarray], kd: Optional[np.ndarray],
+             heads: int, mask: Optional[np.ndarray]) -> tuple:
+    """The weights `_kept` kept, or rebuilt from their row statistics by
+    the forward's own calls, and the k^T of `T._attention_probs`, from the
+    rebuilt q and k (None without k)."""
+    if type(kept) is tuple:
+        return T._attention_probs(qd, kd, heads, mask, kept)[:2]
+    return kept, None if kd is None else \
+        T._contiguous(T._heads(kd, heads).transpose(0, 1, 3, 2))
+
+
 def _mix_weight_grad(gcols: Sequence[np.ndarray],
                      columns: Sequence[Sequence[int]], s: int) -> np.ndarray:
     """The [B, S] gradient of the mixture weights from each window's [B, 1]
@@ -335,20 +353,24 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
     tokens' rows of them by a cached index (a padding row gets the bias,
     which is what a zero row's product gives), and its output projection
     goes back to map order by one more gather. The rule keeps only `x`
-    and, per window, the attention weights. Before its sweep it projects
-    v again, and q and k too when a branch input needs a gradient, by the
-    forward's own products. Window by window in reverse, it rebuilds every
-    window-order copy by the same gathers, the context from the weights
-    and v, and, when the mixture needs a gradient, the map-order output
-    from the context, each with the forward's own calls just before its
-    first reader, and runs the rules the op chain would: the mixture's,
-    the output projection's, the attention's, then v's, k's and q's
-    projections. So values and gradients are the same bits as that
-    chain's, per window `window_partition`, three `linear`,
-    `multihead_attention`, `linear` and `window_reverse`, then the
-    mixture's slices, adds, broadcasts and products; each weight's
-    gradient is summed over windows in the sweep's order, and the
-    mixture's is assembled after the sweep in the chain's column order.
+    and, per window, the attention weights, or only their softmax rows'
+    max and sum when they are larger than one chunk of the attention
+    rule (`_kept`). Before its sweep it projects v again, and q and k too
+    when a branch input needs a gradient or some weights were not kept,
+    by the forward's own products. Window by window in reverse, it
+    rebuilds every window-order copy by the same gathers, weights it did
+    not keep from q, k^T and their row statistics (`_weights`), the
+    context from the weights and v, and, when the mixture needs a
+    gradient, the map-order output from the context, each with the
+    forward's own calls just before its first reader, and runs the rules
+    the op chain would: the mixture's, the output projection's, the
+    attention's, then v's, k's and q's projections. So values and
+    gradients are the same bits as that chain's, per window
+    `window_partition`, three `linear`, `multihead_attention`, `linear`
+    and `window_reverse`, then the mixture's slices, adds, broadcasts and
+    products; each weight's gradient is summed over windows in the
+    sweep's order, and the mixture's is assembled after the sweep in the
+    chain's column order.
 
     With `norm`, the norm is part of the op, as `mlp_branch`'s is: the
     rule keeps the norm's xn and denom instead of the map, rebuilds the
@@ -421,17 +443,18 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
             return T._affine(n2, weights[j], biases[j])
         return maps[j]
 
-    saved: list[tuple] = []
+    saved = []
     out = term = None
     for i, info in enumerate(infos):
         _, _, back, _, (qd, kd, vd) = _cut(info, project, biases)
-        probs, _ = T._attention_probs(qd, kd, heads, attention_mask(info))
+        probs, _, stats = T._attention_probs(qd, kd, heads,
+                                             attention_mask(info))
         ctx = T._attention_context(probs, vd, heads).reshape(-1, c)
         del qd, kd, vd
         o = _gather(T._affine(ctx, wo, bo).reshape(b, -1, c),
                     back).reshape(xshape)
         if keep:
-            saved.append(probs)
+            saved.append(_kept(probs, stats))
         if mixture is None:
             out = o
         elif out is None:
@@ -440,11 +463,13 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
             term = T._empty(xshape) if term is None else term
             out += np.multiply(o, cols[i], out=term)
         # the next window's arrays may reuse these buffers
-        del probs, ctx, o
+        del probs, stats, ctx, o
     del maps, n2
     # the gradient of the attention's input: the map, or the norm output
     need_x = any(t.requires_grad for t in (x, *(norm or ())))
     need_branch = need_x or any(p.requires_grad for p in plist)
+    # q and k serve the branch's gradients and any weights not kept
+    need_qk = need_branch or any(type(k) is tuple for k in saved)
 
     def bw(g):
         dx = None
@@ -452,13 +477,15 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
         gcols = [None] * len(infos)
         n2 = x2 if norm is None else T._norm_out(xn, gd, nbd).reshape(-1, c)
         # the forward's projections: v for every context, q and k only
-        # for the branch's gradients
-        maps = [T._affine(n2, wd, bd) if need_branch or j == 2 else None
+        # where they are read
+        maps = [T._affine(n2, wd, bd) if need_qk or j == 2 else None
                 for j, (wd, bd) in enumerate(zip(weights, biases))]
         for i in reversed(range(len(infos))):
-            probs = saved[i]
             rows, pad, back, shape, (qd, kd, vd) = _cut(
                 infos[i], maps.__getitem__, biases)
+            probs, kt = _weights(saved[i], qd, kd, heads,
+                                 attention_mask(infos[i]))
+            del kd
             ctx = T._attention_context(probs, vd, heads).reshape(-1, c)
             if need_mix:
                 o = _gather(T._affine(ctx, wo, bo).reshape(b, -1, c),
@@ -472,12 +499,10 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
                 _gather(gi.reshape(b, -1, c), rows, pad).reshape(-1, c), ctx,
                 wo, True, True)
             del gi, ctx
-            kt = T._contiguous(T._heads(kd, heads).transpose(0, 1, 3, 2))
-            del kd
             dq, dk, dv = T._attention_grads(dctx.reshape(shape), probs, qd,
                                             kt, vd, heads,
                                             infos[i].num_windows)
-            del dctx, qd, kt, vd
+            del dctx, probs, qd, kt, vd
             tok = _gather(n2.reshape(b, -1, c), rows, pad).reshape(-1, c)
             dxv, dwv, dbv = T._affine_grads(dv.reshape(-1, c), tok, wv, need_x,
                                             True)
@@ -547,11 +572,13 @@ def cross_attention(current: Tensor, prev: Tensor, params: AttentionParams,
     reshaped to tokens, `mhsa`'s projections and `multihead_attention`
     from the first into the second, the output projection reshaped back,
     and an `add` onto `current`. The rule keeps `current`, `prev` and the
-    attention weights. It projects q, k and v again and rebuilds k^T and
-    the context with the forward's own calls, then runs the chain's rules
-    in its order: the output projection's, the attention's, then v's, k's
-    and q's projections. So `prev` gets v's gradient plus k's, `current`
-    the add's plus q's, and every value is the same bits as the chain's.
+    attention weights, or their row statistics if they are larger than a
+    chunk (`_kept`). It projects q, k and v again and rebuilds k^T, the
+    weights it did not keep and the context with the forward's own calls,
+    then runs the chain's rules in its order: the output projection's, the
+    attention's, then v's, k's and q's projections. So `prev` gets v's
+    gradient plus k's, `current` the add's plus q's, and every value is
+    the same bits as the chain's.
     """
     for name, t in (("current", current), ("prev", prev)):
         if t.data.ndim != 4:
@@ -583,7 +610,7 @@ def cross_attention(current: Tensor, prev: Tensor, params: AttentionParams,
 
     qd, kd, vd = (project(cur2, wq, bq), project(prev2, wk, bk),
                   project(prev2, wv, bv))
-    probs, _ = T._attention_probs(qd, kd, heads, None)
+    probs, _, stats = T._attention_probs(qd, kd, heads, None)
     del qd, kd
     ctx = T._attention_context(probs, vd, heads).reshape(-1, c)
     del vd
@@ -591,12 +618,14 @@ def cross_attention(current: Tensor, prev: Tensor, params: AttentionParams,
     del ctx
     out = np.add(current.data, att, out=T._empty(cshape))
     del att
+    kept = _kept(probs, stats)
+    del probs, stats
     need_cur, need_prev = current.requires_grad, prev.requires_grad
 
     def bw(g):
         qd = project(cur2, wq, bq)
         kd = project(prev2, wk, bk)
-        kt = T._contiguous(T._heads(kd, heads).transpose(0, 1, 3, 2))
+        probs, kt = _weights(kept, qd, kd, heads, None)
         del kd
         vd = project(prev2, wv, bv)
         ctx = T._attention_context(probs, vd, heads).reshape(-1, c)
@@ -605,7 +634,7 @@ def cross_attention(current: Tensor, prev: Tensor, params: AttentionParams,
         del ctx
         dq, dk, dv = T._attention_grads(dctx.reshape(b, -1, c), probs, qd,
                                         kt, vd, heads)
-        del dctx, qd, kt, vd
+        del dctx, probs, qd, kt, vd
         dpv, dwv, dbv = T._affine_grads(dv.reshape(-1, c), prev2, wv,
                                         need_prev, True)
         dpk, dwk, dbk = T._affine_grads(dk.reshape(-1, c), prev2, wk,

@@ -21,16 +21,19 @@ calls:
     product), gelu's tanh and the activation;
   * `attention.window_attention`, a block's ln1 and window attention at
     one window or mixed over several, keeps the norm's xn and denom and,
-    per window, the attention weights, and rebuilds the norm output, the
-    projections, the context and the output (without a folded norm it
-    keeps its input map instead of xn and denom);
+    per window, the attention weights or their row statistics (below),
+    and rebuilds the norm output, the projections, the context and the
+    output (without a folded norm it keeps its input map instead of xn
+    and denom);
   * `attention.cross_attention`, the cross-scale fusion's attention and
-    residual add, keeps both maps and the attention weights, and
-    rebuilds q, k^T, v and the context;
+    residual add, keeps both maps and the attention weights or their row
+    statistics, and rebuilds q, k^T, v and the context;
   * `patch_embed` keeps the image, not the patch copy its product reads.
 The attention rules work over chunks of whole images' windows of about
 256 KB of weights each (`_attention_grads`), so their scratch stays
-small; their values are the unchunked ones.
+small; their values are the unchunked ones. Weights larger than one
+chunk are not kept: only their softmax rows' max and sum are, and the
+rule rebuilds the weights from those and the q and k^T it rebuilds.
 
 Conventions:
   * ops are the module functions below and take `Tensor`s, never raw
@@ -761,9 +764,16 @@ def _heads(a: np.ndarray, num_heads: int) -> np.ndarray:
 
 
 def _attention_probs(qd: np.ndarray, kd: np.ndarray, num_heads: int,
-                     mask: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-head softmax(q k^T / sqrt(d) + mask) as [N, heads, Lq, Lk], and
-    the contiguous k^T [N, heads, d, Lk] it was computed with."""
+                     mask: Optional[np.ndarray], stats: Optional[tuple] = None
+                     ) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Per-head softmax(q k^T / sqrt(d) + mask) as [N, heads, Lq, Lk], the
+    contiguous k^T [N, heads, d, Lk] it was computed with, and the softmax
+    rows' (max, sum), [N, heads, Lq, 1] each.
+
+    Given the `stats` of an earlier call on the same q, k and mask, it
+    rebuilds those weights in place of reducing their rows: the same
+    calls on the same operands give the same bits, and the logits, which
+    that call screened, are not screened again."""
     if qd.ndim != 3 or kd.ndim != 3 or qd.shape[0] != kd.shape[0] \
             or qd.shape[2] != kd.shape[2]:
         raise ShapeError(f"multihead_attention expects [N, Lq, C] queries and "
@@ -788,16 +798,20 @@ def _attention_probs(qd: np.ndarray, kd: np.ndarray, num_heads: int,
     probs = np.matmul(_heads(qd, num_heads), kt,
                       out=_empty((n, num_heads, lq, lk)))
     probs *= 1.0 / math.sqrt(c // num_heads)
-    _screen(probs, "attention logits")
+    if stats is None:
+        _screen(probs, "attention logits")
     if mask is not None:
         # windows are batch-major, so the nW window masks repeat per image
         per_image = probs.reshape((n // m.shape[0], m.shape[0], num_heads,
                                    lq, lk))
         per_image += m[:, None]
-    probs -= probs.max(axis=-1, keepdims=True)
+    row_max, row_sum = stats or (probs.max(axis=-1, keepdims=True), None)
+    probs -= row_max
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return probs, kt
+    if row_sum is None:
+        row_sum = probs.sum(axis=-1, keepdims=True)
+    probs /= row_sum
+    return probs, kt, (row_max, row_sum)
 
 
 def multihead_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
@@ -820,7 +834,7 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
         raise ShapeError(f"multihead_attention: values {vd.shape} and keys "
                          f"{kd.shape} differ")
     # the rule reads k only through kt
-    probs, kt = _attention_probs(qd, kd, num_heads, mask)
+    probs, kt, _ = _attention_probs(qd, kd, num_heads, mask)
     out = _attention_context(probs, vd, num_heads)
     return _finish(out, (q, k, v),
                    lambda g: _attention_grads(g, probs, qd, kt, vd, num_heads),
@@ -837,7 +851,10 @@ def _attention_context(probs: np.ndarray, vd: np.ndarray,
 
 
 # the attention weights one chunk of `_attention_grads` reads, in bytes:
-# small enough that the chunk's scratch arrays stay in cache
+# small enough that the chunk's scratch arrays stay in cache. It is also
+# the most a rule keeps of one window's weights: rebuilding larger ones
+# saves their memory, and rebuilding smaller ones would cost time at desk
+# scale for little memory
 _GRAD_CHUNK_BYTES = 1 << 18
 
 
@@ -845,7 +862,8 @@ def _attention_grads(g: np.ndarray, probs: np.ndarray, qd: np.ndarray,
                      kt: np.ndarray, vd: np.ndarray, num_heads: int,
                      per_image: int = 1) -> tuple:
     """The q, k and v gradients of `multihead_attention` for the output
-    gradient `g`, from its weights, q, the k^T of `_attention_probs` and v.
+    gradient `g`, from its weights (kept, or rebuilt by `_attention_probs`
+    from their row statistics), q, the k^T of `_attention_probs` and v.
 
     It runs over chunks of whole images' windows, `per_image` windows an
     image, with about `_GRAD_CHUNK_BYTES` of weights each, so the weights'

@@ -399,9 +399,10 @@ GEOMETRIES = [(8, 4, 0), (8, 4, 2), (4, 4, 0), (5, 2, 1), (5, 4, 0), (4, 3, 1)]
 @pytest.mark.parametrize("side,window,shift", GEOMETRIES)
 @pytest.mark.parametrize("x_grad", [True, False])
 def test_windowed_mhsa_is_the_op_chain_bit_for_bit(side, window, shift,
-                                                   x_grad):
+                                                   x_grad, attention_weights):
     """Output and every gradient are the same bytes, signs of zeros
-    included, and the op is one tape entry."""
+    included, whether the rule keeps the weights or rebuilds them, and
+    the op is one tape entry."""
     rng = stream(13, "t-attn")
     cfg = AttentionConfig(4, 2)
     p = live_params(cfg, rng)
@@ -455,10 +456,11 @@ CROSS_SIDES = [(4, 4), (2, 3), (3, 1)]
 
 @pytest.mark.parametrize("side,prev_side", CROSS_SIDES)
 @pytest.mark.parametrize("needs", ["both", "current", "prev", "neither"])
-def test_cross_attention_is_the_op_chain_bit_for_bit(side, prev_side, needs):
+def test_cross_attention_is_the_op_chain_bit_for_bit(side, prev_side, needs,
+                                                     attention_weights):
     """Output and every gradient are the same bytes, signs of zeros
-    included, whichever map needs a gradient, and the op is one tape
-    entry."""
+    included, whichever map needs a gradient and whether the rule keeps
+    the weights or rebuilds them, and the op is one tape entry."""
     rng = stream(15, "t-attn")
     cfg = AttentionConfig(4, 2)
     p = live_params(cfg, rng)

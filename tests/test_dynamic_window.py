@@ -266,7 +266,8 @@ def assert_op_is_the_chain(side, candidates, shift, hard, kind):
         assert got == want
     if not hard:
         # only the mixture needs a gradient: the rule rebuilds the windows'
-        # map-order outputs and nothing else
+        # map-order outputs, and q, k and the weights of a window whose
+        # weights it did not keep
         frozen = AttentionParams(**{k: Tensor(getattr(params, k).data)
                                     for k in params.__dataclass_fields__})
         fixed = Tensor(x.data)
@@ -288,8 +289,9 @@ def assert_op_is_the_chain(side, candidates, shift, hard, kind):
 @pytest.mark.parametrize("hard", [False, True])
 @pytest.mark.parametrize("kind", ["softmax", "zero-column"])
 def test_mixture_op_matches_the_op_chain_bit_for_bit(candidates, shift, hard,
-                                                     kind):
-    """Duplicates, a candidate listed twice and two duplicated pairs."""
+                                                     kind, attention_weights):
+    """Duplicates, a candidate listed twice and two duplicated pairs, with
+    the weights kept or rebuilt."""
     assert_op_is_the_chain(4, candidates, shift, hard, kind)
 
 
@@ -302,7 +304,8 @@ PADDED = [(5, (2, 4), True), (5, (4, 2, 4), False), (4, (3, 2), True)]
 @pytest.mark.parametrize("hard", [False, True])
 @pytest.mark.parametrize("kind", ["softmax", "zero-column"])
 def test_mixture_op_matches_the_op_chain_on_padded_maps(side, candidates,
-                                                        shift, hard, kind):
+                                                        shift, hard, kind,
+                                                        attention_weights):
     assert_op_is_the_chain(side, candidates, shift, hard, kind)
 
 
@@ -358,7 +361,8 @@ def norm_leaves(rng, c=4):
 @pytest.mark.parametrize("x_grad", [True, False])
 def test_folded_norm_is_layer_norm_then_the_op_bit_for_bit(side, candidates,
                                                            shift, hard,
-                                                           x_grad):
+                                                           x_grad,
+                                                           attention_weights):
     """Output and every gradient, the norm's gamma and beta included, are
     the bytes of `layer_norm` followed by the unfolded op, and the whole
     is one tape entry; also when only the norm's parameters, not the map,

@@ -1,6 +1,8 @@
 """The tape's memory contract: an entry keeps only what its backward rule
 reads, and the sweep frees each entry's saved arrays as it passes it."""
 import importlib
+import itertools
+import re
 import weakref
 from pathlib import Path
 
@@ -17,7 +19,8 @@ from dcswin.model import DCSWin, ModelConfig
 from dcswin.tensor import Tensor, backward
 from test_attention import live_params
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
 
 
 def leaf(data):
@@ -148,13 +151,28 @@ def test_mlp_branch_keeps_neither_its_norm_output_nor_its_activation():
     assert sum(arr.nbytes for _, arr in saved) == 8 * (rows * c + rows)
 
 
+# (windows per image, tokens per window) of the two windows below: 5x5
+# pads to 6x6 (9 windows of 4) under 2, and to 8x8 (4 windows of 16) under
+# 4; their [B*nW, heads, L, L] weights at two images and two heads
+WINDOWS = [(9, 4), (4, 16)]
+WINDOW_WEIGHT_BYTES = [8 * 2 * nw * 2 * length * length
+                       for nw, length in WINDOWS]
+# the rule's chunk sizes at which it keeps both windows' weights, only the
+# smaller window's, and neither
+CHUNKS = pytest.mark.parametrize(
+    "chunk", [T._GRAD_CHUNK_BYTES, WINDOW_WEIGHT_BYTES[0], 0],
+    ids=["keep", "mixed", "rebuild"])
+
+
 def assert_window_op_keeps_only_the_weights(selection, folded):
     """The rule of a two-window `window_attention` over a padded 5x5 map
     holds only the input map, or with a folded norm the norm's xn and
-    denom, and, per window, the attention weights; no array it holds
-    equals the norm output, one of the three projected maps or a
-    per-window array of the `window_partition` reference chain (the
-    tokens, q, k^T, v, the context or the map-order output)."""
+    denom, and, per window, the attention weights if they fit in one
+    chunk of the attention rule, else exactly their softmax rows' max and
+    sum; no array it holds equals the norm output, one of the three
+    projected maps or a per-window array of the `window_partition`
+    reference chain (the tokens, q, k^T, v, the weights it does not keep,
+    the context or the map-order output)."""
     rng = np.random.default_rng(6)
     cfg = AttentionConfig(4, 2)
     params = live_params(cfg, rng)
@@ -164,6 +182,7 @@ def assert_window_op_keeps_only_the_weights(selection, folded):
     soft = leaf([[0.7, 0.3], [0.2, 0.8]])
     mix = hard_selection(soft) if selection == "hard" else soft
     specs = (WindowSpec(2, 1), WindowSpec(4))
+    kept = [n <= T._GRAD_CHUNK_BYTES for n in WINDOW_WEIGHT_BYTES]
     with T.Tape() as tape:
         window_attention(x, params, cfg, specs, mix,
                          norm if folded else None)
@@ -171,65 +190,86 @@ def assert_window_op_keeps_only_the_weights(selection, folded):
     saved = [(op, var, arr) for op, var, arr in T._saved_arrays(tape)
              if id(arr) not in held]
     assert {op for op, _, _ in saved} == {"window_attention"}
+    per_window = ["saved"] * sum(1 if k else 2 for k in kept)
     assert sorted(var for _, var, _ in saved) == (
-        ["denom", "saved", "saved", "xn"] if folded else ["saved"] * 2 + ["x2"])
+        ["denom", *per_window, "xn"] if folded else [*per_window, "x2"])
     assert any(arr is x.data for _, _, arr in saved) != folded
-    copies = []
+    copies, stats = [], []
     with T.no_grad():
         src = T.layer_norm(x, *norm) if folded else x
         copies.append(src.data)
         for w, b in ((params.wq, params.bq), (params.wk, params.bk),
                      (params.wv, params.bv)):
             copies.append(T.linear(src, w, b).data)
-        for spec in specs:
+        for spec, keeps in zip(specs, kept):
             tokens, info = window_partition(src, spec)
             q, k, v = (T.linear(tokens, w, b) for w, b in (
                 (params.wq, params.bq), (params.wk, params.bk),
                 (params.wv, params.bv)))
-            kt = np.ascontiguousarray(
-                k.data.reshape(k.shape[:2] + (2, 2)).transpose(0, 2, 3, 1))
+            probs, kt, row_stats = T._attention_probs(
+                q.data, k.data, cfg.num_heads, attention_mask(info))
             ctx = T.multihead_attention(q, k, v, cfg.num_heads,
                                         attention_mask(info))
             o = window_reverse(T.linear(ctx, params.wo, params.bo), info)
             copies += [tokens.data, q.data, kt, v.data, ctx.data, o.data]
+            if not keeps:
+                copies.append(probs)
+                stats += row_stats
     if not folded:
         copies.pop(0)  # the map itself is what the rule keeps
     for _, _, arr in saved:
         for copy in copies:
             assert not (arr.size == copy.size
                         and np.array_equal(arr.reshape(copy.shape), copy))
-    # per window [B*nW, heads, L, L] weights: 5x5 pads to 6x6 (9 windows
-    # of 4) under 2, and to 8x8 (4 windows of 16) under 4
-    weights = sum(8 * 2 * nw * 2 * length * length
-                  for nw, length in [(9, 4), (4, 16)])
+    # a rebuilt window's row max and row sum, [B*nW, heads, L, 1] each
+    small = [arr for _, var, arr in saved if var == "saved"
+             and arr.shape[-1] == 1]
+    assert sorted(a.tobytes() for a in small) == \
+        sorted(a.tobytes() for a in stats)
+    # per window its weights, or two [B*nW, heads, L, 1] statistics
+    weights = sum(8 * 2 * nw * 2 * length * (length if keeps else 2)
+                  for (nw, length), keeps in zip(WINDOWS, kept))
     # xn is the map's size, denom one value per row
-    kept = x.data.nbytes + (8 * 2 * 5 * 5 if folded else 0)
-    assert sum(arr.nbytes for _, _, arr in saved) == kept + weights
+    kept_bytes = x.data.nbytes + (8 * 2 * 5 * 5 if folded else 0)
+    assert sum(arr.nbytes for _, _, arr in saved) == kept_bytes + weights
 
 
-def test_window_attention_keeps_no_partitioned_copy():
+@CHUNKS
+def test_window_attention_keeps_no_partitioned_copy(chunk, monkeypatch):
     """Soft selection: the projected maps, the window-order tokens, q, k^T
     and v, the context and the map-order output that the mixture's
-    gradient reads are all rebuilt in backward."""
+    gradient reads are all rebuilt in backward, and so are the weights
+    larger than a chunk."""
+    monkeypatch.setattr(T, "_GRAD_CHUNK_BYTES", chunk)
     assert_window_op_keeps_only_the_weights("soft", folded=False)
 
 
-def test_window_attention_keeps_no_output_for_hard_selection():
+@CHUNKS
+def test_window_attention_keeps_no_output_for_hard_selection(chunk,
+                                                             monkeypatch):
     """Hard selection's one-hot mixture is a constant, and the op keeps
     the same arrays as for soft selection."""
+    monkeypatch.setattr(T, "_GRAD_CHUNK_BYTES", chunk)
     assert_window_op_keeps_only_the_weights("hard", folded=False)
 
 
+@CHUNKS
 @pytest.mark.parametrize("selection", ["soft", "hard"])
-def test_window_attention_keeps_a_folded_norm_as_xn_and_denom(selection):
+def test_window_attention_keeps_a_folded_norm_as_xn_and_denom(selection,
+                                                              chunk,
+                                                              monkeypatch):
     """With ln1 folded in, the rule keeps the norm's xn and denom in
     place of the map, and rebuilds the norm output as well."""
+    monkeypatch.setattr(T, "_GRAD_CHUNK_BYTES", chunk)
     assert_window_op_keeps_only_the_weights(selection, folded=True)
 
 
-def test_cross_attention_keeps_its_inputs_and_the_weights():
+def test_cross_attention_keeps_its_inputs_and_the_weights_or_their_row_stats(
+        attention_weights):
     """The rule holds `current`, `prev` and the [B, heads, Lq, Lk]
-    attention weights; q, k^T, v and the context are rebuilt."""
+    attention weights, or, when those are larger than a chunk, exactly
+    their softmax rows' max and sum, [B, heads, Lq, 1] each, and not the
+    weights; q, k^T, v and the context are rebuilt."""
     rng = np.random.default_rng(7)
     cfg = AttentionConfig(4, 2)
     params = live_params(cfg, rng)
@@ -238,11 +278,22 @@ def test_cross_attention_keeps_its_inputs_and_the_weights():
     with T.Tape() as tape:
         cross_attention(cur, prev, params, cfg)
     held = {id(t.data) for t in params.named("p").values()}
-    saved = {var: arr for op, var, arr in T._saved_arrays(tape)
-             if id(arr) not in held}
-    assert sorted(saved) == ["cur2", "prev2", "probs"]
-    assert saved["cur2"] is cur.data and saved["prev2"] is prev.data
-    assert saved["probs"].shape == (2, 2, 9, 4)
+    saved = [(var, arr) for op, var, arr in T._saved_arrays(tape)
+             if id(arr) not in held]
+    probs, _, stats = T._attention_probs(
+        *(T.linear(T.reshape(t, (2, -1, 4)), w, b).data for t, w, b in (
+            (cur, params.wq, params.bq), (prev, params.wk, params.bk))),
+        cfg.num_heads, None)
+    assert probs.shape == (2, 2, 9, 4)
+    want = [probs] if probs.nbytes <= attention_weights else list(stats)
+    assert sorted(var for var, _ in saved) == \
+        ["cur2"] + ["kept"] * len(want) + ["prev2"]
+    assert dict(saved)["cur2"] is cur.data
+    assert dict(saved)["prev2"] is prev.data
+    assert sorted(arr.tobytes() for var, arr in saved if var == "kept") == \
+        sorted(a.tobytes() for a in want)
+    assert all(arr.shape in ((2, 2, 9, 4), (2, 2, 9, 1))
+               for var, arr in saved if var == "kept")
 
 
 def test_patch_embed_keeps_the_image_not_its_patches():
@@ -256,25 +307,56 @@ def test_patch_embed_keeps_the_image_not_its_patches():
     assert [var for var, _ in saved] == ["xd"] and saved[0][1] is x.data
 
 
-# measured with `tools/step_memory.py --saved`: 35.88 MB; the sizes follow
+# measured with `tools/step_memory.py --saved`: 19.69 MB; the sizes follow
 # from the shapes alone, so the figure is the same on any host
-FULL_ARM_SAVED_BYTES = 37_618_472
-# that tool's `step_peak_mb` for the same step, 35.89 MB, rounded up; the
+FULL_ARM_SAVED_BYTES = 20_644_648
+# that tool's `step_peak_mb` for the same step, 26.00 MB, rounded up; the
 # traced bytes are NumPy's arrays and Python's objects, so the figure
 # varies by a few KB at most between processes
-FULL_ARM_STEP_PEAK_MB = 35.9
+FULL_ARM_STEP_PEAK_MB = 26.01
+
+
+def full_arm_forward():
+    """The default full-arm model and the tape of its batch-16 forward."""
+    model = DCSWin(ModelConfig(), seed=0)
+    x = Tensor(np.random.default_rng(0).standard_normal((16, 3, 64, 64)))
+    with T.Tape() as tape:
+        model(x)
+    return model, tape
 
 
 def test_full_arm_forward_saves_no_more_than_measured():
     """What a default full-arm batch-16 forward leaves on the tape for
     backward, each array that owns memory counted once: a change that
     saves more fails here before it shows in peak RSS."""
-    model = DCSWin(ModelConfig(), seed=0)
-    x = Tensor(np.random.default_rng(0).standard_normal((16, 3, 64, 64)))
-    with T.Tape() as tape:
-        model(x)
+    _, tape = full_arm_forward()
     saved = sum(arr.nbytes for _, _, arr in T._saved_arrays(tape))
     assert saved <= FULL_ARM_SAVED_BYTES, saved
+
+
+def readme_keeps() -> dict[str, set[str]]:
+    """README's table of what each rule keeps: op -> closure variables."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| op | keeps | rebuilds in backward |") + 2
+    keeps = {}
+    for line in itertools.takewhile(lambda row: row.startswith("|"),
+                                    lines[start:]):
+        op, kept = line.split("|")[1:3]
+        keeps[op.strip(" `")] = set(re.findall(r"`(\w+)`", kept))
+    return keeps
+
+
+def test_readme_lists_what_each_rule_keeps():
+    """README's table names, per op, exactly the closure variables through
+    which the rules of a default full-arm batch-16 forward keep arrays
+    other than parameters, as `T._saved_arrays` finds them."""
+    model, tape = full_arm_forward()
+    params = {id(p.data) for p in model.named_params().values()}
+    keeps = {}
+    for op, var, arr in T._saved_arrays(tape):
+        if id(arr) not in params:
+            keeps.setdefault(op, set()).add(var)
+    assert readme_keeps() == keeps
 
 
 def test_full_arm_step_peak_stays_at_most_measured(monkeypatch):
