@@ -277,18 +277,16 @@ def _gather(src: np.ndarray, rows: np.ndarray,
     return out
 
 
-def _cut(info: PartitionInfo,
-         project: Callable[[int], Optional[np.ndarray]],
+def _cut(info: PartitionInfo, project: Callable[[int], np.ndarray],
          biases: Sequence[np.ndarray]) -> tuple:
     """The row indices of `info`'s windows (`_window_rows`), their token
     shape [B*nW, L, C], and their rows of the [B*H*W, C] maps
     `project(0)`, `project(1)` and `project(2)`, with each map's bias for
-    padding; None for a map that `project` gives as None."""
+    padding."""
     rows, pad, back, _ = _window_rows(info.height, info.width, info.spec)
     b, c = info.batch, info.channels
     shape = (b * info.num_windows, info.spec.window ** 2, c)
     return rows, pad, back, shape, [
-        None if m is None else
         _gather(m.reshape(b, -1, c), rows, pad, bd).reshape(shape)
         for m, bd in zip(map(project, range(len(biases))), biases)]
 
@@ -300,34 +298,30 @@ def _kept(probs: np.ndarray, stats: tuple):
     return probs if probs.nbytes <= T._GRAD_CHUNK_BYTES else stats
 
 
-def _weights(kept, qd: Optional[np.ndarray], kd: Optional[np.ndarray],
-             heads: int, mask: Optional[np.ndarray]) -> tuple:
+def _weights(kept, qd: np.ndarray, kd: np.ndarray, heads: int,
+             mask: Optional[np.ndarray]) -> tuple:
     """The weights `_kept` kept, or rebuilt from their row statistics by
     the forward's own calls, and the k^T of `T._attention_probs`, from the
-    rebuilt q and k (None without k)."""
+    rebuilt q and k."""
     if type(kept) is tuple:
         return T._attention_probs(qd, kd, heads, mask, kept)[:2]
-    return kept, None if kd is None else \
-        T._contiguous(T._heads(kd, heads).transpose(0, 1, 3, 2))
+    return kept, T._contiguous(T._heads(kd, heads).transpose(0, 1, 3, 2))
 
 
 def _mix_weight_grad(gcols: Sequence[np.ndarray],
                      columns: Sequence[Sequence[int]], s: int) -> np.ndarray:
-    """The [B, S] gradient of the mixture weights from each window's [B, 1]
-    gradient `_unbroadcast(g * o)` of its map-order output `o`, built as
-    slicing, summing, broadcasting and multiplying columns would pass it
-    back: one zero-padded [B, S] array per column, added in descending
-    column order, so it has their bits down to the sign of a zero."""
-    b = gcols[0].shape[0]
-    per_column = {}
+    """The [B, S] gradient of the mixture weights: each window's [B, 1]
+    gradient `_unbroadcast(g * o)` of its map-order output `o` in each of
+    its columns, and 0 in the columns of dead windows. Slicing, summing,
+    broadcasting and multiplying columns would pass it back as one
+    zero-padded [B, S] array per column, summed; adding 0.0 once when
+    there are two or more gives that sum's bits, signs of zeros included
+    (a -0.0 becomes +0.0)."""
+    dw = np.zeros((gcols[0].shape[0], s))
     for gcol, idx in zip(gcols, columns):
-        for i in idx:
-            per_column[i] = gcol
-    dw = None
-    for i in sorted(per_column, reverse=True):
-        z = np.zeros((b, s))
-        z[:, i:i + 1] = per_column[i]
-        dw = z if dw is None else dw + z
+        dw[:, idx] = gcol
+    if sum(map(len, columns)) > 1:
+        dw += 0.0
     return dw
 
 
@@ -355,9 +349,8 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
     goes back to map order by one more gather. The rule keeps only `x`
     and, per window, the attention weights, or only their softmax rows'
     max and sum when they are larger than one chunk of the attention
-    rule (`_kept`). Before its sweep it projects v again, and q and k too
-    when a branch input needs a gradient or some weights were not kept,
-    by the forward's own products. Window by window in reverse, it
+    rule (`_kept`). Before its sweep it projects q, k and v again by the
+    forward's own products. Window by window in reverse, it
     rebuilds every window-order copy by the same gathers, weights it did
     not keep from q, k^T and their row statistics (`_weights`), the
     context from the weights and v, and, when the mixture needs a
@@ -369,8 +362,11 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
     `window_partition`, three `linear`, `multihead_attention`, `linear`
     and `window_reverse`, then the mixture's slices, adds, broadcasts and
     products; each weight's gradient is summed over windows in the
-    sweep's order, and the mixture's is assembled after the sweep in the
-    chain's column order.
+    sweep's order, and the mixture's is written into its columns after
+    the sweep (`_mix_weight_grad`). The rule computes the gradient of
+    every input, and the tape drops those that nobody needs; only the
+    mixture's is skipped when the mixture needs none, as under hard
+    selection.
 
     With `norm`, the norm is part of the op, as `mlp_branch`'s is: the
     rule keeps the norm's xn and denom instead of the map, rebuilds the
@@ -465,21 +461,13 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
         # the next window's arrays may reuse these buffers
         del probs, stats, ctx, o
     del maps, n2
-    # the gradient of the attention's input: the map, or the norm output
-    need_x = any(t.requires_grad for t in (x, *(norm or ())))
-    need_branch = need_x or any(p.requires_grad for p in plist)
-    # q and k serve the branch's gradients and any weights not kept
-    need_qk = need_branch or any(type(k) is tuple for k in saved)
 
     def bw(g):
         dx = None
         dparams = [None] * 8
         gcols = [None] * len(infos)
         n2 = x2 if norm is None else T._norm_out(xn, gd, nbd).reshape(-1, c)
-        # the forward's projections: v for every context, q and k only
-        # where they are read
-        maps = [T._affine(n2, wd, bd) if need_qk or j == 2 else None
-                for j, (wd, bd) in enumerate(zip(weights, biases))]
+        maps = [T._affine(n2, wd, bd) for wd, bd in zip(weights, biases)]
         for i in reversed(range(len(infos))):
             rows, pad, back, shape, (qd, kd, vd) = _cut(
                 infos[i], maps.__getitem__, biases)
@@ -492,48 +480,41 @@ def window_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig,
                             back).reshape(xshape)
                 gcols[i] = T._unbroadcast(g * o, (b, 1, 1, 1)).reshape(b, 1)
                 del o
-            if not need_branch:
-                continue
             gi = g if mixture is None else g * cols[i]
             dctx, dwo, dbo = T._affine_grads(
                 _gather(gi.reshape(b, -1, c), rows, pad).reshape(-1, c), ctx,
-                wo, True, True)
+                wo)
             del gi, ctx
             dq, dk, dv = T._attention_grads(dctx.reshape(shape), probs, qd,
                                             kt, vd, heads,
                                             infos[i].num_windows)
             del dctx, probs, qd, kt, vd
             tok = _gather(n2.reshape(b, -1, c), rows, pad).reshape(-1, c)
-            dxv, dwv, dbv = T._affine_grads(dv.reshape(-1, c), tok, wv, need_x,
-                                            True)
-            dxk, dwk, dbk = T._affine_grads(dk.reshape(-1, c), tok, wk, need_x,
-                                            True)
-            dxq, dwq, dbq = T._affine_grads(dq.reshape(-1, c), tok, wq, need_x,
-                                            True)
+            dxv, dwv, dbv = T._affine_grads(dv.reshape(-1, c), tok, wv)
+            dxk, dwk, dbk = T._affine_grads(dk.reshape(-1, c), tok, wk)
+            dxq, dwq, dbq = T._affine_grads(dq.reshape(-1, c), tok, wq)
             del tok, dq, dk, dv
             for j, d in enumerate((dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo)):
                 if dparams[j] is None:
                     dparams[j] = d
                 else:
                     dparams[j] += d
-            if need_x:
-                # the tokens' flows arrive as v's, then k's, then q's
-                dxv += dxk
-                dxv += dxq
-                del dxk, dxq
-                dxm = _gather(dxv.reshape(b, -1, c), back).reshape(xshape)
-                del dxv
-                if dx is None:
-                    dx = dxm
-                else:
-                    dx += dxm
-                del dxm
+            # the tokens' flows arrive as v's, then k's, then q's
+            dxv += dxk
+            dxv += dxq
+            del dxk, dxq
+            dxm = _gather(dxv.reshape(b, -1, c), back).reshape(xshape)
+            del dxv
+            if dx is None:
+                dx = dxm
+            else:
+                dx += dxm
+            del dxm
         del maps, n2
         dnorm = ()
         if norm is not None:
             # the norm's rule, on the flow its output got
-            dx, *dnorm = (None, None, None) if dx is None else \
-                T._norm_grads(dx, xn, denom, gd)
+            dx, *dnorm = T._norm_grads(dx, xn, denom, gd)
         if mixture is None:
             return (dx, *dnorm, *dparams)
         dmix = _mix_weight_grad(gcols, columns, md.shape[1]) if need_mix \
@@ -620,7 +601,6 @@ def cross_attention(current: Tensor, prev: Tensor, params: AttentionParams,
     del att
     kept = _kept(probs, stats)
     del probs, stats
-    need_cur, need_prev = current.requires_grad, prev.requires_grad
 
     def bw(g):
         qd = project(cur2, wq, bq)
@@ -630,25 +610,18 @@ def cross_attention(current: Tensor, prev: Tensor, params: AttentionParams,
         vd = project(prev2, wv, bv)
         ctx = T._attention_context(probs, vd, heads).reshape(-1, c)
         g2 = g.reshape(-1, c)
-        dctx, dwo, dbo = T._affine_grads(g2, ctx, wo, True, True)
+        dctx, dwo, dbo = T._affine_grads(g2, ctx, wo)
         del ctx
         dq, dk, dv = T._attention_grads(dctx.reshape(b, -1, c), probs, qd,
                                         kt, vd, heads)
         del dctx, probs, qd, kt, vd
-        dpv, dwv, dbv = T._affine_grads(dv.reshape(-1, c), prev2, wv,
-                                        need_prev, True)
-        dpk, dwk, dbk = T._affine_grads(dk.reshape(-1, c), prev2, wk,
-                                        need_prev, True)
-        dcq, dwq, dbq = T._affine_grads(dq.reshape(-1, c), cur2, wq,
-                                        need_cur, True)
+        dpv, dwv, dbv = T._affine_grads(dv.reshape(-1, c), prev2, wv)
+        dpk, dwk, dbk = T._affine_grads(dk.reshape(-1, c), prev2, wk)
+        dcq, dwq, dbq = T._affine_grads(dq.reshape(-1, c), cur2, wq)
         del dq, dk, dv
-        dprev = dcur = None
-        if need_prev:
-            dpv += dpk
-            dprev = dpv.reshape(pshape)
-        if need_cur:
-            dcq += g2
-            dcur = dcq.reshape(cshape)
-        return dcur, dprev, dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo
+        dpv += dpk
+        dcq += g2
+        return (dcq.reshape(cshape), dpv.reshape(pshape), dwq, dbq, dwk, dbk,
+                dwv, dbv, dwo, dbo)
 
     return T._finish(out, (current, prev, *plist), bw, "cross_attention")

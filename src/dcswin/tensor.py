@@ -293,7 +293,11 @@ class Tape:
 def _accumulate(routes: list, grads: Sequence[Optional[np.ndarray]],
                 flows: dict[int, np.ndarray]) -> None:
     """Add one rule's input gradients into leaf `.grad`s and into the
-    pending flows of recorded outputs."""
+    pending flows of recorded outputs. A rule returns one gradient per
+    input, also for an input that needs none (its route is None)."""
+    if len(grads) != len(routes):
+        raise TapeError(f"backward rule returned {len(grads)} gradients "
+                        f"for {len(routes)} inputs")
     for route, ig in zip(routes, grads):
         if ig is None or route is None:
             continue
@@ -936,8 +940,11 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return _finish(np.asarray(value), (logits,), bw, "cross_entropy")
 
 
-def conv1x1(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Pointwise convolution: [B,C,H,W] x [S,C] (+[S]) -> [B,S,H,W]."""
+def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Pointwise convolution: [B,C,H,W] x [S,C] + [S] -> [B,S,H,W].
+
+    The rule skips the input gradient when `x` needs none: the one caller
+    convolves the image."""
     if x.data.ndim != 4 or w.data.ndim != 2:
         raise ShapeError(f"conv1x1 expects [B,C,H,W] and [S,C], got {x.shape} "
                          f"and {w.shape}")
@@ -948,20 +955,15 @@ def conv1x1(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     need_dx = x.requires_grad
     bsz, c, h, w_sp = xd.shape
     s = wd.shape[0]
+    if b.data.shape != (s,):
+        raise ShapeError(f"conv1x1: bias shape {b.shape} != ({s},)")
     # one matmul per product, each operand oriented as NumPy's optimized
     # einsum ("bchw,sc->bshw" and its gradients) orients it, so the values
     # keep that form's bits; the output stays the s-major view it returned,
     # the memory order in which the mixture's spatial mean sums it
     out = np.matmul(wd, xd.transpose(1, 0, 2, 3).reshape(c, -1)) \
-        .reshape(s, bsz, h, w_sp).transpose(1, 0, 2, 3)
-    inputs: tuple[Tensor, ...]
-    if b is not None:
-        if b.data.shape != (s,):
-            raise ShapeError(f"conv1x1: bias shape {b.shape} != ({s},)")
-        out = out + b.data[None, :, None, None]
-        inputs = (x, w, b)
-    else:
-        inputs = (x, w)
+        .reshape(s, bsz, h, w_sp).transpose(1, 0, 2, 3) \
+        + b.data[None, :, None, None]
 
     def bw(g):
         dx = np.matmul(wd.T, g.transpose(1, 0, 2, 3).reshape(s, -1)) \
@@ -969,55 +971,50 @@ def conv1x1(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
             if need_dx else None
         dw = np.matmul(xd.transpose(1, 0, 2, 3).reshape(c, -1),
                        g.transpose(0, 2, 3, 1).reshape(-1, s)).T
-        if b is not None:
-            return dx, dw, g.sum(axis=(0, 2, 3))
-        return dx, dw
+        return dx, dw, g.sum(axis=(0, 2, 3))
 
-    return _finish(out, inputs, bw, "conv1x1")
+    return _finish(out, (x, w, b), bw, "conv1x1")
 
 
-def _affine(x2: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray]
-            ) -> np.ndarray:
-    """[M, K] @ [K, N] (+ [N]) of a contiguous [M, K] input."""
+def _affine(x2: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """[M, K] @ [K, N] + [N] of a contiguous [M, K] input."""
     out = np.matmul(x2, wd, out=_empty((x2.shape[0], wd.shape[1])))
-    if bd is not None:
-        out += bd
+    out += bd
     return out
 
 
 def _affine_grads(g2: np.ndarray, x2: np.ndarray, wd: np.ndarray,
-                  need_dx: bool, has_b: bool) -> tuple:
-    """The [M, K] input, [K, N] weight and, if `has_b`, [N] bias gradients
-    of `_affine` for the [M, N] output gradient `g2`; the input's is None
-    unless `need_dx`."""
-    grads = (g2 @ wd.T if need_dx else None, x2.T @ g2)
-    return grads + (g2.sum(axis=0),) if has_b else grads
+                  need_dx: bool = True) -> tuple:
+    """The [M, K] input, [K, N] weight and [N] bias gradients of `_affine`
+    for the [M, N] output gradient `g2`; the input's is None unless
+    `need_dx`."""
+    return g2 @ wd.T if need_dx else None, x2.T @ g2, g2.sum(axis=0)
 
 
-def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map over the last axis: [..., K] @ [K, N] + [N].
 
     The leading axes are flattened into one 2-D product, so the weight
     gradient is a single [K, N] product rather than one per batch entry.
+    The rule computes all three gradients; the tape drops those of inputs
+    that need none.
     """
     xd, wd = x.data, w.data
     if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
         raise ShapeError(f"linear expects [..., K] and [K, N], got {xd.shape} "
                          f"and {wd.shape}")
     n = wd.shape[1]
-    if b is not None and b.data.shape != (n,):
+    if b.data.shape != (n,):
         raise ShapeError(f"linear: bias shape {b.data.shape} != ({n},)")
     x2 = _contiguous(xd).reshape(-1, xd.shape[-1])
-    xshape, need_dx = xd.shape, x.requires_grad
-    out = _affine(x2, wd, None if b is None else b.data)
-    inputs = (x, w) if b is None else (x, w, b)
+    xshape = xd.shape
+    out = _affine(x2, wd, b.data)
 
     def bw(g):
-        dx, *grads = _affine_grads(g.reshape(-1, n), x2, wd, need_dx,
-                                   b is not None)
-        return (None if dx is None else dx.reshape(xshape), *grads)
+        dx, dw, db = _affine_grads(g.reshape(-1, n), x2, wd)
+        return dx.reshape(xshape), dw, db
 
-    return _finish(out.reshape(xshape[:-1] + (n,)), inputs, bw, "linear")
+    return _finish(out.reshape(xshape[:-1] + (n,)), (x, w, b), bw, "linear")
 
 
 # [B, C, H/p, p, W/p, p] -> [B, H/p, W/p, C, p, p]
@@ -1062,7 +1059,7 @@ def patch_embed(x: Tensor, w: Tensor, b: Tensor, patch: int) -> Tensor:
 
     def bw(g):
         dx, dw, db = _affine_grads(g.reshape(-1, n), _patch_rows(xd, patch),
-                                   wd, need_dx, True)
+                                   wd, need_dx)
         if dx is not None:
             dx = np.ascontiguousarray(np.transpose(
                 dx.reshape(grid + (c, patch, patch)),
@@ -1150,7 +1147,8 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
     gelu's tanh and the activation from h, with the calls the forward
     made, and reuses the norm output for fc1's weight gradient. It runs
     the four ops' rules in the order a sweep of them would, so values and
-    gradients are the same bits as that chain's.
+    gradients are the same bits as that chain's. It computes every
+    input's gradient; the tape drops those that nobody needs.
     """
     xd = x.data
     c = xd.shape[-1]
@@ -1165,11 +1163,9 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
     xshape = xd.shape
     gd, bd, w1d, b1d, w2d = gamma.data, beta.data, w1.data, b1.data, w2.data
     inputs = (x, gamma, beta, w1, b1, w2, b2)
-    need_n = x.requires_grad or gamma.requires_grad or beta.requires_grad
-    need_h = need_n or w1.requires_grad or b1.requires_grad
     # without a graph nothing outlives its last reader, and the norm output
     # overwrites the array it is computed from; the activation always does
-    keep = _grad_enabled and (need_h or w2.requires_grad or b2.requires_grad)
+    keep = _grad_enabled and any(t.requires_grad for t in inputs)
     xn, denom = _norm_stats(xd)
     n = _norm_out(xn, gd, bd, None if keep else xn).reshape(-1, c)
     if not keep:
@@ -1188,15 +1184,11 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
         h = _affine(n, w1d, b1d)
         th = _gelu_tanh(h)
         act = _gelu_out(h, th)
-        da, dw2, db2 = _affine_grads(g2, act, w2d, need_h, True)
-        if not need_h:
-            return None, None, None, None, None, dw2, db2
+        da, dw2, db2 = _affine_grads(g2, act, w2d)
         dh = _gelu_grad(da, h, th, act)
         del act, da, h
-        dn, dw1, db1 = _affine_grads(dh, n, w1d, need_n, True)
+        dn, dw1, db1 = _affine_grads(dh, n, w1d)
         del n, dh
-        if not need_n:
-            return None, None, None, dw1, db1, dw2, db2
         return (*_norm_grads(dn.reshape(xshape), xn, denom, gd),
                 dw1, db1, dw2, db2)
 

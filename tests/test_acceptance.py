@@ -21,7 +21,7 @@ from dcswin.data import (ArrayDataset, DatasetSplit, stratified_split,
                          synth_generate)
 from dcswin.diffusion import (NoiseSchedule, consistency_loss, forward_diffuse,
                               sample_chain)
-from dcswin.dynamic_window import dynamic_window_attention
+from dcswin.dynamic_window import dynamic_window_attention, pool_to_stage
 from dcswin.gradcheck import op_names, run_model_check, run_op_check
 from dcswin.metrics import (ConfusionMatrix, balanced_accuracy, binary_auc,
                             cohens_kappa, f1)
@@ -437,6 +437,13 @@ def test_criterion_5_diffusion_correctness():
 # ---- 6: desk-scale learning behavior ---------------------------------------------------
 
 
+def final_mixture(model, dataset, ids):
+    """The [n, S] window mixture the model's predictor gives each image,
+    with no graph and no random draw."""
+    with T.no_grad():
+        return pool_to_stage(model.predictor(Tensor(dataset.batch(ids)))).data
+
+
 def test_criterion_6_desk_scale_learning(desk_manifest):
     t0 = time.perf_counter()
     failures = []
@@ -476,6 +483,7 @@ def test_criterion_6_desk_scale_learning(desk_manifest):
     bal = {name: [] for name in arms}
     auc = {name: [] for name in arms}
     precisions = []
+    mixtures = []
     test_ids = sorted(split.test)
     for seed in range(4):
         for name, (mcfg, tc) in arms.items():
@@ -485,6 +493,7 @@ def test_criterion_6_desk_scale_learning(desk_manifest):
             bal[name].append(values["balanced_accuracy"])
             auc[name].append(values["auc_roc"])
             if name == "semi":
+                mixtures.append(final_mixture(model, dataset, test_ids))
                 prec = recs[-1].get("pseudo_precision")
                 if prec is None:
                     failures.append(f"seed {seed}: empty pseudo set at the "
@@ -511,6 +520,14 @@ def test_criterion_6_desk_scale_learning(desk_manifest):
         failures.append(f"took {elapsed:.0f}s (budget 30 min)")
 
     # strict superiority is reported, not asserted: toy-scale gaps are noisy
+    # and so is how far the predictor moves from its near-uniform start
+    for seed, mix in enumerate(mixtures):
+        mean = mix.mean(axis=0)
+        entropy = float(-(mean * np.log(mean)).sum() / np.log(mean.size))
+        print(f"\nseed {seed} full-arm mixture over the test images: mean "
+              f"{np.round(mean, 4).tolist()}, spread (std) "
+              f"{' '.join(f'{v:.1e}' for v in mix.std(axis=0))}, normalised "
+              f"entropy of the mean {entropy:.4f}")
     print(f"\nfull-arm AUC {full_auc:.4f} vs baseline {base_auc:.4f} "
           f"(strictly better: {full_auc > base_auc})")
     verdict(6, "desk-scale learning", failures,

@@ -5,7 +5,8 @@ import pytest
 
 import dcswin.tensor as T
 from dcswin.attention import (AttentionConfig, AttentionParams, WindowSpec,
-                              attention_mask, window_attention, windowed_mhsa)
+                              _mix_weight_grad, attention_mask,
+                              window_attention, windowed_mhsa)
 from dcswin.dynamic_window import (dynamic_window_attention, hard_selection,
                                    pool_to_stage, predict_scales)
 from dcswin.errors import ConfigError, ShapeError
@@ -331,6 +332,38 @@ def test_mixture_op_without_a_graph_is_the_op_chain(side, candidates, shift,
                     x, mix, candidates, params, cfg, shift=shift, hard=hard))
                 assert got[-1].data.tobytes() == want.data.tobytes()
     assert got[0].data.tobytes() == want.data.tobytes()
+
+
+def zero_padded_column_sum(gcols, columns, s):
+    """The mixture gradient as the op chain passes it back: one
+    zero-padded [B, S] array per column, added in descending column
+    order."""
+    per_column = {i: gcol for gcol, idx in zip(gcols, columns) for i in idx}
+    dw = None
+    for i in sorted(per_column, reverse=True):
+        z = np.zeros((gcols[0].shape[0], s))
+        z[:, i:i + 1] = per_column[i]
+        dw = z if dw is None else dw + z
+    return dw
+
+
+def test_mixture_gradient_has_the_bits_of_the_chain_sum():
+    """Random live windows over up to five columns, with signed zeros,
+    infinities, NaN and a subnormal among the windows' gradients: a lone
+    column keeps a -0.0, and two or more columns turn it into +0.0, as
+    the chain's adds of zero-padded arrays do."""
+    rng = np.random.default_rng(7)
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1.5])
+    for _ in range(2000):
+        s = int(rng.integers(1, 6))
+        live = rng.permutation(s)[:rng.integers(1, s + 1)].tolist()
+        cuts = sorted(rng.choice(range(1, len(live)), rng.integers(
+            0, len(live)), replace=False).tolist()) if len(live) > 1 else []
+        columns = [live[a:b] for a, b in zip([0] + cuts, cuts + [len(live)])]
+        gcols = [rng.choice(values, (3, 1)) for _ in columns]
+        got = _mix_weight_grad(gcols, columns, s)
+        assert got.tobytes() == zero_padded_column_sum(gcols, columns,
+                                                       s).tobytes()
 
 
 def test_mixture_op_rejects_bad_column_groups():

@@ -74,3 +74,33 @@ def test_saturated_hard_selection_is_the_fixed_window_arm(case):
     assert got_logits.tobytes() == want_logits.tobytes()
     for name in shared:
         assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("cfg", [
+    ModelConfig.micro(), ModelConfig.micro(image_size=24), ModelConfig()],
+    ids=["micro", "padded-micro", "default"])
+def test_zero_fuse_output_is_the_no_cs_arm(cfg):
+    """A full-arm model whose fuse output projections are zero, as at
+    init, gives the no-cs arm's logits byte for byte when every parameter
+    the two share is the no-cs model's. The fuse then adds an attended
+    result of exactly 0.0 onto the stage's map, and every other op runs
+    the same NumPy calls on the same arrays in both arms."""
+    noise = np.random.default_rng(2)
+    plain = DCSWin(cfg.ablated("no-cs"), seed=0)
+    for p in plain.named_params().values():
+        p.data += noise.normal(0.0, 0.3, p.data.shape)
+    full = DCSWin(cfg, seed=1)
+    shared = plain.named_params()
+    for name, p in full.named_params().items():
+        if name in shared:
+            p.data = shared[name].data.copy()
+        elif not name.endswith((".attn.wo", ".attn.bo")):
+            # the rest of the fuse attends for real
+            p.data += noise.normal(0.0, 0.3, p.data.shape)
+    assert full.fuses and all(not np.any(f.attn.wo.data)
+                              and not np.any(f.attn.bo.data)
+                              for f in full.fuses.values())
+    x = Tensor(noise.standard_normal((2, 3, cfg.image_size,
+                                      cfg.image_size)))
+    with T.no_grad():
+        assert full(x).data.tobytes() == plain(x).data.tobytes()

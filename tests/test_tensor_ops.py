@@ -251,7 +251,8 @@ def test_conv1x1_matches_reshape_matmul():
 
 def test_conv1x1_channel_mismatch():
     with pytest.raises(ShapeError):
-        T.conv1x1(Tensor(np.zeros((1, 3, 2, 2))), Tensor(np.zeros((4, 5))))
+        T.conv1x1(Tensor(np.zeros((1, 3, 2, 2))), Tensor(np.zeros((4, 5))),
+                  T.zeros((4,)))
 
 
 # ---- fused ops against the composites they replace -------------------------------
@@ -323,18 +324,17 @@ def test_linear_matches_composite(xshape):
     _assert_same_op(T.linear, composite_linear, leaves)
 
 
-def test_linear_without_bias_and_bad_shapes():
+def test_linear_bad_shapes():
     rng = np.random.default_rng(24)
     x = rng.standard_normal((2, 3, 4))
     w = rng.standard_normal((4, 5))
-    out = T.linear(Tensor(x), Tensor(w))
-    assert np.max(np.abs(out.data - x @ w)) <= 1e-12
+    b = T.zeros((5,))
     with pytest.raises(ShapeError):
-        T.linear(Tensor(x), Tensor(np.zeros((3, 5))))
+        T.linear(Tensor(x), Tensor(np.zeros((3, 5))), b)
     with pytest.raises(ShapeError):
         T.linear(Tensor(x), Tensor(w), Tensor(np.zeros(4)))
     with pytest.raises(ShapeError):
-        T.linear(Tensor(np.zeros(4)), Tensor(w))
+        T.linear(Tensor(np.zeros(4)), Tensor(w), b)
 
 
 @pytest.mark.parametrize("xshape", [(5, 8), (2, 3, 8), (2, 2, 3, 8)])
@@ -610,6 +610,16 @@ def test_explicit_tape_requires_reset():
         tape.backward(loss)  # consumed: its entries went with the reset
 
 
+def test_rule_returning_a_gradient_short_is_an_error():
+    """A rule must give one gradient per input: one too few would leave
+    the last input without a gradient, and its optimizer would step it as
+    if that gradient were zero."""
+    a, b = leaf(np.ones(3)), leaf(np.ones(3))
+    out = T._finish(a.data + b.data, (a, b), lambda g: (g,), "short")
+    with pytest.raises(TapeError):
+        backward(T.reduce_sum(out))
+
+
 def test_grad_accumulates_across_shared_leaf():
     x = leaf([2.0])
     loss = T.add(T.mul(x, x), T.scale(x, 3.0))  # x^2 + 3x
@@ -694,7 +704,7 @@ def test_request_scope_keeps_held_outputs_and_recycles_dead_ones():
             T.add(b, b)
             T.gelu(a)
             T.layer_norm(b, T.ones((8,)), T.zeros((8,)))
-            T.linear(a, w)
+            T.linear(a, w, T.zeros((8,)))
             T.permute(b, (0, 2, 1))
         assert np.array_equal(held.data, a.data + b.data)
         dead = _address(T.add(b, b).data)
